@@ -60,22 +60,30 @@ class EvCopula:
         u, v = np.broadcast_arrays(
             np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         )
-        if np.any((u <= 0.0) | (u > 1.0)):
+        if not np.all((u > 0.0) & (u <= 1.0)):  # also rejects NaN
             raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
+        if np.isnan(v).any():
+            raise ParamOutOfRangeError("partial_u requires v to be a number, got NaN")
         out = np.zeros(u.shape, dtype=float)
         hi = v >= 1.0
         out[hi] = 1.0
         interior = ~hi & (v > 0.0)
         if interior.any():
-            lu = np.log(u[interior])
-            lv = np.log(v[interior])
-            w = lu + lv
-            t = np.clip(lv / w, 0.0, 1.0)
-            a = self.dependence.eval_fn(t)
-            da = self.dependence.deriv_fn(t, "left")
-            out[interior] = np.exp(w * a - lu) * (a - t * da)
+            out[interior] = self._partial_u_interior(np.log(u[interior]), np.log(v[interior]))
         np.clip(out, 0.0, 1.0, out=out)
         return float(out) if scalar else out
+
+    def _partial_u_interior(self, lu, lv):
+        """Unclipped dC/du from ``ln u`` and ``ln v``, for u in (0, 1] and v in (0, 1).
+
+        The shared kernel of :meth:`partial_u` and the conditional-inversion
+        sampler; it does no validation.
+        """
+        w = lu + lv
+        t = np.clip(lv / w, 0.0, 1.0)
+        a = self.dependence.eval_fn(t)
+        da = self.dependence.deriv_fn(t, "left")
+        return np.exp(w * a - lu) * (a - t * da)
 
 
 def copula_from_pickands(df: DependenceFunction) -> EvCopula:

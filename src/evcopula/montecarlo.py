@@ -15,6 +15,7 @@ only uniform draws are consumed, so batches are bit-reproducible from
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ class SampleBatch:
     seed: int
     generator: str
     n: int
+
+    def __post_init__(self):
+        if not len(self.u) == len(self.v) == self.n:
+            raise DegenerateSampleError(
+                f"batch of n={self.n} has {len(self.u)} u and {len(self.v)} v values"
+            )
 
     @property
     def pairs(self):
@@ -90,11 +97,13 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     rng = make_rng(seed, 0xB1)
     u = np.maximum(rng.random(n), 1e-300)
     p = rng.random(n)
+    lu = np.log(u)
     lo = np.zeros(n)
     hi = np.ones(n)
     for _ in range(47):  # 2**-47 < 1e-13 domain resolution
-        mid = 0.5 * (lo + hi)
-        ge = copula.partial_u(u, mid) >= p
+        mid = 0.5 * (lo + hi)  # in (0, 1): partial_u's interior case, without its checks
+        cdf = copula._partial_u_interior(lu, np.log(mid))
+        ge = np.clip(cdf, 0.0, 1.0, out=cdf) >= p
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
     label = f"generic({copula.dependence.family})"
@@ -106,13 +115,17 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """Mask of the first item of each run of equal values in ``xs``."""
+    starts = np.empty(len(xs), dtype=bool)
+    starts[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+    return starts
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="stable")
-    xs = x[order]
-    boundary = np.empty(len(x), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = xs[1:] != xs[:-1]
-    group = np.cumsum(boundary) - 1
+    group = np.cumsum(_run_starts(x[order])) - 1
     counts = np.bincount(group)
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -131,7 +144,11 @@ def _count_strict_inversions(a: np.ndarray) -> int:
     padded[:n] = a
     x = padded.reshape(m, block)
     iu, ju = np.triu_indices(block, k=1)
-    inv = int((x[:, iu] > x[:, ju]).sum())
+    inv = 0
+    chunk = 64  # rows per in-block comparison: two 1 MB gathers
+    for r in range(0, m, chunk):
+        rows = x[r : r + chunk]
+        inv += int(np.count_nonzero(rows[:, iu] > rows[:, ju]))
     x = np.sort(x, axis=1)
     flat = x.ravel()
     width = block
@@ -152,8 +169,9 @@ def _count_strict_inversions(a: np.ndarray) -> int:
     return inv
 
 
-def _tie_pair_count(x: np.ndarray) -> int:
-    _, counts = np.unique(x, return_counts=True)
+def _tied_pairs(starts: np.ndarray) -> int:
+    """Pairs within runs of a sorted sequence; ``starts`` marks each run's first item."""
+    counts = np.diff(np.append(np.flatnonzero(starts), len(starts)))
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -162,17 +180,22 @@ def kendall_tau_stat(u: np.ndarray, v: np.ndarray) -> float:
 
     O(n log n): sort by (u, v) and merge-count strict inversions of v,
     then correct for tied pairs (ties count as neither concordant nor
-    discordant).
+    discordant), counted exactly from runs of equal sorted values.
     """
     n = len(u)
+    if n < 2 or len(v) != n:
+        raise DegenerateSampleError(f"need two or more (u, v) pairs, got {n} u and {len(v)} v")
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise DegenerateSampleError("Kendall's tau is undefined for NaN coordinates")
     order = np.lexsort((v, u))
     vs = v[order]
     discordant = _count_strict_inversions(vs)
     n0 = n * (n - 1) // 2
-    ties_u = _tie_pair_count(u)
-    ties_v = _tie_pair_count(v)
-    pairs = np.rec.fromarrays([u, v])
-    ties_uv = _tie_pair_count(pairs)
+    # ties: runs of u in the (u, v) order, runs of (u, v) within those, runs of sorted v
+    u_starts = _run_starts(u[order])
+    ties_u = _tied_pairs(u_starts)
+    ties_uv = _tied_pairs(u_starts | _run_starts(vs))
+    ties_v = _tied_pairs(_run_starts(np.sort(v)))
     c_minus_d = n0 - ties_u - ties_v + ties_uv - 2 * discordant
     return c_minus_d / n0
 
@@ -239,20 +262,28 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
 
 def write_batch_csv(batch: SampleBatch, stream) -> None:
     """Write ``u,v`` rows at 17 significant digits with LF line endings."""
-    stream.write("u,v\n")
-    for a, b in zip(batch.u, batch.v):
-        stream.write(f"{a:.17g},{b:.17g}\n")
+    row = "{:.17g},{:.17g}\n".format
+    stream.write("u,v\n" + "".join(map(row, batch.u.tolist(), batch.v.tolist())))
 
 
 def read_pairs_csv(stream) -> SampleBatch:
-    """Read a ``u,v`` CSV (header required) back into a batch."""
+    """Read a ``u,v`` CSV (header required) back into a batch.
+
+    Blank and whitespace-only lines are skipped and columns after the
+    second are ignored; every coordinate must be a finite number in [0, 1].
+    """
     header = stream.readline().strip()
     if [c.strip().lower() for c in header.split(",")[:2]] != ["u", "v"]:
         raise DegenerateSampleError("expected CSV header 'u,v'")
-    rows = [line.strip() for line in stream if line.strip()]
-    if not rows:
+    rows = (line for line in stream if not line.isspace())
+    first = next(rows, None)
+    if first is None:
         raise DegenerateSampleError("no sample rows in input")
-    data = np.asarray([[float(c) for c in r.split(",")[:2]] for r in rows])
+    data = np.loadtxt(
+        itertools.chain((first,), rows), delimiter=",", usecols=(0, 1), ndmin=2, comments=None
+    )
+    if not np.isfinite(data).all():
+        raise DegenerateSampleError("coordinates must be finite numbers")
     u, v = data[:, 0], data[:, 1]
     if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
         raise DegenerateSampleError("coordinates must lie in [0, 1]")

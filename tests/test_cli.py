@@ -249,6 +249,15 @@ class TestEstimate:
         assert code == 2
         assert "no sample rows" in err
 
+    def test_non_finite_exit_2(self, tmp_path, capsys):
+        rows = "".join(f"{x:.3f},{x:.3f}\n" for x in np.linspace(0.05, 0.95, 20))
+        bad = tmp_path / "nan.csv"
+        bad.write_text("u,v\n" + rows + "nan,0.5\n")
+        code, out, err = run(["estimate", "--in", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_custom_thresholds(self, tmp_path, capsys):
         sample_path = tmp_path / "s.csv"
         main(["sample", "--family", "mo", "--alpha", "0.5", "--beta", "0.5",

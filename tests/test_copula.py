@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evcopula import (
+    ParamOutOfRangeError,
     check_max_stability,
     check_two_increasing,
     copula_from_pickands,
@@ -135,6 +136,17 @@ class TestPartialU:
         for cop in _family_zoo():
             p = cop.partial_u(u, v)
             assert np.all((p >= 0.0) & (p <= 1.0))
+
+    @pytest.mark.parametrize("u, v", [(math.nan, 0.5), (0.5, math.nan), ([0.5, 0.7], [0.2, math.nan])])
+    def test_nan_rejected(self, u, v):
+        for cop in (MO_HALF, copula_from_pickands(gumbel_dependence(2.0))):
+            with pytest.raises(ParamOutOfRangeError):
+                cop.partial_u(u, v)
+
+    def test_out_of_range_u_rejected(self):
+        for u in (0.0, -0.5, 1.5):
+            with pytest.raises(ParamOutOfRangeError):
+                MO_HALF.partial_u(u, 0.5)
 
 
 class TestSurvival:

@@ -110,10 +110,35 @@ class TestKendallStatistic:
         v = np.round(rng.random(800), 1)
         assert kendall_tau_stat(u, v) == kendall_tau_direct(u, v)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_pairs_rejected(self, n):
+        with pytest.raises(DegenerateSampleError):
+            kendall_tau_stat(np.full(n, 0.5), np.full(n, 0.5))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(DegenerateSampleError):
+            kendall_tau_stat(np.linspace(0, 1, 10), np.linspace(0, 1, 9))
+
+    def test_nan_rejected(self):
+        u = np.linspace(0.1, 0.9, 10)
+        v = u.copy()
+        v[3] = np.nan
+        with pytest.raises(DegenerateSampleError):
+            kendall_tau_stat(u, v)
+
     def test_perfect_orderings(self):
         x = np.arange(100, dtype=float)
         assert kendall_tau_stat(x, x) == 1.0
         assert kendall_tau_stat(x, -x) == -1.0
+
+
+class TestSampleBatch:
+    def test_length_mismatch_rejected(self):
+        rng = make_rng(32)
+        with pytest.raises(DegenerateSampleError):
+            SampleBatch(rng.random(100), rng.random(100), 0, "manual", 20)
+        with pytest.raises(DegenerateSampleError):
+            SampleBatch(rng.random(100), rng.random(99), 0, "manual", 100)
 
 
 class TestEmpiricalCoefficients:
@@ -177,3 +202,11 @@ class TestCsvInterchange:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateSampleError):
             read_pairs_csv(io.StringIO("u,v\n"))
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_rejected(self, cell, column):
+        row = [cell, "0.5"] if column == 0 else ["0.5", cell]
+        text = "u,v\n0.1,0.2\n" + ",".join(row) + "\n0.3,0.4\n"
+        with pytest.raises(DegenerateSampleError, match="finite"):
+            read_pairs_csv(io.StringIO(text))
