@@ -44,20 +44,17 @@ from .copula import (
     survival,
 )
 from .errors import (
-    BadBracketError,
     DegenerateSampleError,
     EvCopulaError,
     InvalidDependenceFunctionError,
     NonConvergentError,
     NonFiniteError,
-    OutOfRangeError,
     ParamOutOfRangeError,
 )
 from .montecarlo import (
     EmpiricalCoefficients,
     SampleBatch,
     empirical_coefficients,
-    kendall_tau_direct,
     kendall_tau_stat,
     ks_statistic_uniform,
     read_pairs_csv,
@@ -65,14 +62,7 @@ from .montecarlo import (
     sample_mo,
     write_batch_csv,
 )
-from .numerics import (
-    QuadratureSpec,
-    RootSpec,
-    find_root,
-    integrate,
-    invert_monotone_cdf,
-    invert_monotone_cdf_batch,
-)
+from .numerics import QuadratureSpec, integrate
 from .pickands import (
     DependenceFunction,
     ValidationReport,

@@ -31,6 +31,8 @@ from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
     _pwl_max,
+    check_lambda,
+    check_tangent,
     gumbel_dependence,
     mix,
     mo_dependence,
@@ -71,15 +73,9 @@ class InequalityReport:
     trutschnig_margin: float
 
 
-def _check_lambda(lam: float) -> float:
-    if not 0.0 <= lam <= 1.0:
-        raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
-    return float(lam)
-
-
 def pointwise_lower(lam: float, u, v):
     """Lower envelope: the Marshall-Olkin copula with alpha = beta = lam."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.minimum(u ** (1.0 - lam) * v, u * v ** (1.0 - lam))
@@ -87,8 +83,7 @@ def pointwise_lower(lam: float, u, v):
 
 def pointwise_upper(a: float, b: float, u, v):
     """Upper envelope member ``min(u, v, u**(1-a) * v**(1-b))``."""
-    if not (a >= 0.0 and b >= 0.0 and a + b <= 1.0 + 1e-12):
-        raise ParamOutOfRangeError(f"need a, b >= 0 and a + b <= 1, got a={a}, b={b}")
+    check_tangent(a, b)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.minimum(np.minimum(u, v), u ** (1.0 - a) * v ** (1.0 - b))
@@ -99,7 +94,7 @@ def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     if grid < 2:
         raise ParamOutOfRangeError("grid must be >= 2")
     df = copula.dependence
-    lam = float(np.clip(2.0 * (1.0 - df(0.5)), 0.0, 1.0))
+    lam = lambda_upper(df)
     a, b = tangent_at_half(df)
     pts = np.linspace(0.0, 1.0, grid)
     uu = pts[:, None]
@@ -117,7 +112,7 @@ def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
 
 def rho_bounds(lam: float) -> BoundsInterval:
     """Attainable Spearman rho interval for a known tail coefficient."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     lo = 3.0 * lam / (4.0 - lam)
     hi = 1.0 - 16.0 * ((1.0 - lam) / (4.0 - lam)) ** 2
     return BoundsInterval(lo, hi, "MO alpha=beta=lambda", "Pareto a=b=lambda/2")
@@ -125,7 +120,7 @@ def rho_bounds(lam: float) -> BoundsInterval:
 
 def tau_bounds(lam: float) -> BoundsInterval:
     """Attainable Kendall tau interval for a known tail coefficient."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     return BoundsInterval(
         lam / (2.0 - lam), lam, "MO alpha=beta=lambda", "Pareto a=b=lambda/2"
     )
@@ -153,7 +148,7 @@ def ev_inequalities(rho: float, tau: float, tol: float = 1e-9) -> InequalityRepo
 
 def blomqvist_from_lambda(lam: float) -> float:
     """Blomqvist beta of an EV copula with tail coefficient lam: ``2**lam - 1``."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     return 2.0**lam - 1.0
 
 

@@ -8,11 +8,15 @@ For a dependence function A:
 
     rho    = 12 * integral dt / (A(t) + 1)^2 - 3
     tau    = integral t (1 - t) dA'(t) / A(t)      (Stieltjes)
+           = integral A'(t) [t (1 - t) A'(t) - (1 - 2t) A(t)] / A(t)^2 dt
     lambda = 2 (1 - A(1/2))
     beta   = 2^lambda - 1 = 4 C(1/2, 1/2) - 1
 
-The tau integral splits into kink atoms ``t(1-t) * jump / A(t)`` plus the
-absolutely continuous part over the smooth panels.
+The second form of tau is the first integrated by parts: ``t (1 - t) / A``
+vanishes at both ends, so no boundary terms remain.  It needs only A and
+A', never A''.  Both integrals run over panels that end at the function's
+declared split points, so every jump of A' sits on a panel edge and the
+integrands are smooth inside each panel.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError
 from .numerics import QuadratureSpec, integrate
-from .pickands import DependenceFunction
+from .pickands import (
+    DependenceFunction,
+    check_lambda,
+    check_mo,
+    check_tangent,
+    check_theta,
+)
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
-
-_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -57,43 +64,30 @@ def lambda_upper(df: DependenceFunction) -> float:
 
 
 def rho_numeric(df: DependenceFunction, spec: QuadratureSpec | None = None) -> float:
-    """Spearman's rho by adaptive quadrature, split at the kinks of A."""
+    """Spearman's rho by adaptive quadrature, split at ``df.split_points``."""
     if spec is None:
-        spec = QuadratureSpec(split_points=df.kink_positions)
+        spec = QuadratureSpec(split_points=df.split_points)
     return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, spec) - 3.0
 
 
 def tau_numeric(df: DependenceFunction, spec: QuadratureSpec | None = None) -> float:
-    """Kendall's tau via the Stieltjes decomposition of dA'.
+    """Kendall's tau by adaptive quadrature of the integrated-by-parts form.
 
-    Kink atoms contribute ``t (1-t) (A'(t+) - A'(t-)) / A(t)``; the smooth
-    part integrates ``t (1-t) A''(t) / A(t)`` between kinks.  Families
-    without an analytic second derivative fall back to a central second
-    difference with step 1e-5 and a correspondingly relaxed tolerance.
+    Integrates ``A' [t (1-t) A' - (1-2t) A] / A^2`` over [0, 1], split at
+    ``df.split_points``.  The Stieltjes atoms ``t (1-t) (A'(t+) - A'(t-)) /
+    A(t)`` of kinked functions need no separate sum: integration by parts
+    turns them into jumps of the integrand, and each jump of A' is a panel
+    edge.
     """
-    atoms = 0.0
-    for t, left, right in df.kinks:
-        atoms += t * (1.0 - t) * (right - left) / df(t)
-
-    if df.has_second:
-        second = df.second_fn
-        if spec is None:
-            spec = QuadratureSpec(split_points=df.kink_positions)
-    else:
-        h = _FD_STEP
-
-        def second(t):
-            return (df.eval_fn(t + h) - 2.0 * df.eval_fn(t) + df.eval_fn(t - h)) / (h * h)
-
-        if spec is None:
-            spec = QuadratureSpec(
-                abs_tol=1e-7, rel_tol=1e-7, split_points=df.kink_positions
-            )
+    if spec is None:
+        spec = QuadratureSpec(split_points=df.split_points)
 
     def integrand(t):
-        return t * (1.0 - t) * second(t) / df.eval_fn(t)
+        a = df.eval_fn(t)
+        d = df.deriv_fn(t, "right")
+        return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
 
-    return atoms + integrate(integrand, spec)
+    return integrate(integrand, spec)
 
 
 def blomqvist(copula) -> float:
@@ -133,8 +127,7 @@ def mo_closed_form(alpha: float, beta: float) -> CoefficientSet:
     lambda = min(a, b); both correlation formulas degenerate to 0 when
     a + b == 0.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ParamOutOfRangeError(f"alpha={alpha}, beta={beta} not in [0, 1]")
+    check_mo(alpha, beta)
     if alpha + beta == 0.0:
         rho = tau = 0.0
     else:
@@ -151,9 +144,8 @@ def mo_closed_form(alpha: float, beta: float) -> CoefficientSet:
 
 
 def gumbel_closed_form(theta: float) -> tuple:
-    """Gumbel ``(tau, lambda) = (1 - 1/theta, 2 - 2**(1/theta))``."""
-    if not theta >= 1.0:
-        raise ParamOutOfRangeError(f"theta={theta} must be >= 1")
+    """Gumbel ``(tau, lambda) = (1 - 1/theta, 2 - 2**(1/theta))``; theta may be inf."""
+    theta = check_theta(theta, allow_inf=True)
     if math.isinf(theta):
         return 1.0, 1.0
     return 1.0 - 1.0 / theta, 2.0 - 2.0 ** (1.0 / theta)
@@ -161,15 +153,13 @@ def gumbel_closed_form(theta: float) -> tuple:
 
 def gumbel_tau_from_lambda(lam: float) -> float:
     """Gumbel tau as a function of its tail coefficient: ``1 - log2(2 - lam)``."""
-    if not 0.0 <= lam <= 1.0:
-        raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
+    lam = check_lambda(lam)
     return 1.0 - math.log2(2.0 - lam)
 
 
 def gumbel_theta_from_lambda(lam: float) -> float:
     """Invert ``lam = 2 - 2**(1/theta)``; lam == 1 maps to infinity."""
-    if not 0.0 <= lam <= 1.0:
-        raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
+    lam = check_lambda(lam)
     if lam == 1.0:
         return math.inf
     return 1.0 / math.log2(2.0 - lam)
@@ -181,8 +171,7 @@ def pareto_closed_form(a: float, b: float) -> tuple:
     rho = 1 - 16 (1 - lam)^2 / ((4 - lam)^2 - 9 (a - b)^2) with
     lam = a + b, and tau = lam exactly.
     """
-    if not (a >= 0.0 and b >= 0.0 and a + b <= 1.0 + 1e-12):
-        raise ParamOutOfRangeError(f"need a, b >= 0 and a + b <= 1, got a={a}, b={b}")
+    check_tangent(a, b)
     lam = a + b
     denom = (4.0 - lam) ** 2 - 9.0 * (a - b) ** 2
     rho = 1.0 if denom == 0.0 else 1.0 - 16.0 * (1.0 - lam) ** 2 / denom

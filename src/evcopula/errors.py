@@ -17,14 +17,6 @@ class NonFiniteError(EvCopulaError, ArithmeticError):
     """An integrand returned a non-finite value at an evaluation node."""
 
 
-class BadBracketError(EvCopulaError, ValueError):
-    """Root bracket endpoints do not straddle a sign change."""
-
-
-class OutOfRangeError(EvCopulaError, ValueError):
-    """Inversion target lies outside the function's range on the domain."""
-
-
 class InvalidDependenceFunctionError(EvCopulaError, ValueError):
     """Candidate dependence function failed validation."""
 

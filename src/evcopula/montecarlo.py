@@ -22,6 +22,7 @@ import numpy as np
 
 from .copula import EvCopula
 from .errors import DegenerateSampleError, ParamOutOfRangeError
+from .pickands import check_mo
 from .rng import make_rng
 
 _INVERSION_TOL = 1e-13
@@ -65,8 +66,7 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
     A zero parameter removes the common shock's effect on that margin, so
     those cases route to the independence sampler.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ParamOutOfRangeError(f"alpha={alpha}, beta={beta} not in [0, 1]")
+    check_mo(alpha, beta)
     if n < 1:
         raise ParamOutOfRangeError("n must be >= 1")
     rng = make_rng(seed, 0xA0)  # stream tag distinct from the generic sampler
@@ -197,16 +197,6 @@ def kendall_tau_stat(u: np.ndarray, v: np.ndarray) -> float:
     ties_uv = _tied_pairs(u_starts | _run_starts(vs))
     ties_v = _tied_pairs(_run_starts(np.sort(v)))
     c_minus_d = n0 - ties_u - ties_v + ties_uv - 2 * discordant
-    return c_minus_d / n0
-
-
-def kendall_tau_direct(u: np.ndarray, v: np.ndarray) -> float:
-    """O(n^2) sign-count oracle for :func:`kendall_tau_stat` (small n only)."""
-    du = np.sign(u[:, None] - u[None, :]).astype(np.int64)
-    dv = np.sign(v[:, None] - v[None, :]).astype(np.int64)
-    iu, ju = np.triu_indices(len(u), k=1)
-    c_minus_d = int((du[iu, ju] * dv[iu, ju]).sum())
-    n0 = len(u) * (len(u) - 1) // 2
     return c_minus_d / n0
 
 

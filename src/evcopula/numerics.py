@@ -1,5 +1,4 @@
-"""Numerical engine: adaptive quadrature on [0, 1], bracketed root finding,
-and monotone-function inversion with jump handling.
+"""Numerical engine: adaptive quadrature on [0, 1] with declared split points.
 
 Integrands are expected to accept numpy arrays (all callers in this package
 evaluate vectorized functions). Quadrature is adaptive Gauss-Kronrod 7-15
@@ -10,17 +9,11 @@ keep their convergence order.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadBracketError,
-    NonConvergentError,
-    NonFiniteError,
-    OutOfRangeError,
-)
+from .errors import NonConvergentError, NonFiniteError
 
 # Gauss-Kronrod 7-15 abscissae and weights on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array(
@@ -85,22 +78,6 @@ class QuadratureSpec:
         object.__setattr__(self, "split_points", pts)
 
 
-@dataclass(frozen=True)
-class RootSpec:
-    """Bracket and stopping rule for :func:`find_root`."""
-
-    bracket: tuple
-    tol: float = 1e-13
-    max_iter: int = 200
-
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not lo < hi:
-            raise ValueError("bracket must satisfy lo < hi")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-
-
 def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7-15 panel; returns (kronrod, error_estimate)."""
     c = 0.5 * (a + b)
@@ -157,92 +134,3 @@ def integrate(f, spec: QuadratureSpec | None = None) -> float:
         heapq.heappush(heap, (-err_r, counter, mid, b, val_r, depth + 1))
         counter += 1
     return total
-
-
-def find_root(g, spec: RootSpec) -> float:
-    """Locate a zero of ``g`` inside a sign-changing bracket.
-
-    Secant steps are taken when they fall inside the current bracket; a
-    bisection is forced whenever two consecutive steps fail to halve the
-    bracket, which guarantees convergence.  Stops when ``|g(x)| <= tol``
-    or the bracket width drops below ``tol``.
-    """
-    lo, hi = float(spec.bracket[0]), float(spec.bracket[1])
-    glo = float(g(lo))
-    ghi = float(g(hi))
-    if abs(glo) <= spec.tol:
-        return lo
-    if abs(ghi) <= spec.tol:
-        return hi
-    if glo * ghi > 0.0:
-        raise BadBracketError(
-            f"g({lo}) = {glo:.3e} and g({hi}) = {ghi:.3e} have the same sign"
-        )
-    width_two_ago = hi - lo
-    for it in range(spec.max_iter):
-        if hi - lo <= spec.tol:
-            return 0.5 * (lo + hi)
-        stalled = it >= 2 and hi - lo > 0.5 * width_two_ago
-        width_two_ago = hi - lo if it % 2 == 0 else width_two_ago
-        x = None
-        if not stalled and ghi != glo:
-            cand = hi - ghi * (hi - lo) / (ghi - glo)
-            if lo < cand < hi:
-                x = cand
-        if x is None:
-            x = 0.5 * (lo + hi)
-        gx = float(g(x))
-        if abs(gx) <= spec.tol:
-            return x
-        if glo * gx < 0.0:
-            hi, ghi = x, gx
-        else:
-            lo, glo = x, gx
-    raise NonConvergentError("root search exhausted max_iter without converging")
-
-
-def invert_monotone_cdf(h, p: float, domain: tuple, tol: float = 1e-13) -> float:
-    """Generalized inverse ``inf{v : h(v) >= p}`` of a nondecreasing ``h``.
-
-    Bisection converges to jump locations, so a jump of ``h`` across ``p``
-    returns the jump point (right-continuous generalized inverse).
-    """
-    lo, hi = float(domain[0]), float(domain[1])
-    hlo = float(h(lo))
-    hhi = float(h(hi))
-    slack = 1e-9
-    if p < hlo - slack or p > hhi + slack:
-        raise OutOfRangeError(
-            f"target {p} outside attained range [{hlo}, {hhi}]"
-        )
-    if p <= hlo:
-        return lo
-    if p > hhi:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if float(h(mid)) >= p:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def invert_monotone_cdf_batch(h, p, domain: tuple, tol: float = 1e-13):
-    """Vectorized twin of :func:`invert_monotone_cdf`.
-
-    ``h`` must map arrays to arrays elementwise; all targets in ``p`` are
-    inverted simultaneously with the same jump rule.
-    """
-    p = np.asarray(p, dtype=float)
-    lo = np.full_like(p, float(domain[0]))
-    hi = np.full_like(p, float(domain[1]))
-    width = float(domain[1]) - float(domain[0])
-    steps = max(1, math.ceil(math.log2(max(width / tol, 2.0))))
-    at_lo = h(lo) >= p
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        ge = h(mid) >= p
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    return np.where(at_lo, float(domain[0]), hi)

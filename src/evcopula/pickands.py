@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,19 +35,22 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class DependenceFunction:
-    """A validated Pickands dependence function with kink metadata.
+    """A validated Pickands dependence function: A, A' and split points.
 
-    ``kinks`` lists the interior points where the one-sided derivatives
-    differ, as ``(t, left_slope, right_slope)`` triples in increasing t.
-    ``second_fn`` is None when the family has no usable second derivative.
-    Instances are immutable and safe to share across threads.
+    ``split_points`` lists, in increasing order, the points strictly inside
+    (0, 1) where a quadrature panel must end: every jump of A' (the kinks
+    of piecewise-linear functions) and, for Gumbel, the edges of its
+    narrow curvature spike at t = 1/2.  ``second_fn`` is always None and
+    nothing reads it.  Instances are immutable and safe to share across
+    threads.
     """
 
     family: str
     params: dict = field(compare=False)
-    kinks: tuple
+    split_points: tuple
     eval_fn: object = field(repr=False, compare=False)
     deriv_fn: object = field(repr=False, compare=False)
+    # unused; kept only because perfbench/tracer.py passes it to dataclasses.replace
     second_fn: object = field(default=None, repr=False, compare=False)
 
     def __call__(self, t):
@@ -62,20 +66,41 @@ class DependenceFunction:
         out = self.deriv_fn(arr, side)
         return float(out) if np.ndim(t) == 0 else out
 
-    @property
-    def has_second(self) -> bool:
-        return self.second_fn is not None
 
-    def second_deriv(self, t):
-        if self.second_fn is None:
-            raise ValueError(f"{self.family}: no second derivative available")
-        arr = np.asarray(t, dtype=float)
-        out = self.second_fn(arr)
-        return float(out) if np.ndim(t) == 0 else out
+# ---------------------------------------------------------------------------
+# parameter checks, shared by constructors, closed forms, samplers and bounds
+# ---------------------------------------------------------------------------
 
-    @property
-    def kink_positions(self) -> tuple:
-        return tuple(k[0] for k in self.kinks)
+
+def check_mo(alpha: float, beta: float) -> None:
+    """Marshall-Olkin parameters: ``alpha, beta`` in [0, 1]."""
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ParamOutOfRangeError(f"alpha={alpha}, beta={beta} not in [0, 1]")
+
+
+def check_tangent(a: float, b: float) -> None:
+    """Tangent-family parameters: ``a, b >= 0`` and ``a + b <= 1``."""
+    if not (a >= 0.0 and b >= 0.0 and a + b <= 1.0 + 1e-12):
+        raise ParamOutOfRangeError(f"need a, b >= 0 and a + b <= 1, got a={a}, b={b}")
+
+
+def check_lambda(lam: float) -> float:
+    """Tail coefficient in [0, 1], returned as a float."""
+    if not 0.0 <= lam <= 1.0:
+        raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
+    return float(lam)
+
+
+def check_theta(theta: float, allow_inf: bool = False) -> float:
+    """Gumbel parameter: a real number (not a bool) >= 1, returned as a float.
+
+    Python and numpy reals are accepted; infinity only with ``allow_inf``.
+    """
+    ok = isinstance(theta, numbers.Real) and not isinstance(theta, (bool, np.bool_))
+    if not (ok and theta >= 1.0 and (allow_inf or math.isfinite(theta))):
+        bound = "real" if allow_inf else "finite real"
+        raise ParamOutOfRangeError(f"theta={theta} must be a {bound} >= 1")
+    return float(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +119,10 @@ def _pwl_accessors(ts: np.ndarray, vs: np.ndarray):
         idx = np.searchsorted(ts, t, side=side) - 1
         return slopes[np.clip(idx, 0, last)]
 
-    def second_fn(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    kinks = tuple(
-        (float(ts[i]), float(slopes[i - 1]), float(slopes[i]))
-        for i in range(1, len(ts) - 1)
-        if slopes[i] - slopes[i - 1] > _KINK_TOL
+    split_points = tuple(
+        float(ts[i]) for i in range(1, len(ts) - 1) if slopes[i] - slopes[i - 1] > _KINK_TOL
     )
-    return eval_fn, deriv_fn, second_fn, kinks
+    return eval_fn, deriv_fn, split_points
 
 
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
@@ -133,14 +153,13 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
 def _build_pwl(knots, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     ts = np.asarray([k[0] for k in knots], dtype=float)
     vs = np.asarray([k[1] for k in knots], dtype=float)
-    interp_eval, deriv_fn, second_fn, kinks = _pwl_accessors(ts, vs)
+    interp_eval, deriv_fn, split_points = _pwl_accessors(ts, vs)
     return DependenceFunction(
         family=family,
         params=params,
-        kinks=kinks,
+        split_points=split_points,
         eval_fn=eval_fn if eval_fn is not None else interp_eval,
         deriv_fn=deriv_fn,
-        second_fn=second_fn,
     )
 
 
@@ -174,8 +193,7 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
     Piecewise linear with a single kink at ``alpha / (alpha + beta)``;
     either parameter equal to zero collapses to independence (A == 1).
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ParamOutOfRangeError(f"alpha={alpha}, beta={beta} not in [0, 1]")
+    check_mo(alpha, beta)
 
     def eval_fn(t):
         return 1.0 - np.minimum(beta * t, alpha * (1.0 - t))
@@ -197,11 +215,11 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     Smooth for theta > 1 (no kinks); theta == 1 gives independence.
     Evaluation is stabilized as ``M * (1 + r^theta)^(1/theta)`` with
     ``M = max(t, 1-t)`` and ``r = min(t, 1-t) / M`` so large theta stays
-    finite.
+    finite.  A' turns from about -1 to about +1 within ~1/theta of
+    t = 1/2, so panels end at ``1/2`` and ``1/2 +- k/theta`` for
+    k in {1, 4, 16, 64}, wherever those lie inside (0, 1).
     """
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta >= 1.0):
-        raise ParamOutOfRangeError(f"theta={theta} must be a finite real >= 1")
-    theta = float(theta)
+    theta = check_theta(theta)
     if theta == 1.0:
         return _build_pwl(
             [(0.0, 1.0), (1.0, 1.0)], "gumbel", {"theta": 1.0},
@@ -223,19 +241,13 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
         sign = np.where(t >= 0.5, 1.0, -1.0)
         return sign * (1.0 + r**theta) ** (1.0 / theta - 1.0) * (1.0 - r ** (theta - 1.0))
 
-    def second_fn(t):
-        t, big, r = _parts(t)
-        with np.errstate(divide="ignore"):
-            core = r ** (theta - 2.0)
-        return (theta - 1.0) * (1.0 + r**theta) ** (1.0 / theta - 2.0) * core / big**3
-
+    spike = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}
     return DependenceFunction(
         family="gumbel",
         params={"theta": theta},
-        kinks=(),
+        split_points=tuple(sorted(p for p in spike if 0.0 < p < 1.0)),
         eval_fn=eval_fn,
         deriv_fn=deriv_fn,
-        second_fn=second_fn,
     )
 
 
@@ -247,8 +259,7 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
     fall strictly inside (0, 1); ``a + b == 1`` collapses to the comonotone
     envelope.
     """
-    if not (a >= 0.0 and b >= 0.0 and a + b <= 1.0 + 1e-12):
-        raise ParamOutOfRangeError(f"need a, b >= 0 and a + b <= 1, got a={a}, b={b}")
+    check_tangent(a, b)
 
     def eval_fn(t):
         t = np.asarray(t, dtype=float)
@@ -273,9 +284,9 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
 def piecewise_linear_dependence(knots) -> DependenceFunction:
     """Validated piecewise-linear dependence function through ``knots``.
 
-    ``knots`` must start at (0, 1), end at (1, 1) and have strictly
-    increasing abscissae; the interpolant must stay convex inside the
-    admissible band, otherwise :class:`InvalidDependenceFunctionError`
+    ``knots`` must be finite, start at (0, 1), end at (1, 1) and have
+    strictly increasing abscissae; the interpolant must stay convex inside
+    the admissible band, otherwise :class:`InvalidDependenceFunctionError`
     is raised carrying the validation report.
     """
     knots = [(float(t), float(v)) for t, v in knots]
@@ -286,6 +297,13 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
         )
     ts = np.asarray([k[0] for k in knots])
     vs = np.asarray([k[1] for k in knots])
+    finite = np.isfinite(ts) & np.isfinite(vs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidDependenceFunctionError(
+            f"knot {i} is not finite: ({ts[i]}, {vs[i]})",
+            ValidationReport(False, ((float(ts[i]), "non_finite", math.inf),)),
+        )
     if np.any(np.diff(ts) <= 0.0):
         raise InvalidDependenceFunctionError(
             "knot abscissae must be strictly increasing",
@@ -312,7 +330,8 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
     """Convex mixture ``weight * first + (1 - weight) * second``.
 
     All dependence-function constraints are preserved under convex
-    combination, so the result is valid by construction.
+    combination, so the result is valid by construction.  Its split points
+    are the union of both components' points.
     """
     if not 0.0 <= weight <= 1.0:
         raise ParamOutOfRangeError(f"weight={weight} not in [0, 1]")
@@ -324,27 +343,12 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
     def deriv_fn(t, side):
         return w * first.deriv_fn(t, side) + cw * second.deriv_fn(t, side)
 
-    second_fn = None
-    if first.has_second and second.has_second:
-        f2, g2 = first.second_fn, second.second_fn
-
-        def second_fn(t):
-            return w * f2(t) + cw * g2(t)
-
-    kinks = []
-    for pos in sorted(set(first.kink_positions) | set(second.kink_positions)):
-        arr = np.asarray(pos, dtype=float)
-        ls = float(w * first.deriv_fn(arr, "left") + cw * second.deriv_fn(arr, "left"))
-        rs = float(w * first.deriv_fn(arr, "right") + cw * second.deriv_fn(arr, "right"))
-        if rs - ls > _KINK_TOL:
-            kinks.append((pos, ls, rs))
     return DependenceFunction(
         family="mixture",
         params={"weight": w, "components": (first.family, second.family)},
-        kinks=tuple(kinks),
+        split_points=tuple(sorted(set(first.split_points) | set(second.split_points))),
         eval_fn=eval_fn,
         deriv_fn=deriv_fn,
-        second_fn=second_fn,
     )
 
 
@@ -358,14 +362,14 @@ def validate(fn, grid_size: int = 2048) -> ValidationReport:
 
     Verifies the endpoint condition, the band ``max(t, 1-t) <= A <= 1``,
     and midpoint convexity over all grid pairs, each with absolute
-    tolerance 1e-9.  Declared kinks of a :class:`DependenceFunction` are
-    added to the grid.
+    tolerance 1e-9.  Declared split points of a :class:`DependenceFunction`
+    are added to the grid.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
-    if isinstance(fn, DependenceFunction) and fn.kinks:
-        grid = np.union1d(grid, np.asarray(fn.kink_positions))
+    if isinstance(fn, DependenceFunction) and fn.split_points:
+        grid = np.union1d(grid, np.asarray(fn.split_points))
     vals = np.asarray(fn(grid), dtype=float)
 
     bad = []
@@ -440,7 +444,7 @@ def read_knots_csv(path) -> DependenceFunction:
 
 def write_knots_csv(path, df: DependenceFunction, samples: int = 257) -> None:
     """Serialize a dependence function as a dense ``t,A`` knot CSV."""
-    grid = np.union1d(np.linspace(0.0, 1.0, samples), np.asarray(df.kink_positions))
+    grid = np.union1d(np.linspace(0.0, 1.0, samples), np.asarray(df.split_points))
     vals = df(grid)
     with open(path, "w", newline="") as fh:
         fh.write("t,A\n")

@@ -74,6 +74,17 @@ class TestCoeffs:
         assert rows["rho"] == pytest.approx(3.0 / 7.0, abs=1e-8)
         assert rows["tau"] == pytest.approx(1.0 / 3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "nan,0.75", "0.5,inf"])
+    def test_pwl_non_finite_knot_exit_2(self, tmp_path, capsys, row):
+        knots = tmp_path / "knots.csv"
+        knots.write_text(f"t,A\n0,1\n{row}\n1,1\n")
+        code, out, err = run(
+            ["coeffs", "--family", "pwl", "--knots-file", str(knots)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestGumbelTable:
     def test_shape_and_edges(self, capsys):

@@ -1,6 +1,5 @@
 """Coefficient computation: quadrature vs closed forms, inversions, identities."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +7,10 @@ import pytest
 
 from evcopula import (
     ParamOutOfRangeError,
-    RootSpec,
     blomqvist,
     compute_coefficients,
     copula_from_pickands,
-    find_root,
+    dependence_corpus,
     gumbel_closed_form,
     gumbel_dependence,
     gumbel_tau_from_lambda,
@@ -28,6 +26,8 @@ from evcopula import (
 )
 from evcopula.rng import make_rng
 
+QUAD_ORACLE_SIZE = 20
+
 
 class TestRhoNumeric:
     def test_independence(self):
@@ -41,6 +41,12 @@ class TestRhoNumeric:
     def test_gumbel_half_tail(self):
         theta = gumbel_theta_from_lambda(0.5)
         assert rho_numeric(gumbel_dependence(theta)) == pytest.approx(0.581, abs=1.5e-3)
+
+    def test_gumbel_large_theta_increasing_below_one(self):
+        # the 1/theta-wide corner of A at 1/2 must not fall between nodes
+        rhos = [rho_numeric(gumbel_dependence(th)) for th in (500.0, 1e3, 2e3, 5e3, 1e4)]
+        assert all(x < y for x, y in zip(rhos, rhos[1:])), rhos
+        assert rhos[-1] < 1.0
 
 
 class TestTauNumeric:
@@ -57,11 +63,10 @@ class TestTauNumeric:
     def test_gumbel(self):
         assert tau_numeric(gumbel_dependence(2.0)) == pytest.approx(0.5, abs=1e-8)
 
-    def test_finite_difference_fallback(self):
-        # same shape with the analytic second derivative stripped
-        df = dataclasses.replace(gumbel_dependence(2.0), second_fn=None)
-        assert not df.has_second
-        assert tau_numeric(df) == pytest.approx(0.5, abs=1e-5)
+    def test_gumbel_closed_form_up_to_huge_theta(self):
+        for theta in np.geomspace(1.0001, 1e12, 49):
+            got = tau_numeric(gumbel_dependence(float(theta)))
+            assert got == pytest.approx(1.0 - 1.0 / theta, abs=1e-10), theta
 
     def test_mixture(self):
         # tau is not linear in the mixture, so check against an independent
@@ -71,6 +76,30 @@ class TestTauNumeric:
         assert tau_numeric(m) == pytest.approx(tau_numeric(f), abs=1e-10)
         m = mix(f, g, 0.0)
         assert tau_numeric(m) == pytest.approx(tau_numeric(g), abs=1e-8)
+
+
+class TestScipyQuadOracle:
+    def test_corpus_matches_quad_on_same_panels(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def panelled(f, df):
+            edges = (0.0, *df.split_points, 1.0)
+            return sum(
+                quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges, edges[1:])
+            )
+
+        for seed in range(5):
+            for df in dependence_corpus(QUAD_ORACLE_SIZE, seed):
+
+                def tau_integrand(t):
+                    a, d = df(t), df.deriv(t)
+                    return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
+
+                rho = 12.0 * panelled(lambda t: (df(t) + 1.0) ** -2.0, df) - 3.0
+                tau = panelled(tau_integrand, df)
+                assert rho_numeric(df) == pytest.approx(rho, abs=1e-10), (seed, df)
+                assert tau_numeric(df) == pytest.approx(tau, abs=1e-10), (seed, df)
 
 
 class TestLambda:
@@ -175,12 +204,10 @@ class TestGumbelThetaFromLambda:
     def test_full_tail_is_infinite(self):
         assert math.isinf(gumbel_theta_from_lambda(1.0))
 
-    def test_matches_root_finding(self):
-        for lam in (0.1, 0.45, 0.83):
-            root = find_root(
-                lambda th: 2.0 - 2.0 ** (1.0 / th) - lam, RootSpec((1.0, 64.0))
-            )
-            assert gumbel_theta_from_lambda(lam) == pytest.approx(root, abs=1e-9)
+    def test_round_trip_through_closed_form(self):
+        for lam in (0.0, 0.1, 0.45, 0.83, 0.999, 1.0):
+            _, back = gumbel_closed_form(gumbel_theta_from_lambda(lam))
+            assert back == pytest.approx(lam, abs=1e-12)
 
     def test_range_check(self):
         with pytest.raises(ParamOutOfRangeError):

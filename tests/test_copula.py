@@ -105,7 +105,10 @@ class TestPartialU:
         h = 1e-6
         rng = make_rng(21)
         for cop in _family_zoo():
-            kink_ts = cop.dependence.kink_positions
+            df = cop.dependence
+            kink_ts = [
+                k for k in df.split_points if df.deriv(k, "left") != df.deriv(k, "right")
+            ]
             for _ in range(40):
                 u = 0.05 + 0.9 * rng.random()
                 v = 0.05 + 0.9 * rng.random()

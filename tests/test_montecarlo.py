@@ -11,7 +11,6 @@ from evcopula import (
     copula_from_pickands,
     empirical_coefficients,
     gumbel_dependence,
-    kendall_tau_direct,
     kendall_tau_stat,
     ks_statistic_uniform,
     mo_dependence,
@@ -22,6 +21,7 @@ from evcopula import (
     write_batch_csv,
 )
 from evcopula.rng import make_rng
+from test_oracles import kendall_tau_direct
 
 
 class TestSampleMo:

@@ -1,6 +1,4 @@
-"""Quadrature, root finding, and monotone inversion."""
-
-import math
+"""Adaptive quadrature with declared split points."""
 
 import numpy as np
 import pytest
@@ -8,16 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcopula import (
-    BadBracketError,
     NonConvergentError,
     NonFiniteError,
-    OutOfRangeError,
     QuadratureSpec,
-    RootSpec,
-    find_root,
     integrate,
-    invert_monotone_cdf,
-    invert_monotone_cdf_batch,
     mo_dependence,
 )
 
@@ -44,7 +36,7 @@ class TestIntegrate:
         # rho = 3ab/(2a - ab + 2b) = 3/7 at a = b = 1/2, so the integral
         # of 1/(A(t)+1)^2 must equal (rho + 3)/12 = 2/7
         df = mo_dependence(0.5, 0.5)
-        spec = QuadratureSpec(split_points=df.kink_positions)
+        spec = QuadratureSpec(split_points=df.split_points)
         got = integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, spec)
         assert got == pytest.approx(2.0 / 7.0, abs=1e-12)
 
@@ -92,76 +84,3 @@ class TestIntegrate:
         assert integrate(f, QuadratureSpec(split_points=(0.2, 0.7))) == pytest.approx(
             integrate(f), abs=1e-12
         )
-
-
-class TestFindRoot:
-    def test_linear(self):
-        assert find_root(lambda x: x - 0.5, RootSpec((0.0, 1.0))) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_gumbel_shape_inversion_half(self):
-        # oracle: analytic inverse theta = 1 / log2(2 - lam)
-        root = find_root(lambda th: 2.0 - 2.0 ** (1.0 / th) - 0.5, RootSpec((1.0, 64.0)))
-        assert root == pytest.approx(1.0 / math.log2(1.5), abs=1e-9)
-        assert root == pytest.approx(1.710, abs=5e-4)
-
-    def test_gumbel_shape_inversion_ninety(self):
-        root = find_root(lambda th: 2.0 - 2.0 ** (1.0 / th) - 0.9, RootSpec((1.0, 64.0)))
-        assert root == pytest.approx(1.0 / math.log2(1.1), abs=1e-9)
-        assert root == pytest.approx(7.273, abs=5e-4)
-
-    def test_bad_bracket(self):
-        with pytest.raises(BadBracketError):
-            find_root(lambda x: x + 2.0, RootSpec((0.0, 1.0)))
-
-    def test_endpoint_root(self):
-        assert find_root(lambda x: x, RootSpec((0.0, 1.0))) == 0.0
-
-    def test_iteration_exhaustion(self):
-        spec = RootSpec((0.0, 1.0), tol=1e-300, max_iter=0)
-        with pytest.raises(NonConvergentError):
-            find_root(lambda x: x - 0.3712, spec)
-
-    @given(r=st.floats(0.05, 0.95))
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_residual_within_ten_tol(self, r):
-        g = lambda x: (x - r) * (1.0 + (x - r) ** 2)
-        spec = RootSpec((-1.0, 2.0))
-        x = find_root(g, spec)
-        assert abs(g(x)) <= 10.0 * spec.tol
-
-
-class TestInvertMonotone:
-    def test_identity_cdf(self):
-        assert invert_monotone_cdf(lambda v: v, 0.3, (0.0, 1.0)) == pytest.approx(
-            0.3, abs=1e-12
-        )
-
-    def test_jump_returns_jump_location(self):
-        h = lambda v: 0.2 if v < 0.5 else 0.8
-        assert invert_monotone_cdf(h, 0.5, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_square_cdf(self):
-        assert invert_monotone_cdf(lambda v: v * v, 0.25, (0.0, 1.0)) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            invert_monotone_cdf(lambda v: v, 1.5, (0.0, 1.0))
-
-    @given(x=st.floats(0.01, 0.99))
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_roundtrip_on_continuity_points(self, x):
-        h = lambda v: v + np.sin(3.0 * v) / 4.0  # strictly increasing
-        assert invert_monotone_cdf(h, float(h(x)), (0.0, 1.0)) == pytest.approx(
-            x, abs=1e-10
-        )
-
-    def test_batch_matches_scalar(self):
-        h = lambda v: np.asarray(v) ** 2
-        p = np.array([0.0, 0.04, 0.25, 0.81, 1.0])
-        got = invert_monotone_cdf_batch(h, p, (0.0, 1.0))
-        want = [invert_monotone_cdf(lambda v: v * v, pi, (0.0, 1.0)) for pi in p]
-        np.testing.assert_allclose(got, want, atol=1e-12)

@@ -1,10 +1,12 @@
-"""Retired sampling, Kendall and CSV code paths kept as exact oracles.
+"""Retired code paths and direct formulas kept as oracles.
 
 Each production path must reproduce its retired predecessor bit for bit:
 the sampler's shared dC/du kernel against a 47-pass bisection over the
 public ``partial_u``, the one-call CSV writer against the per-row writer,
 the ``loadtxt`` reader against the line-split reader, and the run-based
-Kendall tie counts against ``np.unique``.
+Kendall tie counts against ``np.unique`` and an O(n^2) sign count.  The
+by-parts Kendall tau integral of piecewise-linear dependence functions must
+match the retired sum of Stieltjes atoms at their kinks.
 """
 
 import io
@@ -18,12 +20,12 @@ from evcopula import (
     copula_from_pickands,
     dependence_corpus,
     gumbel_dependence,
-    kendall_tau_direct,
     kendall_tau_stat,
     mo_dependence,
     pareto_dependence,
     read_pairs_csv,
     sample_generic,
+    tau_numeric,
     write_batch_csv,
 )
 from evcopula.rng import make_rng
@@ -97,6 +99,24 @@ def kendall_unique_ties(u, v):
     discordant = strict_inversions(v[np.lexsort((v, u))])
     ties_uv = tie_pair_count(np.rec.fromarrays([u, v]))
     return (n0 - tie_pair_count(u) - tie_pair_count(v) + ties_uv - 2 * discordant) / n0
+
+
+def kendall_tau_direct(u, v):
+    """O(n^2) sign count of Kendall's tau-a (small n only)."""
+    du = np.sign(u[:, None] - u[None, :]).astype(np.int64)
+    dv = np.sign(v[:, None] - v[None, :]).astype(np.int64)
+    iu, ju = np.triu_indices(len(u), k=1)
+    c_minus_d = int((du[iu, ju] * dv[iu, ju]).sum())
+    n0 = len(u) * (len(u) - 1) // 2
+    return c_minus_d / n0
+
+
+def kink_atom_tau(df):
+    """Stieltjes tau as a sum of kink atoms; exact when A'' = 0 between kinks."""
+    return sum(
+        t * (1.0 - t) * (df.deriv(t, "right") - df.deriv(t, "left")) / df(t)
+        for t in df.split_points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +279,23 @@ def test_reader_rejects_one_column_row_as_value_error():
         read_lines(io.StringIO("u,v\n0.1\n"))
     with pytest.raises(ValueError, match="column"):
         read_pairs_csv(io.StringIO("u,v\n0.1\n"))
+
+
+# ---------------------------------------------------------------------------
+# Kendall tau of piecewise-linear dependence functions
+# ---------------------------------------------------------------------------
+
+PIECEWISE_LINEAR = ("marshall_olkin", "pareto", "piecewise_linear")
+
+
+def test_tau_matches_kink_atoms_on_piecewise_linear_corpus():
+    checked = 0
+    for seed in range(10):
+        for df in dependence_corpus(100, seed):
+            if df.family in PIECEWISE_LINEAR:
+                assert tau_numeric(df) == pytest.approx(kink_atom_tau(df), abs=1e-10), (
+                    seed,
+                    df,
+                )
+                checked += 1
+    assert checked > 500

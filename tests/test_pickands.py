@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evcopula import (
     InvalidDependenceFunctionError,
+    ParamOutOfRangeError,
     gumbel_dependence,
     mix,
     mo_dependence,
@@ -31,7 +32,7 @@ class TestMarshallOlkin:
     def test_zero_parameter_gives_independence(self):
         for df in (mo_dependence(0.0, 0.7), mo_dependence(0.7, 0.0)):
             np.testing.assert_allclose(df(GRID), 1.0, atol=0.0)
-            assert df.kinks == ()
+            assert df.split_points == ()
 
     def test_comonotone_corner(self):
         assert mo_dependence(1.0, 1.0)(0.5) == pytest.approx(0.5, abs=1e-15)
@@ -44,10 +45,10 @@ class TestMarshallOlkin:
 
     def test_kink_location_and_slopes(self):
         df = mo_dependence(0.7, 0.2)
-        ((t, left, right),) = df.kinks
+        (t,) = df.split_points
         assert t == pytest.approx(0.7 / 0.9, abs=1e-15)
-        assert left == pytest.approx(-0.2, abs=1e-12)
-        assert right == pytest.approx(0.7, abs=1e-12)
+        assert df.deriv(t, "left") == pytest.approx(-0.2, abs=1e-12)
+        assert df.deriv(t, "right") == pytest.approx(0.7, abs=1e-12)
 
     def test_param_range(self):
         with pytest.raises(Exception):
@@ -77,13 +78,33 @@ class TestGumbel:
 
     def test_no_kinks_and_derivatives(self):
         df = gumbel_dependence(2.0)
-        assert df.kinks == ()
-        # finite-difference check of both derivative orders at interior points
+        # smooth: the split points bound panels, they are not kinks
+        for t in df.split_points:
+            assert df.deriv(t, "left") == df.deriv(t, "right")
+        # finite-difference check of the derivative at interior points
         for t in (0.21, 0.5, 0.83):
             fd1 = (df(t + 1e-6) - df(t - 1e-6)) / 2e-6
-            fd2 = (df(t + 1e-4) - 2 * df(t) + df(t - 1e-4)) / 1e-8
             assert df.deriv(t) == pytest.approx(fd1, abs=1e-8)
-            assert df.second_deriv(t) == pytest.approx(fd2, rel=1e-4)
+
+    def test_split_points_bracket_the_spike(self):
+        assert gumbel_dependence(2.0).split_points == (0.5,)
+        assert gumbel_dependence(1.0).split_points == ()
+        pts = gumbel_dependence(100.0).split_points
+        want = sorted(0.5 + s * k / 100.0 for k in (1, 4, 16) for s in (-1, 1))
+        assert pts == pytest.approx(sorted(want + [0.5]), abs=1e-15)
+        # huge theta: the offsets vanish below the spacing of doubles at 1/2
+        assert gumbel_dependence(1e300).split_points == (0.5,)
+
+    def test_numpy_real_theta_accepted(self):
+        for theta in (np.float32(2.0), np.float64(2.0), np.int64(2), 2):
+            df = gumbel_dependence(theta)
+            assert df.params["theta"] == 2.0
+            assert df(0.5) == gumbel_dependence(2.0)(0.5)
+
+    def test_bool_theta_rejected(self):
+        for theta in (True, np.bool_(True)):
+            with pytest.raises(ParamOutOfRangeError):
+                gumbel_dependence(theta)
 
     def test_param_range(self):
         with pytest.raises(Exception):
@@ -95,7 +116,7 @@ class TestGumbel:
 class TestParetoTangentFamily:
     def test_symmetric_quarter(self):
         df = pareto_dependence(0.25, 0.25)
-        assert df.kink_positions == pytest.approx((0.25, 0.75), abs=1e-15)
+        assert df.split_points == pytest.approx((0.25, 0.75), abs=1e-15)
         assert df(0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_kinks_match_line_intersections(self):
@@ -103,13 +124,13 @@ class TestParetoTangentFamily:
         a, b = 0.37, 0.22
         line = lambda t: (1.0 - a) * (1.0 - t) + (1.0 - b) * t
         df = pareto_dependence(a, b)
-        tp, tq = df.kink_positions
+        tp, tq = df.split_points
         assert line(tp) == pytest.approx(1.0 - tp, abs=1e-12)
         assert line(tq) == pytest.approx(tq, abs=1e-12)
 
     def test_one_sided(self):
         df = pareto_dependence(0.5, 0.0)
-        assert df.kink_positions == pytest.approx((1.0 / 3.0,), abs=1e-15)
+        assert df.split_points == pytest.approx((1.0 / 3.0,), abs=1e-15)
 
     def test_degenerate_cases(self):
         np.testing.assert_allclose(pareto_dependence(0.0, 0.0)(GRID), 1.0, atol=0.0)
@@ -137,7 +158,7 @@ class TestParetoTangentFamily:
         # emit zero-width segments (regression for a hypothesis find)
         for a, b in [(0.3, 0.7), (0.3, 0.7 - 1e-14), (1e-15, 0.5), (0.5, 1e-15)]:
             df = pareto_dependence(a, b)
-            pos = np.asarray(df.kink_positions)
+            pos = np.asarray(df.split_points)
             assert np.all(np.diff(pos) > 1e-12)
             assert np.all((pos > 1e-13) & (pos < 1.0 - 1e-13))
             assert validate(df, grid_size=256).valid
@@ -159,13 +180,27 @@ class TestPiecewiseLinear:
         # and stays inside the band: construction must succeed
         df = piecewise_linear_dependence([(0, 1), (0.3, 0.9), (0.7, 0.8), (1, 1)])
         assert validate(df).valid
-        assert len(df.kinks) == 2
+        assert len(df.split_points) == 2
 
     def test_decreasing_slopes_rejected(self):
         # slopes -1/6 then -1/2: decreasing, hence not convex
         with pytest.raises(InvalidDependenceFunctionError) as err:
             piecewise_linear_dependence([(0, 1), (0.3, 0.95), (0.6, 0.8), (1, 1)])
         assert any(c == "convexity" for _, c, _ in err.value.report.violations)
+
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            [(0, 1), (0.5, math.nan), (1, 1)],
+            [(0, 1), (math.nan, 0.75), (1, 1)],
+            [(0, 1), (0.5, math.inf), (1, 1)],
+            [(0, 1), (0.5, 0.75), (1, math.nan)],
+        ],
+    )
+    def test_non_finite_knots_rejected(self, knots):
+        with pytest.raises(InvalidDependenceFunctionError) as err:
+            piecewise_linear_dependence(knots)
+        assert err.value.report.violations[0][1] == "non_finite"
 
     def test_non_increasing_abscissae_rejected(self):
         with pytest.raises(InvalidDependenceFunctionError):
@@ -278,9 +313,15 @@ class TestMixture:
     def test_mixture_kinks_scale(self):
         f = mo_dependence(0.6, 0.6)
         m = mix(f, gumbel_dependence(1.0), 0.5)
-        ((t, left, right),) = m.kinks
+        (t,) = m.split_points
         assert t == 0.5
-        assert right - left == pytest.approx(0.5 * 1.2, abs=1e-12)
+        jump = m.deriv(t, "right") - m.deriv(t, "left")
+        assert jump == pytest.approx(0.5 * 1.2, abs=1e-12)
+
+    def test_mixture_split_points_are_the_union(self):
+        f, g = mo_dependence(0.6, 0.2), gumbel_dependence(8.0)
+        m = mix(f, g, 0.3)
+        assert m.split_points == tuple(sorted(set(f.split_points) | set(g.split_points)))
 
 
 @given(
