@@ -62,7 +62,7 @@ from .montecarlo import (
     sample_mo,
     write_batch_csv,
 )
-from .numerics import QuadratureSpec, integrate
+from .numerics import integrate
 from .pickands import (
     DependenceFunction,
     ValidationReport,

@@ -42,6 +42,9 @@ from .pickands import (
 )
 from .rng import make_rng
 
+_CONTAINMENT_SLACK = 1e-7
+_ENVELOPE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundsInterval:
@@ -135,14 +138,14 @@ def classical_region(tau: float) -> tuple:
     return (tau * tau + 2.0 * tau - 1.0) / 2.0, (1.0 + 3.0 * tau) / 2.0
 
 
-def ev_inequalities(rho: float, tau: float, tol: float = 1e-9) -> InequalityReport:
-    """Hutchinson-Lai and Trutschnig margins for an EV (rho, tau) pair."""
+def ev_inequalities(rho: float, tau: float) -> InequalityReport:
+    """Hutchinson-Lai and Trutschnig margins for an EV (rho, tau) pair; passed if all >= -1e-9."""
     if not (0.0 <= rho <= 1.0 and 0.0 <= tau <= 1.0):
         raise ParamOutOfRangeError("rho and tau must lie in [0, 1] for EV copulas")
     hl_lower = rho - (np.sqrt(1.0 + 3.0 * tau) - 1.0)
     hl_upper = min(1.5 * tau, 2.0 * tau - tau * tau) - rho
     trut = rho - 3.0 * tau / (2.0 + tau)
-    passed = bool(min(hl_lower, hl_upper, trut) >= -tol)
+    passed = bool(min(hl_lower, hl_upper, trut) >= -_ENVELOPE_TOL)
     return InequalityReport(passed, float(hl_lower), float(hl_upper), float(trut))
 
 
@@ -207,12 +210,12 @@ def dependence_corpus(n: int, seed: int) -> list:
     return [random_dependence_function(make_rng(seed, i)) for i in range(n)]
 
 
-def verify_case(df: DependenceFunction, envelope_grid: int = 200,
-                containment_slack: float = 1e-7, envelope_tol: float = 1e-9) -> dict:
+def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     """Run every bound of this module against one dependence function.
 
     Returns a report dict with the computed coefficients, the interval
-    margins (negative means violation beyond slack) and a ``passed`` flag.
+    margins (negative means violation) and a ``passed`` flag: margins
+    >= -1e-7, envelope violations <= 1e-9 and the EV inequalities to 1e-9.
     """
     lam = lambda_upper(df)
     rho = rho_numeric(df)
@@ -220,9 +223,7 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200,
     ri = rho_bounds(lam)
     ti = tau_bounds(lam)
     env = check_envelope(copula_from_pickands(df), envelope_grid)
-    ineq = ev_inequalities(
-        min(max(rho, 0.0), 1.0), min(max(tau, 0.0), 1.0), tol=envelope_tol
-    )
+    ineq = ev_inequalities(min(max(rho, 0.0), 1.0), min(max(tau, 0.0), 1.0))
     margins = {
         "rho_above_lo": rho - ri.lo,
         "rho_below_hi": ri.hi - rho,
@@ -230,9 +231,9 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200,
         "tau_below_hi": ti.hi - tau,
     }
     passed = (
-        all(m >= -containment_slack for m in margins.values())
-        and env.max_lower_violation <= envelope_tol
-        and env.max_upper_violation <= envelope_tol
+        all(m >= -_CONTAINMENT_SLACK for m in margins.values())
+        and env.max_lower_violation <= _ENVELOPE_TOL
+        and env.max_upper_violation <= _ENVELOPE_TOL
         and ineq.passed
     )
     return {

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["exact", "generic"], default="exact")
-    add_io(p)
+    p.add_argument("--out", help="u,v CSV output file (default: stdout)")
 
     p = sub.add_parser("estimate", help="empirical coefficients from a u,v CSV")
     p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
@@ -218,13 +218,11 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise EvCopulaError("-n must be >= 1")
+    df = _dependence_from_args(args)
     if args.family == "mo" and args.method == "exact":
-        if args.alpha is None or args.beta is None:
-            raise EvCopulaError("family 'mo' needs --alpha and --beta")
-        batch = mc_mod.sample_mo(args.alpha, args.beta, args.n, args.seed)
+        batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)
     else:
-        cop = copula_from_pickands(_dependence_from_args(args))
-        batch = mc_mod.sample_generic(cop, args.n, args.seed)
+        batch = mc_mod.sample_generic(copula_from_pickands(df), args.n, args.seed)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             mc_mod.write_batch_csv(batch, fh)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate
+from .numerics import integrate
 from .pickands import (
     DependenceFunction,
     check_lambda,
@@ -63,31 +63,27 @@ def lambda_upper(df: DependenceFunction) -> float:
     return float(np.clip(2.0 * (1.0 - df(0.5)), 0.0, 1.0))
 
 
-def rho_numeric(df: DependenceFunction, spec: QuadratureSpec | None = None) -> float:
-    """Spearman's rho by adaptive quadrature, split at ``df.split_points``."""
-    if spec is None:
-        spec = QuadratureSpec(split_points=df.split_points)
-    return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, spec) - 3.0
+def rho_numeric(df: DependenceFunction) -> float:
+    """Spearman's rho by quadrature split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
+    return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, df.split_points) - 3.0
 
 
-def tau_numeric(df: DependenceFunction, spec: QuadratureSpec | None = None) -> float:
+def tau_numeric(df: DependenceFunction) -> float:
     """Kendall's tau by adaptive quadrature of the integrated-by-parts form.
 
     Integrates ``A' [t (1-t) A' - (1-2t) A] / A^2`` over [0, 1], split at
-    ``df.split_points``.  The Stieltjes atoms ``t (1-t) (A'(t+) - A'(t-)) /
-    A(t)`` of kinked functions need no separate sum: integration by parts
-    turns them into jumps of the integrand, and each jump of A' is a panel
-    edge.
+    ``df.split_points``, to ``1e-12 + 1e-10 |I|``.  The Stieltjes atoms
+    ``t (1-t) (A'(t+) - A'(t-)) / A(t)`` of kinked functions need no
+    separate sum: integration by parts turns them into jumps of the
+    integrand, and each jump of A' is a panel edge.
     """
-    if spec is None:
-        spec = QuadratureSpec(split_points=df.split_points)
 
     def integrand(t):
         a = df.eval_fn(t)
         d = df.deriv_fn(t, "right")
         return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
 
-    return integrate(integrand, spec)
+    return integrate(integrand, df.split_points)
 
 
 def blomqvist(copula) -> float:

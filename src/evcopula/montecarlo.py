@@ -25,28 +25,23 @@ from .errors import DegenerateSampleError, ParamOutOfRangeError
 from .pickands import check_mo
 from .rng import make_rng
 
-_INVERSION_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Immutable batch of (u, v) pairs plus generation metadata."""
+    """Immutable batch of (u, v) pairs plus generation metadata; ``n = len(u) == len(v)``."""
 
     u: np.ndarray
     v: np.ndarray
     seed: int
     generator: str
-    n: int
 
     def __post_init__(self):
-        if not len(self.u) == len(self.v) == self.n:
-            raise DegenerateSampleError(
-                f"batch of n={self.n} has {len(self.u)} u and {len(self.v)} v values"
-            )
+        if len(self.u) != len(self.v):
+            raise DegenerateSampleError(f"{len(self.u)} u values but {len(self.v)} v values")
 
     @property
-    def pairs(self):
-        return np.column_stack([self.u, self.v])
+    def n(self) -> int:
+        return len(self.u)
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
     if alpha == 0.0 or beta == 0.0:
         u = rng.random(n)
         v = rng.random(n)
-        return SampleBatch(u, v, seed, f"mo(alpha={alpha},beta={beta})", n)
+        return SampleBatch(u, v, seed, f"mo(alpha={alpha},beta={beta})")
     e_shared = -np.log1p(-rng.random(n))
     e1 = -np.log1p(-rng.random(n))
     e2 = -np.log1p(-rng.random(n))
@@ -81,7 +76,7 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
     y = e_shared if beta == 1.0 else np.minimum(e2 * (beta / (1.0 - beta)), e_shared)
     u = np.exp(-x / alpha)
     v = np.exp(-y / beta)
-    return SampleBatch(u, v, seed, f"mo(alpha={alpha},beta={beta})", n)
+    return SampleBatch(u, v, seed, f"mo(alpha={alpha},beta={beta})")
 
 
 def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
@@ -107,7 +102,7 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
     label = f"generic({copula.dependence.family})"
-    return SampleBatch(u, hi, seed, label, n)
+    return SampleBatch(u, hi, seed, label)
 
 
 # ---------------------------------------------------------------------------
@@ -277,4 +272,4 @@ def read_pairs_csv(stream) -> SampleBatch:
     u, v = data[:, 0], data[:, 1]
     if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
         raise DegenerateSampleError("coordinates must lie in [0, 1]")
-    return SampleBatch(u, v, seed=-1, generator="file", n=len(u))
+    return SampleBatch(u, v, seed=-1, generator="file")

@@ -9,7 +9,6 @@ keep their convergence order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,26 +55,9 @@ _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and panel layout for :func:`integrate`."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 60
-    split_points: tuple = ()
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        pts = tuple(float(p) for p in self.split_points)
-        if any(not 0.0 < p < 1.0 for p in pts):
-            raise ValueError("split points must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("split points must be strictly increasing")
-        object.__setattr__(self, "split_points", pts)
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_DEPTH = 60
 
 
 def _gk15(f, a: float, b: float):
@@ -94,16 +76,18 @@ def _gk15(f, a: float, b: float):
     return kron, abs(kron - gauss)
 
 
-def integrate(f, spec: QuadratureSpec | None = None) -> float:
+def integrate(f, split_points=()) -> float:
     """Integrate ``f`` over [0, 1] adaptively.
 
-    Panels between consecutive split points are refined independently; the
-    worst panel (largest error estimate) is bisected until the summed error
-    estimate meets ``abs_tol + rel_tol * |I|``.
+    Panels between consecutive ``split_points`` are refined independently;
+    the worst panel (largest error estimate) is bisected until the summed
+    error estimate meets ``1e-12 + 1e-10 * |I|``; a panel at bisection depth
+    60 raises :class:`NonConvergentError` instead.  Split points must be
+    finite, strictly increasing and inside (0, 1), else ValueError.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    edges = [0.0, *spec.split_points, 1.0]
+    edges = [0.0, *(float(p) for p in split_points), 1.0]
+    if not all(a < b for a, b in zip(edges, edges[1:])):  # also rejects NaN
+        raise ValueError("split points must increase strictly inside (0, 1)")
 
     # Heap of (-err, order, a, b, value, depth); order breaks ties.
     heap = []
@@ -117,9 +101,9 @@ def integrate(f, spec: QuadratureSpec | None = None) -> float:
         total += val
         total_err += err
 
-    while total_err > spec.abs_tol + spec.rel_tol * abs(total):
+    while total_err > _ABS_TOL + _REL_TOL * abs(total):
         neg_err, _, a, b, val, depth = heapq.heappop(heap)
-        if depth >= spec.max_depth:
+        if depth >= _MAX_DEPTH:
             raise NonConvergentError(
                 f"quadrature stalled on [{a}, {b}] at depth {depth} "
                 f"(error estimate {-neg_err:.3e})"

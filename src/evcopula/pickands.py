@@ -435,16 +435,21 @@ def read_knots_csv(path) -> DependenceFunction:
             ValidationReport(False, ((0.0, "header", 1.0),)),
         )
     knots = []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        if len(row) < 2:
+            raise InvalidDependenceFunctionError(
+                f"{path}: row {i} has one column, expected 't,A'",
+                ValidationReport(False, ((0.0, "format", 1.0),)),
+            )
         knots.append((float(row[0]), float(row[1])))
     return piecewise_linear_dependence(knots)
 
 
-def write_knots_csv(path, df: DependenceFunction, samples: int = 257) -> None:
-    """Serialize a dependence function as a dense ``t,A`` knot CSV."""
-    grid = np.union1d(np.linspace(0.0, 1.0, samples), np.asarray(df.split_points))
+def write_knots_csv(path, df: DependenceFunction) -> None:
+    """Serialize a dependence function as a ``t,A`` CSV: 257 equispaced knots plus split points."""
+    grid = np.union1d(np.linspace(0.0, 1.0, 257), np.asarray(df.split_points))
     vals = df(grid)
     with open(path, "w", newline="") as fh:
         fh.write("t,A\n")

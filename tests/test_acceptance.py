@@ -170,12 +170,12 @@ def test_criterion_6_structural_identities():
     us = np.linspace(1e-3, 1.0, 257)
     for name, df in _families_zoo():
         cop = copula_from_pickands(df)
-        assert check_max_stability(cop, samples=10000, seed=5) <= 1e-12, name
+        assert check_max_stability(cop, seed=5) <= 1e-12, name
         lam = lambda_upper(df)
         diag_err = float(np.abs(cop(us, us) - us ** (2.0 - lam)).max())
         assert diag_err <= 1e-12, name
         assert abs(blomqvist(cop) - (2.0**lam - 1.0)) <= 1e-12, name
-        assert check_two_increasing(cop, grid=64) >= -1e-12, name
+        assert check_two_increasing(cop) >= -1e-12, name
     _report(6, "max-stability, diagonal law, Blomqvist, 2-increasing", started)
 
 
@@ -212,15 +212,13 @@ def test_criterion_7_monte_carlo_consistency():
 def test_criterion_8_inequality_suite(corpus_coefficients):
     started = time.monotonic()
     for df, lam, rho, tau in corpus_coefficients:
-        rep = ev_inequalities(
-            min(max(rho, 0.0), 1.0), min(max(tau, 0.0), 1.0), tol=1e-9
-        )
+        rep = ev_inequalities(min(max(rho, 0.0), 1.0), min(max(tau, 0.0), 1.0))
         assert rep.passed, (df.family, lam, rho, tau, rep)
     # the lower-envelope family makes the Trutschnig inequality tight:
     # rho = 3 tau / (2 + tau) exactly when tau = lam / (2 - lam)
     for lam in np.linspace(0.0, 1.0, 21):
         cs = mo_closed_form(lam, lam)
-        rep = ev_inequalities(cs.rho, cs.tau, tol=1e-9)
+        rep = ev_inequalities(cs.rho, cs.tau)
         assert rep.passed
         assert abs(rep.trutschnig_margin) <= 1e-9, lam
     _report(8, "Hutchinson-Lai and Trutschnig inequality suite", started)

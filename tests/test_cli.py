@@ -85,6 +85,16 @@ class TestCoeffs:
         assert out == ""
         assert "not finite" in err
 
+    def test_pwl_one_column_row_exit_2(self, tmp_path, capsys):
+        knots = tmp_path / "knots.csv"
+        knots.write_text("t,A\n0,1\n0.5\n1,1\n")
+        code, out, err = run(
+            ["coeffs", "--family", "pwl", "--knots-file", str(knots)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "one column" in err
+
 
 class TestGumbelTable:
     def test_shape_and_edges(self, capsys):
@@ -230,6 +240,23 @@ class TestSample:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 11
+
+    def test_format_flag_rejected(self, capsys):
+        # sample always writes the u,v CSV; a --format it ignored would mislead
+        code, out, _ = run(
+            ["sample", "--family", "gumbel", "--theta", "2", "-n", "5",
+             "--format", "tsv"], capsys
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_mo_exact_needs_both_parameters(self, capsys):
+        code, out, err = run(
+            ["sample", "--family", "mo", "--alpha", "0.5", "-n", "5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "needs --alpha and --beta" in err
 
 
 class TestEstimate:

@@ -136,15 +136,13 @@ class TestSampleBatch:
     def test_length_mismatch_rejected(self):
         rng = make_rng(32)
         with pytest.raises(DegenerateSampleError):
-            SampleBatch(rng.random(100), rng.random(100), 0, "manual", 20)
-        with pytest.raises(DegenerateSampleError):
-            SampleBatch(rng.random(100), rng.random(99), 0, "manual", 100)
+            SampleBatch(rng.random(100), rng.random(99), 0, "manual")
 
 
 class TestEmpiricalCoefficients:
     def test_comonotone_batch(self):
         u = make_rng(24).random(5001)
-        est = empirical_coefficients(SampleBatch(u, u, 0, "manual", len(u)))
+        est = empirical_coefficients(SampleBatch(u, u, 0, "manual"))
         assert est.tau_hat == 1.0
         assert est.rho_hat == pytest.approx(1.0, abs=1e-3)
         assert est.lambda_summary == pytest.approx(1.0, abs=0.05)
@@ -152,7 +150,7 @@ class TestEmpiricalCoefficients:
     def test_independent_batch(self):
         rng = make_rng(26)
         est = empirical_coefficients(
-            SampleBatch(rng.random(200000), rng.random(200000), 0, "manual", 200000)
+            SampleBatch(rng.random(200000), rng.random(200000), 0, "manual")
         )
         for stat in (est.rho_hat, est.tau_hat, est.beta_hat):
             assert abs(stat) <= 0.01
@@ -167,14 +165,14 @@ class TestEmpiricalCoefficients:
     def test_degenerate_small(self):
         with pytest.raises(DegenerateSampleError):
             empirical_coefficients(
-                SampleBatch(np.ones(5), np.ones(5), 0, "manual", 5)
+                SampleBatch(np.ones(5), np.ones(5), 0, "manual")
             )
 
     def test_degenerate_constant(self):
         u = np.full(100, 0.5)
         v = make_rng(30).random(100)
         with pytest.raises(DegenerateSampleError):
-            empirical_coefficients(SampleBatch(u, v, 0, "manual", 100))
+            empirical_coefficients(SampleBatch(u, v, 0, "manual"))
 
     def test_threshold_validation(self):
         batch = sample_mo(0.5, 0.5, 100, seed=1)

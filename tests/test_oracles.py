@@ -164,7 +164,7 @@ def test_sampler_and_writer_match_retired_paths(name):
 
 def test_writer_matches_per_row_writer_on_edge_values():
     x = np.array([0.0, 1.0, 1e-300, 5e-324, 2.0**-47, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0])
-    batch = SampleBatch(x, x[::-1].copy(), 0, "manual", len(x))
+    batch = SampleBatch(x, x[::-1].copy(), 0, "manual")
     new, old = io.StringIO(), io.StringIO()
     write_batch_csv(batch, new)
     write_rows(batch, old)

@@ -222,6 +222,12 @@ class TestPiecewiseLinear:
         with pytest.raises(InvalidDependenceFunctionError):
             read_knots_csv(path)
 
+    def test_csv_one_column_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("t,A\n0,1\n0.5\n1,1\n")
+        with pytest.raises(InvalidDependenceFunctionError, match="row 3"):
+            read_knots_csv(path)
+
 
 class TestValidate:
     def test_families_are_valid(self):
