@@ -179,8 +179,9 @@ def _random_convex_pwl(rng) -> DependenceFunction:
     vals -= (vals[-1] - 1.0) * grid
     vals[0] = 1.0
     vals[-1] = 1.0
-    knots = _pwl_max(list(zip(grid.tolist(), vals.tolist())), list(ENVELOPE_KNOTS))
-    return piecewise_linear_dependence(knots)
+    return piecewise_linear_dependence(
+        np.column_stack(_pwl_max(grid, vals, *np.transpose(ENVELOPE_KNOTS)))
+    )
 
 
 def _random_component(rng, kind: int) -> DependenceFunction:

@@ -9,6 +9,7 @@ endings; randomness is controlled only by ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -33,16 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, with_pwl=True):
-        choices = ["mo", "gumbel", "pareto"] + (["pwl"] if with_pwl else [])
-        p.add_argument("--family", required=True, choices=choices)
+    def add_family(p):
+        p.add_argument("--family", required=True, choices=["mo", "gumbel", "pareto", "pwl"])
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--theta", type=float)
         p.add_argument("--a", type=float)
         p.add_argument("--b", type=float)
-        if with_pwl:
-            p.add_argument("--knots-file", help="CSV with columns t,A")
+        p.add_argument("--knots-file", help="CSV with columns t,A")
 
     def add_io(p):
         p.add_argument("--out", help="output file (default: stdout)")
@@ -123,16 +122,20 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _gumbel_theta_rho(lam: float) -> tuple:
+    """Gumbel theta and rho for tail coefficient ``lam``; lam = 1 gives (inf, 1)."""
+    theta = coef_mod.gumbel_theta_from_lambda(lam)
+    if math.isinf(theta):
+        return theta, 1.0
+    return theta, coef_mod.rho_numeric(gumbel_dependence(theta))
+
+
 def _cmd_gumbel_table(args) -> int:
     prec = args.precision
     rows = [("lambda", "theta", "rho")]
     for i in range(11):
         lam = i / 10.0
-        if lam == 1.0:
-            rows.append(("1.0", "inf", f"{1.0:.{prec}f}"))
-            continue
-        theta = coef_mod.gumbel_theta_from_lambda(lam)
-        rho = coef_mod.rho_numeric(gumbel_dependence(theta))
+        theta, rho = _gumbel_theta_rho(lam)
         rows.append((f"{lam:.1f}", f"{theta:.{prec}f}", f"{rho:.{prec}f}"))
     _emit(rows, args)
     return 0
@@ -149,11 +152,7 @@ def _cmd_bounds_curve(args) -> int:
     for lam in lams:
         ri = bounds_mod.rho_bounds(lam)
         ti = bounds_mod.tau_bounds(lam)
-        if lam == 1.0:
-            rho_g = 1.0
-        else:
-            theta = coef_mod.gumbel_theta_from_lambda(lam)
-            rho_g = coef_mod.rho_numeric(gumbel_dependence(theta))
+        _, rho_g = _gumbel_theta_rho(lam)
         tau_g = coef_mod.gumbel_tau_from_lambda(lam)
         rows.append(
             tuple(
@@ -216,8 +215,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise EvCopulaError("-n must be >= 1")
     df = _dependence_from_args(args)
     if args.family == "mo" and args.method == "exact":
         batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)

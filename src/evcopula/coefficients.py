@@ -93,12 +93,11 @@ def blomqvist(copula) -> float:
 
 def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
     """All four coefficients, closed-form where the family provides one."""
+    if df.family == "marshall_olkin":
+        return mo_closed_form(df.params["alpha"], df.params["beta"])
     lam = lambda_upper(df)
     beta = 2.0**lam - 1.0
     method = {"lambda": CLOSED_FORM, "beta": CLOSED_FORM}
-    if df.family == "marshall_olkin":
-        full = mo_closed_form(df.params["alpha"], df.params["beta"])
-        return full
     if df.family == "pareto":
         rho, tau = pareto_closed_form(df.params["a"], df.params["b"])
         method.update(rho=CLOSED_FORM, tau=CLOSED_FORM)

@@ -29,10 +29,12 @@ class EvCopula:
         return 2.0 * self.dependence(0.5)
 
     def __call__(self, u, v):
+        """``C(u, v)``; u and v outside [0, 1] are clamped, NaN raises."""
         scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        u, v = np.broadcast_arrays(
-            np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        )
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if np.isnan(u).any() or np.isnan(v).any():
+            raise ParamOutOfRangeError("copula requires u and v to be numbers, got NaN")
+        u, v = np.broadcast_arrays(u, v)
         out = np.zeros(u.shape, dtype=float)
         zero = (u <= 0.0) | (v <= 0.0)
         u_one = (u >= 1.0) & ~zero

@@ -196,9 +196,14 @@ def kendall_tau_stat(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def ks_statistic_uniform(x: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1]."""
+    """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1].
+
+    Raises :class:`DegenerateSampleError` for an empty sample or one with NaN.
+    """
     xs = np.sort(x)
     n = len(xs)
+    if n == 0 or np.isnan(xs[-1]):  # sorting puts NaN last
+        raise DegenerateSampleError("the KS distance needs a non-empty sample without NaN")
     i = np.arange(1, n + 1)
     return float(max((i / n - xs).max(), (xs - (i - 1) / n).max()))
 

@@ -33,6 +33,13 @@ class ValidationReport:
     violations: tuple
 
 
+def _unit_interval(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
+        raise ParamOutOfRangeError("a dependence function needs t in [0, 1]")
+    return arr
+
+
 @dataclass(frozen=True)
 class DependenceFunction:
     """A validated Pickands dependence function: A, A' and split points.
@@ -40,7 +47,9 @@ class DependenceFunction:
     ``split_points`` lists, in increasing order, the points strictly inside
     (0, 1) where a quadrature panel must end: every jump of A' (the kinks
     of piecewise-linear functions) and, for Gumbel, the edges of its
-    narrow curvature spike at t = 1/2.  ``second_fn`` is always None and
+    narrow curvature spike at t = 1/2.  A is defined on [0, 1] only:
+    calling the function or :meth:`deriv` with t outside [0, 1] or NaN
+    raises :class:`ParamOutOfRangeError`.  ``second_fn`` is always None and
     nothing reads it.  Instances are immutable and safe to share across
     threads.
     """
@@ -54,7 +63,7 @@ class DependenceFunction:
     second_fn: object = field(default=None, repr=False, compare=False)
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
+        arr = _unit_interval(t)
         out = self.eval_fn(arr)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -62,7 +71,7 @@ class DependenceFunction:
         """One-sided derivative; ``side`` is 'left' or 'right'."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        arr = np.asarray(t, dtype=float)
+        arr = _unit_interval(t)
         out = self.deriv_fn(arr, side)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -85,8 +94,8 @@ def check_tangent(a: float, b: float) -> None:
 
 
 def check_lambda(lam: float) -> float:
-    """Tail coefficient in [0, 1], returned as a float."""
-    if not 0.0 <= lam <= 1.0:
+    """Tail coefficient in [0, 1] (not a bool), returned as a float."""
+    if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam <= 1.0:
         raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
     return float(lam)
 
@@ -108,21 +117,49 @@ def check_theta(theta: float, allow_inf: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pwl_accessors(ts: np.ndarray, vs: np.ndarray):
+def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
+    """Dependence function through the knot arrays ``(ts, vs)``, linear between them.
+
+    A' is the slope of the piece to the left or right of t, and the split
+    points are the interior knots where the slope rises by more than
+    ``_KINK_TOL``.  A is ``np.interp`` over the knots unless ``eval_fn``
+    gives a family's closed form.
+    """
     slopes = np.diff(vs) / np.diff(ts)
     last = len(slopes) - 1
-
-    def eval_fn(t):
-        return np.interp(t, ts, vs)
 
     def deriv_fn(t, side):
         idx = np.searchsorted(ts, t, side=side) - 1
         return slopes[np.clip(idx, 0, last)]
 
-    split_points = tuple(
-        float(ts[i]) for i in range(1, len(ts) - 1) if slopes[i] - slopes[i - 1] > _KINK_TOL
+    return DependenceFunction(
+        family=family,
+        params=params,
+        split_points=tuple(ts[1:-1][np.diff(slopes) > _KINK_TOL].tolist()),
+        eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
+        deriv_fn=deriv_fn,
     )
-    return eval_fn, deriv_fn, split_points
+
+
+def _band_violations(t: np.ndarray, a: np.ndarray) -> list:
+    """Endpoint, envelope and upper-bound violations of values ``a`` at increasing ``t``.
+
+    Band violations come in increasing t, at most the first 50 of each
+    kind; no t can be both below the envelope and above 1.
+    """
+    bad = [
+        (end, "endpoint", abs(float(v) - 1.0))
+        for end, v in ((0.0, a[0]), (1.0, a[-1]))
+        if abs(v - 1.0) > _CHECK_TOL
+    ]
+    low = np.maximum(t, 1.0 - t) - a
+    high = a - 1.0
+    below = np.flatnonzero(low > _CHECK_TOL)[:50]
+    above = np.flatnonzero(high > _CHECK_TOL)[:50]
+    for i in np.union1d(below, above):
+        kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", high[i])
+        bad.append((float(t[i]), kind, float(gap)))
+    return bad
 
 
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
@@ -130,56 +167,23 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
     bad = []
     if abs(ts[0]) > _CHECK_TOL or abs(ts[-1] - 1.0) > _CHECK_TOL:
         bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
-    if abs(vs[0] - 1.0) > _CHECK_TOL:
-        bad.append((0.0, "endpoint", abs(float(vs[0]) - 1.0)))
-    if abs(vs[-1] - 1.0) > _CHECK_TOL:
-        bad.append((1.0, "endpoint", abs(float(vs[-1]) - 1.0)))
     # linear pieces make knots (plus the envelope kink at 1/2) sufficient
-    probe_t = np.union1d(ts, [0.5])
-    probe_v = np.interp(probe_t, ts, vs)
-    env = np.maximum(probe_t, 1.0 - probe_t)
-    for t, v, e in zip(probe_t, probe_v, env):
-        if v < e - _CHECK_TOL:
-            bad.append((float(t), "envelope", float(e - v)))
-        if v > 1.0 + _CHECK_TOL:
-            bad.append((float(t), "upper_bound", float(v - 1.0)))
-    slopes = np.diff(vs) / np.diff(ts)
-    for i in range(1, len(slopes)):
-        if slopes[i] < slopes[i - 1] - _CHECK_TOL:
-            bad.append((float(ts[i]), "convexity", float(slopes[i - 1] - slopes[i])))
+    probe = np.union1d(ts, [0.5])
+    bad += _band_violations(probe, np.interp(probe, ts, vs))
+    rise = np.diff(np.diff(vs) / np.diff(ts))
+    for i in np.flatnonzero(rise < -_CHECK_TOL):
+        bad.append((float(ts[i + 1]), "convexity", float(-rise[i])))
     return ValidationReport(valid=not bad, violations=tuple(bad))
 
 
-def _build_pwl(knots, family: str, params: dict, eval_fn=None) -> DependenceFunction:
-    ts = np.asarray([k[0] for k in knots], dtype=float)
-    vs = np.asarray([k[1] for k in knots], dtype=float)
-    interp_eval, deriv_fn, split_points = _pwl_accessors(ts, vs)
-    return DependenceFunction(
-        family=family,
-        params=params,
-        split_points=split_points,
-        eval_fn=eval_fn if eval_fn is not None else interp_eval,
-        deriv_fn=deriv_fn,
-    )
-
-
-def _pwl_max(knots_a, knots_b):
-    """Knot list of the pointwise maximum of two piecewise-linear functions."""
-    ta = np.asarray([k[0] for k in knots_a], dtype=float)
-    va = np.asarray([k[1] for k in knots_a], dtype=float)
-    tb = np.asarray([k[0] for k in knots_b], dtype=float)
-    vb = np.asarray([k[1] for k in knots_b], dtype=float)
+def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> tuple:
+    """Knots ``(t, A)`` of the pointwise maximum of two piecewise-linear functions."""
     ts = np.union1d(ta, tb)
     d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
-    crossings = []
-    for i in range(len(ts) - 1):
-        if d[i] * d[i + 1] < 0.0:
-            crossings.append(ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
-    allt = np.union1d(ts, np.asarray(crossings, dtype=float))
-    keep = np.concatenate([[True], np.diff(allt) > 1e-12])
-    allt = allt[keep]
-    vals = np.maximum(np.interp(allt, ta, va), np.interp(allt, tb, vb))
-    return list(zip(allt.tolist(), vals.tolist()))
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    t = np.union1d(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
+    t = t[np.concatenate([[True], np.diff(t) > 1e-12])]
+    return t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +208,7 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
         knots = [(0.0, 1.0), (1.0, 1.0)]
     else:
         knots = [(0.0, 1.0), (tstar, 1.0 - alpha * beta / (alpha + beta)), (1.0, 1.0)]
-    return _build_pwl(
-        knots, "marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn=eval_fn
-    )
+    return _pwl(*np.transpose(knots), "marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn)
 
 
 def gumbel_dependence(theta: float) -> DependenceFunction:
@@ -221,8 +223,8 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     """
     theta = check_theta(theta)
     if theta == 1.0:
-        return _build_pwl(
-            [(0.0, 1.0), (1.0, 1.0)], "gumbel", {"theta": 1.0},
+        return _pwl(
+            np.array([0.0, 1.0]), np.ones(2), "gumbel", {"theta": 1.0},
             eval_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         )
 
@@ -267,7 +269,7 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
         return np.maximum(np.maximum(1.0 - t, t), line)
 
     if a + b >= 1.0:
-        knots = [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)]
+        knots = ENVELOPE_KNOTS
     else:
         nu = a - b
         knots = [(0.0, 1.0)]
@@ -278,25 +280,25 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
         if tq < 1.0 - 1e-12 and tq - tp > 1e-12:  # a + b -> 1 collapses tq onto tp
             knots.append((tq, tq))
         knots.append((1.0, 1.0))
-    return _build_pwl(knots, "pareto", {"a": a, "b": b}, eval_fn=eval_fn)
+    return _pwl(*np.transpose(knots), "pareto", {"a": a, "b": b}, eval_fn)
 
 
 def piecewise_linear_dependence(knots) -> DependenceFunction:
     """Validated piecewise-linear dependence function through ``knots``.
 
-    ``knots`` must be finite, start at (0, 1), end at (1, 1) and have
+    ``knots`` is an iterable of ``(t, A)`` pairs, such as a ``(k, 2)``
+    array.  They must be finite, start at (0, 1), end at (1, 1) and have
     strictly increasing abscissae; the interpolant must stay convex inside
     the admissible band, otherwise :class:`InvalidDependenceFunctionError`
     is raised carrying the validation report.
     """
-    knots = [(float(t), float(v)) for t, v in knots]
-    if len(knots) < 2:
+    pts = np.array(list(knots), dtype=float)
+    if len(pts) < 2:
         raise InvalidDependenceFunctionError(
             "need at least two knots",
             ValidationReport(False, ((0.0, "domain", 1.0),)),
         )
-    ts = np.asarray([k[0] for k in knots])
-    vs = np.asarray([k[1] for k in knots])
+    ts, vs = pts.T.copy()  # contiguous rows
     finite = np.isfinite(ts) & np.isfinite(vs)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -319,11 +321,7 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     # pin the endpoints so downstream identities hold exactly
     ts[0], ts[-1] = 0.0, 1.0
     vs[0], vs[-1] = 1.0, 1.0
-    return _build_pwl(
-        list(zip(ts.tolist(), vs.tolist())),
-        "piecewise_linear",
-        {"knots": tuple(zip(ts.tolist(), vs.tolist()))},
-    )
+    return _pwl(ts, vs, "piecewise_linear", {"knots": tuple(zip(ts.tolist(), vs.tolist()))})
 
 
 def mix(first: DependenceFunction, second: DependenceFunction, weight: float) -> DependenceFunction:
@@ -363,7 +361,9 @@ def validate(fn, grid_size: int = 2048) -> ValidationReport:
     Verifies the endpoint condition, the band ``max(t, 1-t) <= A <= 1``,
     and midpoint convexity over all grid pairs, each with absolute
     tolerance 1e-9.  Declared split points of a :class:`DependenceFunction`
-    are added to the grid.
+    are added to the grid.  The report lists the endpoint violations, then
+    the envelope and upper-bound violations in increasing t (at most 50 of
+    each kind), then the worst convexity violation.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
@@ -371,20 +371,7 @@ def validate(fn, grid_size: int = 2048) -> ValidationReport:
     if isinstance(fn, DependenceFunction) and fn.split_points:
         grid = np.union1d(grid, np.asarray(fn.split_points))
     vals = np.asarray(fn(grid), dtype=float)
-
-    bad = []
-    if abs(vals[0] - 1.0) > _CHECK_TOL:
-        bad.append((0.0, "endpoint", abs(float(vals[0]) - 1.0)))
-    if abs(vals[-1] - 1.0) > _CHECK_TOL:
-        bad.append((1.0, "endpoint", abs(float(vals[-1]) - 1.0)))
-
-    env = np.maximum(grid, 1.0 - grid)
-    low = env - vals
-    for i in np.flatnonzero(low > _CHECK_TOL)[:50]:
-        bad.append((float(grid[i]), "envelope", float(low[i])))
-    high = vals - 1.0
-    for i in np.flatnonzero(high > _CHECK_TOL)[:50]:
-        bad.append((float(grid[i]), "upper_bound", float(high[i])))
+    bad = _band_violations(grid, vals)
 
     # midpoint convexity over all pairs, in row blocks to bound memory
     worst = (-np.inf, 0.0)

@@ -50,6 +50,14 @@ class TestPointwiseLower:
         with pytest.raises(ParamOutOfRangeError):
             pointwise_lower(1.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("lam", [True, False, np.bool_(True)])
+    def test_bool_lambda_rejected(self, lam):
+        for fn in (rho_bounds, tau_bounds, blomqvist_from_lambda):
+            with pytest.raises(ParamOutOfRangeError):
+                fn(lam)
+        with pytest.raises(ParamOutOfRangeError):
+            pointwise_lower(lam, 0.5, 0.5)
+
 
 class TestPointwiseUpper:
     def test_diagonal_law_point(self):

@@ -258,6 +258,14 @@ class TestSample:
         assert out == ""
         assert "needs --alpha and --beta" in err
 
+    def test_n_below_one_exit_2(self, capsys):
+        # both samplers check n themselves; the CLI has no copy of the check
+        for family in (["mo", "--alpha", "0.5", "--beta", "0.5"], ["gumbel", "--theta", "2"]):
+            code, out, err = run(["sample", "--family", *family, "-n", "0"], capsys)
+            assert code == 2
+            assert out == ""
+            assert "n must be >= 1" in err
+
 
 class TestEstimate:
     def test_pipeline_gumbel(self, tmp_path, capsys):

@@ -65,6 +65,14 @@ class TestEvaluation:
             assert cop(0.5, 0.0) == 0.0
             assert cop(1.0, 1.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "u, v", [(math.nan, 0.5), (0.5, math.nan), ([0.5, 0.7], [0.2, math.nan])]
+    )
+    def test_nan_rejected(self, u, v):
+        for cop in _family_zoo():
+            with pytest.raises(ParamOutOfRangeError):
+                cop(u, v)
+
     def test_diag_exponent(self):
         assert MO_HALF.diag_exponent == pytest.approx(1.5, abs=1e-15)
 
@@ -171,6 +179,10 @@ class TestSurvival:
         for cop in _family_zoo():
             twice = survival(lambda x, y: survival(cop, x, y), u, v)
             np.testing.assert_allclose(twice, cop(u, v), atol=1e-14)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParamOutOfRangeError):
+            survival(MO_HALF, math.nan, 0.5)
 
 
 class TestStructuralChecks:

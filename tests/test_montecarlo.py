@@ -9,6 +9,7 @@ from evcopula import (
     DegenerateSampleError,
     SampleBatch,
     copula_from_pickands,
+    dependence_corpus,
     empirical_coefficients,
     gumbel_dependence,
     kendall_tau_stat,
@@ -130,6 +131,26 @@ class TestKendallStatistic:
         x = np.arange(100, dtype=float)
         assert kendall_tau_stat(x, x) == 1.0
         assert kendall_tau_stat(x, -x) == -1.0
+
+    def test_matches_scipy_kendalltau(self):
+        stats = pytest.importorskip("scipy.stats")
+        for seed in range(5):
+            for i, df in enumerate(dependence_corpus(4, seed)):
+                batch = sample_generic(copula_from_pickands(df), 5000, seed=100 * seed + i)
+                # without ties scipy's tau-b equals tau-a
+                assert len(np.unique(batch.u)) == len(np.unique(batch.v)) == 5000
+                want = stats.kendalltau(batch.u, batch.v).statistic
+                assert kendall_tau_stat(batch.u, batch.v) == pytest.approx(want, abs=1e-12)
+
+
+class TestKsStatistic:
+    def test_known_value(self):
+        assert ks_statistic_uniform(np.array([0.5])) == 0.5
+
+    @pytest.mark.parametrize("x", [[], [0.1, np.nan], [np.nan]])
+    def test_empty_or_nan_rejected(self, x):
+        with pytest.raises(DegenerateSampleError):
+            ks_statistic_uniform(np.asarray(x, dtype=float))
 
 
 class TestSampleBatch:

@@ -20,6 +20,7 @@ from evcopula import (
     validate,
     write_knots_csv,
 )
+from evcopula.pickands import _pwl_max
 from evcopula.rng import make_rng
 
 GRID = np.linspace(0.0, 1.0, 401)
@@ -202,6 +203,23 @@ class TestPiecewiseLinear:
             piecewise_linear_dependence(knots)
         assert err.value.report.violations[0][1] == "non_finite"
 
+    def test_mixed_violations_listed_in_t_order(self):
+        with pytest.raises(InvalidDependenceFunctionError) as err:
+            piecewise_linear_dependence([(0, 1), (0.2, 1.05), (0.5, 0.4), (1, 1)])
+        assert str(err.value) == (
+            "knots violate the dependence-function constraints: "
+            "upper_bound at t=0.2, envelope at t=0.5, convexity at t=0.2"
+        )
+
+    def test_pwl_max_of_crossing_functions(self):
+        # 1 - 0.4t crosses the envelope max(t, 1-t) at t = 1/1.4
+        t, a = _pwl_max(
+            np.array([0.0, 1.0]), np.array([1.0, 0.6]),
+            np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 1.0]),
+        )
+        np.testing.assert_allclose(t, [0.0, 0.5, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a, [1.0, 0.8, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
+
     def test_non_increasing_abscissae_rejected(self):
         with pytest.raises(InvalidDependenceFunctionError):
             piecewise_linear_dependence([(0, 1), (0.5, 0.8), (0.5, 0.9), (1, 1)])
@@ -245,9 +263,36 @@ class TestValidate:
         r = validate(lambda t: np.minimum(1.0, 1.02 - 0.1 * np.asarray(t)), 201)
         assert not r.valid
 
+    def test_band_violations_in_t_order(self):
+        # above 1 left of 1/2, below the envelope right of it
+        r = validate(lambda t: np.where(np.asarray(t) < 0.5, 1.05, 0.45), 5)
+        assert [(t, c) for t, c, _ in r.violations[:5]] == [
+            (0.0, "endpoint"),
+            (1.0, "endpoint"),
+            (0.0, "upper_bound"),
+            (0.25, "upper_bound"),
+            (0.5, "envelope"),
+        ]
+        assert [c for _, c, _ in r.violations[5:]] == ["envelope", "envelope", "convexity"]
+
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             validate(lambda t: np.ones_like(t), 2)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, [0.5, math.nan]])
+    def test_outside_unit_interval_rejected(self, t):
+        for df in (gumbel_dependence(2.0), mo_dependence(0.3, 0.6), pareto_dependence(0.3, 0.2)):
+            with pytest.raises(ParamOutOfRangeError):
+                df(t)
+            with pytest.raises(ParamOutOfRangeError):
+                df.deriv(t)
+
+    def test_endpoints_accepted(self):
+        df = gumbel_dependence(2.0)
+        assert df(0.0) == df(1.0) == 1.0
+        np.testing.assert_array_equal(df.deriv(np.array([0.0, 1.0])), [-1.0, 1.0])
 
 
 class TestTangentAtHalf:
