@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands
-from .errors import ParamOutOfRangeError
+from .errors import check_int, check_real, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -77,25 +77,22 @@ class InequalityReport:
 
 
 def pointwise_lower(lam: float, u, v):
-    """Lower envelope: the Marshall-Olkin copula with alpha = beta = lam."""
+    """Lower envelope: the Marshall-Olkin copula with alpha = beta = lam; u, v in [0, 1]."""
     lam = check_lambda(lam)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
     return np.minimum(u ** (1.0 - lam) * v, u * v ** (1.0 - lam))
 
 
 def pointwise_upper(a: float, b: float, u, v):
-    """Upper envelope member ``min(u, v, u**(1-a) * v**(1-b))``."""
-    check_tangent(a, b)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Upper envelope member ``min(u, v, u**(1-a) * v**(1-b))``; u, v in [0, 1]."""
+    a, b = check_tangent(a, b)
+    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
     return np.minimum(np.minimum(u, v), u ** (1.0 - a) * v ** (1.0 - b))
 
 
 def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     """Evaluate both envelopes against the copula on a uniform grid."""
-    if grid < 2:
-        raise ParamOutOfRangeError("grid must be >= 2")
+    grid = check_int(grid, "grid", 2)
     df = copula.dependence
     lam = lambda_upper(df)
     a, b = tangent_at_half(df)
@@ -131,8 +128,7 @@ def tau_bounds(lam: float) -> BoundsInterval:
 
 def classical_region(tau: float) -> tuple:
     """Classical (all-copulas) rho range for a given tau."""
-    if not -1.0 <= tau <= 1.0:
-        raise ParamOutOfRangeError(f"tau={tau} not in [-1, 1]")
+    tau = check_real(tau, "tau", -1.0, 1.0)
     if tau >= 0.0:
         return (3.0 * tau - 1.0) / 2.0, (1.0 + 2.0 * tau - tau * tau) / 2.0
     return (tau * tau + 2.0 * tau - 1.0) / 2.0, (1.0 + 3.0 * tau) / 2.0
@@ -140,8 +136,7 @@ def classical_region(tau: float) -> tuple:
 
 def ev_inequalities(rho: float, tau: float) -> InequalityReport:
     """Hutchinson-Lai and Trutschnig margins for an EV (rho, tau) pair; passed if all >= -1e-9."""
-    if not (0.0 <= rho <= 1.0 and 0.0 <= tau <= 1.0):
-        raise ParamOutOfRangeError("rho and tau must lie in [0, 1] for EV copulas")
+    rho, tau = check_real(rho, "rho", 0.0, 1.0), check_real(tau, "tau", 0.0, 1.0)
     hl_lower = rho - (np.sqrt(1.0 + 3.0 * tau) - 1.0)
     hl_upper = min(1.5 * tau, 2.0 * tau - tau * tau) - rho
     trut = rho - 3.0 * tau / (2.0 + tau)
@@ -157,9 +152,7 @@ def blomqvist_from_lambda(lam: float) -> float:
 
 def lambda_from_blomqvist(beta: float) -> float:
     """Tail coefficient from Blomqvist beta: ``log2(1 + beta)``."""
-    if not 0.0 <= beta <= 1.0:
-        raise ParamOutOfRangeError(f"beta={beta} not in [0, 1]")
-    return float(np.log2(1.0 + beta))
+    return float(np.log2(1.0 + check_real(beta, "beta", 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +200,8 @@ def random_dependence_function(rng) -> DependenceFunction:
 
 
 def dependence_corpus(n: int, seed: int) -> list:
-    """n seeded random dependence functions; item i depends only on (seed, i)."""
-    return [random_dependence_function(make_rng(seed, i)) for i in range(n)]
+    """n >= 1 seeded random dependence functions; item i depends only on (seed, i)."""
+    return [random_dependence_function(make_rng(seed, i)) for i in range(check_int(n, "n", 1))]
 
 
 def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:

@@ -2,8 +2,8 @@
 
 Subcommands: ``coeffs``, ``gumbel-table``, ``bounds-curve``, ``verify``,
 ``sample``, ``estimate``.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.  All output is CSV/TSV with headers and LF line
-endings; randomness is controlled only by ``--seed``.
+2 usage or input error, or out of memory.  All output is CSV/TSV with
+headers and LF line endings; randomness is controlled only by ``--seed``.
 """
 
 from __future__ import annotations
@@ -165,8 +165,6 @@ def _cmd_bounds_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_random < 1:
-        raise EvCopulaError("--n-random must be >= 1")
     cases = bounds_mod.dependence_corpus(args.n_random, args.seed)
     if args.knots_file:
         cases.append(read_knots_csv(args.knots_file))
@@ -268,6 +266,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (EvCopulaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .numerics import integrate
 from .pickands import (
     DependenceFunction,
     check_lambda,
     check_mo,
     check_tangent,
-    check_theta,
 )
 
 CLOSED_FORM = "closed_form"
@@ -122,7 +122,7 @@ def mo_closed_form(alpha: float, beta: float) -> CoefficientSet:
     lambda = min(a, b); both correlation formulas degenerate to 0 when
     a + b == 0.
     """
-    check_mo(alpha, beta)
+    alpha, beta = check_mo(alpha, beta)
     if alpha + beta == 0.0:
         rho = tau = 0.0
     else:
@@ -140,7 +140,7 @@ def mo_closed_form(alpha: float, beta: float) -> CoefficientSet:
 
 def gumbel_closed_form(theta: float) -> tuple:
     """Gumbel ``(tau, lambda) = (1 - 1/theta, 2 - 2**(1/theta))``; theta may be inf."""
-    theta = check_theta(theta, allow_inf=True)
+    theta = check_real(theta, "theta", 1.0, math.inf)
     if math.isinf(theta):
         return 1.0, 1.0
     return 1.0 - 1.0 / theta, 2.0 - 2.0 ** (1.0 / theta)
@@ -166,7 +166,7 @@ def pareto_closed_form(a: float, b: float) -> tuple:
     rho = 1 - 16 (1 - lam)^2 / ((4 - lam)^2 - 9 (a - b)^2) with
     lam = a + b, and tau = lam exactly.
     """
-    check_tangent(a, b)
+    a, b = check_tangent(a, b)
     lam = a + b
     denom = (4.0 - lam) ** 2 - 9.0 * (a - b) ** 2
     rho = 1.0 if denom == 0.0 else 1.0 - 16.0 * (1.0 - lam) ** 2 / denom

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError
+from .errors import ParamOutOfRangeError, check_unit_interval
 from .pickands import DependenceFunction
 from .rng import make_rng
 
@@ -99,10 +99,7 @@ def survival(copula, u, v):
     ``copula`` may be any evaluator of two arguments; applying the
     transform twice recovers the original values.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0) | (v < 0.0) | (v > 1.0)):
-        raise ParamOutOfRangeError("survival requires u, v in [0, 1]")
+    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
     return u + v - 1.0 + copula(1.0 - u, 1.0 - v)
 
 

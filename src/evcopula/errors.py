@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar checks that raise them."""
+
+import numbers
+
+import numpy as np
 
 
 class EvCopulaError(Exception):
@@ -7,6 +11,33 @@ class EvCopulaError(Exception):
 
 class ParamOutOfRangeError(EvCopulaError, ValueError):
     """A family or bound parameter lies outside its admissible range."""
+
+
+def check_real(x, name: str, lo: float, hi: float) -> float:
+    """``x`` as a float if it is a real number (Python or numpy, not a bool) in [lo, hi].
+
+    NaN, strings, None and +-inf (unless that bound is infinite) raise ParamOutOfRangeError.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not lo <= x <= hi:
+        raise ParamOutOfRangeError(f"{name}={x!r} must be a real number in [{lo:g}, {hi:g}]")
+    return float(x)
+
+
+def check_int(x, name: str, lo: int | None = None) -> int:
+    """``x`` as an int if it is an int or numpy integer (not a bool or float) >= ``lo``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ParamOutOfRangeError(f"{name} must be an integer, got {x!r}")
+    if lo is not None and x < lo:
+        raise ParamOutOfRangeError(f"{name} must be >= {lo}, got {x}")
+    return int(x)
+
+
+def check_unit_interval(x, name: str) -> np.ndarray:
+    """``x`` as a float array if every entry lies in [0, 1] (so none is NaN)."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
+        raise ParamOutOfRangeError(f"{name} must lie in [0, 1]")
+    return arr
 
 
 class NonConvergentError(EvCopulaError, ArithmeticError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import DegenerateSampleError, ParamOutOfRangeError
+from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int
 from .pickands import check_mo
 from .rng import make_rng
 
@@ -61,9 +61,8 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
     A zero parameter removes the common shock's effect on that margin, so
     those cases route to the independence sampler.
     """
-    check_mo(alpha, beta)
-    if n < 1:
-        raise ParamOutOfRangeError("n must be >= 1")
+    alpha, beta = check_mo(alpha, beta)
+    n = check_int(n, "n", 1)
     rng = make_rng(seed, 0xA0)  # stream tag distinct from the generic sampler
     if alpha == 0.0 or beta == 0.0:
         u = rng.random(n)
@@ -87,8 +86,7 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     of the conditional CDF become atoms of v, as required for families
     with a singular component.
     """
-    if n < 1:
-        raise ParamOutOfRangeError("n must be >= 1")
+    n = check_int(n, "n", 1)
     rng = make_rng(seed, 0xB1)
     u = np.maximum(rng.random(n), 1e-300)
     p = rng.random(n)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDependenceFunctionError, ParamOutOfRangeError
+from .errors import InvalidDependenceFunctionError, check_int, check_real, check_unit_interval
 
 _KINK_TOL = 1e-12
 _CHECK_TOL = 1e-9
@@ -31,13 +30,6 @@ class ValidationReport:
 
     valid: bool
     violations: tuple
-
-
-def _unit_interval(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
-        raise ParamOutOfRangeError("a dependence function needs t in [0, 1]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ class DependenceFunction:
     second_fn: object = field(default=None, repr=False, compare=False)
 
     def __call__(self, t):
-        arr = _unit_interval(t)
+        arr = check_unit_interval(t, "t")
         out = self.eval_fn(arr)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -71,7 +63,7 @@ class DependenceFunction:
         """One-sided derivative; ``side`` is 'left' or 'right'."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        arr = _unit_interval(t)
+        arr = check_unit_interval(t, "t")
         out = self.deriv_fn(arr, side)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -81,35 +73,25 @@ class DependenceFunction:
 # ---------------------------------------------------------------------------
 
 
-def check_mo(alpha: float, beta: float) -> None:
-    """Marshall-Olkin parameters: ``alpha, beta`` in [0, 1]."""
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ParamOutOfRangeError(f"alpha={alpha}, beta={beta} not in [0, 1]")
+def check_mo(alpha: float, beta: float) -> tuple:
+    """Marshall-Olkin parameters: ``alpha, beta`` in [0, 1], returned as floats."""
+    return check_real(alpha, "alpha", 0.0, 1.0), check_real(beta, "beta", 0.0, 1.0)
 
 
-def check_tangent(a: float, b: float) -> None:
-    """Tangent-family parameters: ``a, b >= 0`` and ``a + b <= 1``."""
-    if not (a >= 0.0 and b >= 0.0 and a + b <= 1.0 + 1e-12):
-        raise ParamOutOfRangeError(f"need a, b >= 0 and a + b <= 1, got a={a}, b={b}")
+def check_tangent(a: float, b: float) -> tuple:
+    """Tangent-family parameters: ``a, b >= 0`` and ``a + b <= 1``, returned as floats."""
+    a = check_real(a, "a", 0.0, 1.0)
+    return a, check_real(b, "b", 0.0, 1.0 + 1e-12 - a)
 
 
 def check_lambda(lam: float) -> float:
     """Tail coefficient in [0, 1] (not a bool), returned as a float."""
-    if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam <= 1.0:
-        raise ParamOutOfRangeError(f"lambda={lam} not in [0, 1]")
-    return float(lam)
+    return check_real(lam, "lambda", 0.0, 1.0)
 
 
-def check_theta(theta: float, allow_inf: bool = False) -> float:
-    """Gumbel parameter: a real number (not a bool) >= 1, returned as a float.
-
-    Python and numpy reals are accepted; infinity only with ``allow_inf``.
-    """
-    ok = isinstance(theta, numbers.Real) and not isinstance(theta, (bool, np.bool_))
-    if not (ok and theta >= 1.0 and (allow_inf or math.isfinite(theta))):
-        bound = "real" if allow_inf else "finite real"
-        raise ParamOutOfRangeError(f"theta={theta} must be a {bound} >= 1")
-    return float(theta)
+def check_theta(theta: float) -> float:
+    """Gumbel parameter: a finite real number (not a bool) >= 1, returned as a float."""
+    return check_real(theta, "theta", 1.0, np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +124,13 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
 
 
 def _band_violations(t: np.ndarray, a: np.ndarray) -> list:
-    """Endpoint, envelope and upper-bound violations of values ``a`` at increasing ``t``.
+    """Non-finite, endpoint, envelope and upper-bound violations of ``a`` at increasing ``t``.
 
-    Band violations come in increasing t, at most the first 50 of each
-    kind; no t can be both below the envelope and above 1.
+    Non-finite and band violations come in increasing t, at most the first
+    50 of each kind; no t can be both below the envelope and above 1.
     """
-    bad = [
+    bad = [(float(t[i]), "non_finite", math.inf) for i in np.flatnonzero(~np.isfinite(a))[:50]]
+    bad += [
         (end, "endpoint", abs(float(v) - 1.0))
         for end, v in ((0.0, a[0]), (1.0, a[-1]))
         if abs(v - 1.0) > _CHECK_TOL
@@ -197,7 +180,7 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
     Piecewise linear with a single kink at ``alpha / (alpha + beta)``;
     either parameter equal to zero collapses to independence (A == 1).
     """
-    check_mo(alpha, beta)
+    alpha, beta = check_mo(alpha, beta)
 
     def eval_fn(t):
         return 1.0 - np.minimum(beta * t, alpha * (1.0 - t))
@@ -261,7 +244,7 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
     fall strictly inside (0, 1); ``a + b == 1`` collapses to the comonotone
     envelope.
     """
-    check_tangent(a, b)
+    a, b = check_tangent(a, b)
 
     def eval_fn(t):
         t = np.asarray(t, dtype=float)
@@ -292,7 +275,14 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     the admissible band, otherwise :class:`InvalidDependenceFunctionError`
     is raised carrying the validation report.
     """
-    pts = np.array(list(knots), dtype=float)
+    try:
+        pts = np.array(list(knots), dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        pts = np.empty(0)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidDependenceFunctionError(
+            "knots must be (t, A) pairs", ValidationReport(False, ((0.0, "format", 1.0),))
+        )
     if len(pts) < 2:
         raise InvalidDependenceFunctionError(
             "need at least two knots",
@@ -331,9 +321,8 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
     combination, so the result is valid by construction.  Its split points
     are the union of both components' points.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ParamOutOfRangeError(f"weight={weight} not in [0, 1]")
-    w, cw = float(weight), 1.0 - float(weight)
+    w = check_real(weight, "weight", 0.0, 1.0)
+    cw = 1.0 - w
 
     def eval_fn(t):
         return w * first.eval_fn(t) + cw * second.eval_fn(t)
@@ -358,20 +347,23 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
 def validate(fn, grid_size: int = 2048) -> ValidationReport:
     """Check a candidate dependence function on a uniform grid.
 
-    Verifies the endpoint condition, the band ``max(t, 1-t) <= A <= 1``,
-    and midpoint convexity over all grid pairs, each with absolute
-    tolerance 1e-9.  Declared split points of a :class:`DependenceFunction`
-    are added to the grid.  The report lists the endpoint violations, then
+    Verifies that A is finite, the endpoint condition, the band
+    ``max(t, 1-t) <= A <= 1``, and midpoint convexity over all grid pairs,
+    each with absolute tolerance 1e-9.  Declared split points of a
+    :class:`DependenceFunction` are added to the grid.  The report lists
+    the grid points where A is not finite, the endpoint violations, then
     the envelope and upper-bound violations in increasing t (at most 50 of
-    each kind), then the worst convexity violation.
+    each kind), then the worst convexity violation.  A non-finite A at a
+    grid point or midpoint ends the check, with the midpoint, if any,
+    reported last as ``non_finite``.
     """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, check_int(grid_size, "grid_size", 3))
     if isinstance(fn, DependenceFunction) and fn.split_points:
         grid = np.union1d(grid, np.asarray(fn.split_points))
     vals = np.asarray(fn(grid), dtype=float)
     bad = _band_violations(grid, vals)
+    if not np.isfinite(vals).all():
+        return ValidationReport(valid=False, violations=tuple(bad))
 
     # midpoint convexity over all pairs, in row blocks to bound memory
     worst = (-np.inf, 0.0)
@@ -380,9 +372,11 @@ def validate(fn, grid_size: int = 2048) -> ValidationReport:
     for start in range(0, len(grid), block):
         s = grid[start : start + block, None]
         mids = 0.5 * (s + grid[None, :])
-        gap = np.asarray(fn(mids), dtype=float) - 0.5 * (
-            vals[start : start + block, None] + vals[None, :]
-        )
+        mid_vals = np.asarray(fn(mids), dtype=float)
+        if not np.isfinite(mid_vals).all():
+            bad.append((float(mids[~np.isfinite(mid_vals)][0]), "non_finite", math.inf))
+            return ValidationReport(valid=False, violations=tuple(bad))
+        gap = mid_vals - 0.5 * (vals[start : start + block, None] + vals[None, :])
         over = gap > _CHECK_TOL
         count += int(over.sum())
         if over.any():

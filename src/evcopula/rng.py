@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
+
 _MASK64 = (1 << 64) - 1
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator keyed by ``(seed, *stream)``; same key, same bit stream."""
-    entropy = [int(seed) & _MASK64, *(int(s) & _MASK64 for s in stream)]
+    """Generator keyed by the integers ``(seed, *stream)``; same key, same bit stream."""
+    entropy = [check_int(k, "seed") & _MASK64 for k in (seed, *stream)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -1,5 +1,7 @@
 """Pointwise envelopes, coefficient intervals, and the inequality suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ class TestPointwiseUpper:
     def test_range_check(self):
         with pytest.raises(ParamOutOfRangeError):
             pointwise_upper(0.7, 0.7, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "u, v", [(math.nan, 0.5), (0.5, math.nan), (2.0, 0.5), (0.5, -0.1), ([0.5, math.nan], 0.5)]
+)
+def test_pointwise_envelopes_need_u_v_in_unit_interval(u, v):
+    with pytest.raises(ParamOutOfRangeError):
+        pointwise_lower(0.5, u, v)
+    with pytest.raises(ParamOutOfRangeError):
+        pointwise_upper(0.2, 0.3, u, v)
 
 
 class TestCheckEnvelope:

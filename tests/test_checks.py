@@ -1,0 +1,179 @@
+"""The shared scalar checks and every public entry point that takes a scalar.
+
+``check_real`` and ``check_int`` decide what a valid parameter, count or
+seed is.  The property test feeds hostile scalars to the public scalar
+entry points: each either returns a finite result or raises
+:class:`EvCopulaError`.
+"""
+
+import dataclasses
+import math
+import numbers
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evcopula import (
+    DependenceFunction,
+    EvCopulaError,
+    ParamOutOfRangeError,
+    blomqvist_from_lambda,
+    check_envelope,
+    classical_region,
+    copula_from_pickands,
+    ev_inequalities,
+    gumbel_closed_form,
+    gumbel_dependence,
+    lambda_from_blomqvist,
+    mix,
+    mo_closed_form,
+    mo_dependence,
+    pareto_closed_form,
+    pareto_dependence,
+    rho_bounds,
+    sample_generic,
+    sample_mo,
+    tau_bounds,
+    validate,
+    verify_case,
+)
+from evcopula.errors import check_int, check_real
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("x", [0.5, 1, np.float32(0.5), np.float64(0.25), np.int64(1)])
+    def test_accepts_reals_as_float(self, x):
+        out = check_real(x, "x", 0.0, 1.0)
+        assert type(out) is float and out == float(x)
+
+    @pytest.mark.parametrize(
+        "x", [True, False, np.True_, math.nan, np.float64("nan"), "0.5", None, 1.5, -0.1]
+    )
+    def test_rejects(self, x):
+        with pytest.raises(ParamOutOfRangeError, match="x="):
+            check_real(x, "x", 0.0, 1.0)
+
+    def test_infinity_only_at_an_infinite_bound(self):
+        assert check_real(math.inf, "theta", 1.0, math.inf) == math.inf
+        assert check_real(-math.inf, "x", -math.inf, 0.0) == -math.inf
+        for x in (math.inf, -math.inf):
+            with pytest.raises(ParamOutOfRangeError):
+                check_real(x, "x", -1e300, 1e300)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("x", [3, np.int64(3), np.uint8(3), np.int32(3)])
+    def test_accepts_integers_as_int(self, x):
+        out = check_int(x, "n", 1)
+        assert type(out) is int and out == 3
+
+    @pytest.mark.parametrize("x", [True, np.True_, 2.5, 2.0, np.float64(5), "3", None, math.nan])
+    def test_rejects_non_integers(self, x):
+        with pytest.raises(ParamOutOfRangeError, match="n must be an integer"):
+            check_int(x, "n", 1)
+
+    def test_lower_bound(self):
+        with pytest.raises(ParamOutOfRangeError, match="n must be >= 1"):
+            check_int(0, "n", 1)
+        assert check_int(-(2**70), "seed") == -(2**70)
+
+
+_MO = mo_dependence(0.3, 0.6)
+_GUMBEL = copula_from_pickands(gumbel_dependence(2.0))
+
+# each call accepted a bool as a number, raised a bare TypeError, or
+# truncated a float seed before the checks were shared
+_REJECTED = {
+    "mo_dependence(True, .5)": lambda: mo_dependence(True, 0.5),
+    "pareto_dependence(True, False)": lambda: pareto_dependence(True, False),
+    "mix(weight=True)": lambda: mix(_MO, _MO, True),
+    "lambda_from_blomqvist(True)": lambda: lambda_from_blomqvist(True),
+    "classical_region(True)": lambda: classical_region(True),
+    'mo_dependence("0.5", .5)': lambda: mo_dependence("0.5", 0.5),
+    "sample_mo(n=True)": lambda: sample_mo(0.3, 0.4, True, 0),
+    "sample_generic(n=2.5)": lambda: sample_generic(_GUMBEL, 2.5, 0),
+    "verify_case(grid=2.5)": lambda: verify_case(_MO, 2.5),
+    "check_envelope(grid=2.5)": lambda: check_envelope(_GUMBEL, 2.5),
+    "validate(grid_size=np.float64(5))": lambda: validate(_MO, np.float64(5)),
+    "sample_mo(seed=2.5)": lambda: sample_mo(0.5, 0.5, 10, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_hostile_scalar_rejected(call):
+    with pytest.raises(ParamOutOfRangeError):
+        call()
+
+
+def test_params_store_plain_floats():
+    for df in (
+        mo_dependence(np.float32(0.5), np.int64(1)),
+        pareto_dependence(np.float64(0.25), np.int64(0)),
+        mix(_MO, _MO, np.float32(0.5)),
+    ):
+        floats = {k: v for k, v in df.params.items() if isinstance(v, numbers.Number)}
+        assert floats and all(type(v) is float for v in floats.values()), df.params
+
+
+# ---------------------------------------------------------------------------
+# property: a finite result or EvCopulaError, never anything else
+# ---------------------------------------------------------------------------
+
+_HOSTILE = [
+    math.nan, math.inf, -math.inf, True, np.True_, "0.5", None,
+    np.float32(0.25), np.int64(1), 2.5,
+]
+_REALS = st.sampled_from(_HOSTILE) | st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 3.0])
+_COUNTS = st.sampled_from(_HOSTILE + [np.int64(5), 0, 2, 7, -3])
+
+_PWL = mo_dependence(0.4, 0.2)
+# name: (function, kind of each argument); "x" is a real, "n" a count or seed
+_ENTRY_POINTS = {
+    "mo_dependence": (mo_dependence, "xx"),
+    "pareto_dependence": (pareto_dependence, "xx"),
+    "gumbel_dependence": (gumbel_dependence, "x"),
+    "mix": (lambda w: mix(_PWL, gumbel_dependence(2.0), w), "x"),
+    "rho_bounds": (rho_bounds, "x"),
+    "tau_bounds": (tau_bounds, "x"),
+    "blomqvist_from_lambda": (blomqvist_from_lambda, "x"),
+    "lambda_from_blomqvist": (lambda_from_blomqvist, "x"),
+    "classical_region": (classical_region, "x"),
+    "ev_inequalities": (ev_inequalities, "xx"),
+    "mo_closed_form": (mo_closed_form, "xx"),
+    "pareto_closed_form": (pareto_closed_form, "xx"),
+    "gumbel_closed_form": (gumbel_closed_form, "x"),
+    "sample_mo": (lambda n, seed: sample_mo(0.3, 0.6, n, seed), "nn"),
+    "sample_generic": (lambda n, seed: sample_generic(_GUMBEL, n, seed), "nn"),
+    "check_envelope": (lambda grid: check_envelope(_GUMBEL, grid), "n"),
+    "validate": (lambda grid: validate(_PWL, grid), "n"),
+    "verify_case": (lambda grid: verify_case(_PWL, grid), "n"),
+}
+
+
+def _finite(obj) -> bool:
+    if isinstance(obj, (str, bool, np.bool_)) or obj is None:
+        return True
+    if isinstance(obj, DependenceFunction):
+        t = np.linspace(0.0, 1.0, 9)
+        return _finite(obj(t)) and _finite(obj.deriv(t)) and _finite(obj.params)
+    if dataclasses.is_dataclass(obj):
+        return all(_finite(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return all(_finite(v) for v in obj)
+    return bool(np.all(np.isfinite(obj)))
+
+
+@given(name=st.sampled_from(sorted(_ENTRY_POINTS)), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scalar_entry_points_finite_or_evcopula_error(name, data):
+    fn, kinds = _ENTRY_POINTS[name]
+    args = [data.draw(_REALS if kind == "x" else _COUNTS) for kind in kinds]
+    try:
+        out = fn(*args)
+    except EvCopulaError:
+        return
+    assert _finite(out), (name, args, out)

@@ -210,6 +210,13 @@ class TestVerify:
         assert dump.exists()
         assert dump.read_text().startswith("t,A\n")
 
+    def test_n_random_below_one_exit_2(self, capsys):
+        # dependence_corpus checks the count; the CLI has no copy of the check
+        code, out, err = run(["verify", "--n-random", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 1" in err
+
 
 class TestSample:
     def test_comonotone_rows(self, capsys):
@@ -314,3 +321,25 @@ class TestEstimate:
         )
         assert code == 0
         assert "lambda_hat@0.8" in out and "lambda_hat@0.9" in out
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["verify", "--n-random", "3"], "bounds_mod.dependence_corpus"),
+            (["sample", "--family", "gumbel", "--theta", "2", "-n", "10"], "mc_mod.sample_generic"),
+        ],
+    )
+    def test_memory_error_exit_2_one_line(self, argv, target, capsys, monkeypatch):
+        import evcopula.cli as cli_mod
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.0 TiB for an array")
+
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(cli_mod, module), name, exhausted)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory\n"

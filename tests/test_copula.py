@@ -184,6 +184,12 @@ class TestSurvival:
         with pytest.raises(ParamOutOfRangeError):
             survival(MO_HALF, math.nan, 0.5)
 
+    @pytest.mark.parametrize("u, v", [(math.nan, 0.5), (0.5, [0.2, math.nan])])
+    def test_nan_rejected_for_any_evaluator(self, u, v):
+        # the evaluator does no checks of its own
+        with pytest.raises(ParamOutOfRangeError):
+            survival(lambda x, y: x * y, u, v)
+
 
 class TestStructuralChecks:
     def test_max_stability_all_families(self):

@@ -1,12 +1,14 @@
 """Samplers and empirical estimators."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 from evcopula import (
     DegenerateSampleError,
+    ParamOutOfRangeError,
     SampleBatch,
     copula_from_pickands,
     dependence_corpus,
@@ -199,6 +201,12 @@ class TestEmpiricalCoefficients:
         batch = sample_mo(0.5, 0.5, 100, seed=1)
         with pytest.raises(Exception):
             empirical_coefficients(batch, lambda_thresholds=(1.5,))
+
+    @pytest.mark.parametrize("thresholds", [(1.5,), (), (0.9, 0.0), (math.nan,)])
+    def test_threshold_outside_open_unit_interval_is_param_error(self, thresholds):
+        batch = sample_mo(0.5, 0.5, 100, seed=1)
+        with pytest.raises(ParamOutOfRangeError, match="thresholds"):
+            empirical_coefficients(batch, lambda_thresholds=thresholds)
 
 
 class TestCsvInterchange:

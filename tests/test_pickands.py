@@ -220,6 +220,14 @@ class TestPiecewiseLinear:
         np.testing.assert_allclose(t, [0.0, 0.5, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(a, [1.0, 0.8, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "knots",
+        [[0, 1], [(0, 1, 1), (0.5, 0.75, 1), (1, 1, 1)], [(0, 1), (0.5,), (1, 1)]],
+    )
+    def test_knots_must_be_pairs(self, knots):
+        with pytest.raises(InvalidDependenceFunctionError, match=r"knots must be \(t, A\) pairs"):
+            piecewise_linear_dependence(knots)
+
     def test_non_increasing_abscissae_rejected(self):
         with pytest.raises(InvalidDependenceFunctionError):
             piecewise_linear_dependence([(0, 1), (0.5, 0.8), (0.5, 0.9), (1, 1)])
@@ -274,6 +282,25 @@ class TestValidate:
             (0.5, "envelope"),
         ]
         assert [c for _, c, _ in r.violations[5:]] == ["envelope", "envelope", "convexity"]
+
+    def test_nan_everywhere_invalid(self):
+        r = validate(lambda t: np.full_like(np.asarray(t, dtype=float), np.nan), 16)
+        assert not r.valid
+        assert r.violations[0] == (0.0, "non_finite", math.inf)
+
+    @pytest.mark.parametrize("grid_size", [16, 17, 2048])
+    def test_one_nan_at_half_invalid(self, grid_size):
+        # 1/2 is a grid point only for odd sizes; otherwise a convexity midpoint
+        df = gumbel_dependence(2.0)
+
+        def fn(t):
+            a = np.array(df(t), dtype=float)
+            a[np.asarray(t) == 0.5] = np.nan
+            return a
+
+        r = validate(fn, grid_size)
+        assert not r.valid
+        assert (0.5, "non_finite", math.inf) in r.violations
 
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
