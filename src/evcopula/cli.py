@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Subcommands: ``coeffs``, ``gumbel-table``, ``bounds-curve``, ``verify``,
-``sample``, ``estimate``.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error, or out of memory.  All output is CSV/TSV with
-headers and LF line endings; randomness is controlled only by ``--seed``.
+``sample``, ``estimate``; each is declared once, with its handler, in
+``_build_parser``.  Exit codes: 0 success, 1 verification failure,
+2 usage or input error, or out of memory.  Tables are CSV (TSV with
+``--format tsv``) with headers; ``verify`` writes plain text lines.  Every
+output has LF line endings and goes to ``--out`` or stdout; ``estimate``
+reads ``--in`` or stdin.  Randomness is controlled only by ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -34,6 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_family(p):
         p.add_argument("--family", required=True, choices=["mo", "gumbel", "pareto", "pwl"])
         p.add_argument("--alpha", type=float)
@@ -47,36 +56,36 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["csv", "tsv"], default="csv")
 
-    p = sub.add_parser("coeffs", help="rho, tau, lambda, beta of one copula")
+    p = command("coeffs", _cmd_coeffs, "rho, tau, lambda, beta of one copula")
     add_family(p)
     p.add_argument("--precision", type=int, default=16)
     add_io(p)
 
-    p = sub.add_parser("gumbel-table", help="lambda/theta/rho table of the Gumbel family")
+    p = command("gumbel-table", _cmd_gumbel_table, "lambda/theta/rho table of the Gumbel family")
     p.add_argument("--precision", type=int, default=3)
     add_io(p)
 
-    p = sub.add_parser("bounds-curve", help="coefficient bound curves over lambda")
+    p = command("bounds-curve", _cmd_bounds_curve, "coefficient bound curves over lambda")
     p.add_argument("--step", type=float, default=0.05)
     add_io(p)
 
-    p = sub.add_parser("verify", help="randomized sweep of all bounds")
+    p = command("verify", _cmd_verify, "randomized sweep of all bounds")
     p.add_argument("--n-random", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--knots-file", help="also verify this piecewise-linear A")
     p.add_argument("--dump-knots", default="violating_dependence.csv",
                    help="where to serialize an offending A on failure")
-    add_io(p)
+    p.add_argument("--out", help="output file (default: stdout)")
 
-    p = sub.add_parser("sample", help="draw (u,v) pairs from one copula")
+    p = command("sample", _cmd_sample, "draw (u,v) pairs from one copula")
     add_family(p)
     p.add_argument("-n", "--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["exact", "generic"], default="exact")
     p.add_argument("--out", help="u,v CSV output file (default: stdout)")
 
-    p = sub.add_parser("estimate", help="empirical coefficients from a u,v CSV")
+    p = command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV")
     p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
     p.add_argument("--lambda-thresholds", default="0.9,0.95,0.99")
     p.add_argument("--precision", type=int, default=16)
@@ -102,14 +111,20 @@ def _dependence_from_args(args):
     return read_knots_csv(args.knots_file)
 
 
+@contextlib.contextmanager
+def _stream(path, mode: str):
+    """``path`` opened in ``mode`` with ``newline=""``; without a path, stdout or stdin."""
+    if path:
+        with open(path, mode, newline="") as fh:
+            yield fh
+    else:
+        yield sys.stdout if mode == "w" else sys.stdin
+
+
 def _emit(rows, args) -> None:
     delim = "\t" if args.format == "tsv" else ","
-    text = "\n".join(delim.join(str(c) for c in row) for row in rows) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _stream(args.out, "w") as fh:
+        fh.write("\n".join(delim.join(str(c) for c in row) for row in rows) + "\n")
 
 
 def _cmd_coeffs(args) -> int:
@@ -169,35 +184,20 @@ def _cmd_verify(args) -> int:
     if args.knots_file:
         cases.append(read_knots_csv(args.knots_file))
 
-    worst = {}
-    failures = []
-    reports = []
-    for df in cases:
-        rep = bounds_mod.verify_case(df, envelope_grid=args.grid)
-        reports.append((df, rep))
-        key = rep["family"]
-        entry = worst.setdefault(
-            key, {"n": 0, "margin": float("inf"), "envelope": 0.0}
-        )
-        entry["n"] += 1
-        entry["margin"] = min(entry["margin"], min(rep["margins"].values()))
-        entry["envelope"] = max(
-            entry["envelope"],
-            rep["envelope"].max_lower_violation,
-            rep["envelope"].max_upper_violation,
-        )
-        if not rep["passed"]:
-            failures.append((df, rep))
-
+    results = [(df, bounds_mod.verify_case(df, envelope_grid=args.grid)) for df in cases]
+    failures = [(df, rep) for df, rep in results if not rep["passed"]]
     lines = [
         f"verified {len(cases)} dependence functions "
         f"(seed {args.seed}, envelope grid {args.grid})"
     ]
-    for fam in sorted(worst):
-        w = worst[fam]
+    for fam in sorted({rep["family"] for _, rep in results}):
+        reps = [rep for _, rep in results if rep["family"] == fam]
+        margin = min(min(rep["margins"].values()) for rep in reps)
+        envs = [rep["envelope"] for rep in reps]
+        envelope = max(max(e.max_lower_violation, e.max_upper_violation) for e in envs)
         lines.append(
-            f"family={fam} n={w['n']} worst_interval_margin={w['margin']:.3e} "
-            f"worst_envelope_violation={w['envelope']:.3e}"
+            f"family={fam} n={len(reps)} worst_interval_margin={margin:.3e} "
+            f"worst_envelope_violation={envelope:.3e}"
         )
     if failures:
         df, rep = failures[0]
@@ -208,7 +208,8 @@ def _cmd_verify(args) -> int:
         )
     else:
         lines.append("PASS: no violations")
-    _emit([(line,) for line in lines], args)
+    with _stream(args.out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
@@ -218,21 +219,15 @@ def _cmd_sample(args) -> int:
         batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)
     else:
         batch = mc_mod.sample_generic(copula_from_pickands(df), args.n, args.seed)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            mc_mod.write_batch_csv(batch, fh)
-    else:
-        mc_mod.write_batch_csv(batch, sys.stdout)
+    with _stream(args.out, "w") as fh:
+        mc_mod.write_batch_csv(batch, fh)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     thresholds = tuple(float(t) for t in args.lambda_thresholds.split(",") if t.strip())
-    if args.infile:
-        with open(args.infile, newline="") as fh:
-            batch = mc_mod.read_pairs_csv(fh)
-    else:
-        batch = mc_mod.read_pairs_csv(sys.stdin)
+    with _stream(args.infile, "r") as fh:
+        batch = mc_mod.read_pairs_csv(fh)
     est = mc_mod.empirical_coefficients(batch, thresholds)
     prec = args.precision
     rows = [("statistic", "value")]
@@ -246,16 +241,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "coeffs": _cmd_coeffs,
-    "gumbel-table": _cmd_gumbel_table,
-    "bounds-curve": _cmd_bounds_curve,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "estimate": _cmd_estimate,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -263,7 +248,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (EvCopulaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

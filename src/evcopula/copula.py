@@ -30,24 +30,15 @@ class EvCopula:
 
     def __call__(self, u, v):
         """``C(u, v)``; u and v outside [0, 1] are clamped, NaN raises."""
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        if np.isnan(u).any() or np.isnan(v).any():
-            raise ParamOutOfRangeError("copula requires u and v to be numbers, got NaN")
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape, dtype=float)
-        zero = (u <= 0.0) | (v <= 0.0)
-        u_one = (u >= 1.0) & ~zero
-        v_one = (v >= 1.0) & ~zero
-        interior = ~(zero | u_one | v_one)
-        out[u_one] = v[u_one]
-        out[v_one] = u[v_one]
-        if interior.any():
-            lu = np.log(u[interior])
-            lv = np.log(v[interior])
-            w = lu + lv
-            t = np.clip(lv / w, 0.0, 1.0)
-            out[interior] = np.exp(w * self.dependence.eval_fn(t))
+        u, v, scalar = _uv(u, v)
+        out = np.minimum(u, v, out=np.empty(u.shape))
+        np.clip(out, 0.0, 1.0, out=out)  # C off the open unit square; interior overwritten
+        interior = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
+        lu = np.log(u[interior])
+        lv = np.log(v[interior])
+        w = lu + lv
+        t = np.clip(lv / w, 0.0, 1.0)
+        out[interior] = np.exp(w * self.dependence.eval_fn(t))
         return float(out) if scalar else out
 
     def partial_u(self, u, v):
@@ -58,20 +49,12 @@ class EvCopula:
         decreases in v, that corresponds to the left derivative of the
         dependence function.
         """
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        u, v = np.broadcast_arrays(
-            np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        )
-        if not np.all((u > 0.0) & (u <= 1.0)):  # also rejects NaN
+        u, v, scalar = _uv(u, v)
+        if not np.all((u > 0.0) & (u <= 1.0)):
             raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
-        if np.isnan(v).any():
-            raise ParamOutOfRangeError("partial_u requires v to be a number, got NaN")
-        out = np.zeros(u.shape, dtype=float)
-        hi = v >= 1.0
-        out[hi] = 1.0
-        interior = ~hi & (v > 0.0)
-        if interior.any():
-            out[interior] = self._partial_u_interior(np.log(u[interior]), np.log(v[interior]))
+        out = np.where(v >= 1.0, 1.0, 0.0)
+        interior = (v > 0.0) & (v < 1.0)
+        out[interior] = self._partial_u_interior(np.log(u[interior]), np.log(v[interior]))
         np.clip(out, 0.0, 1.0, out=out)
         return float(out) if scalar else out
 
@@ -86,6 +69,27 @@ class EvCopula:
         a = self.dependence.eval_fn(t)
         da = self.dependence.deriv_fn(t, "left")
         return np.exp(w * a - lu) * (a - t * da)
+
+
+def _uv(u, v) -> tuple:
+    """u and v as broadcast float arrays, and whether both were scalars.
+
+    Bools, strings, NaN and shapes that do not broadcast raise ParamOutOfRangeError.
+    """
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = np.asarray(u), np.asarray(v)
+    if u.dtype.kind not in "iuf" or v.dtype.kind not in "iuf":
+        raise ParamOutOfRangeError(f"copula requires real u and v, got {u.dtype} and {v.dtype}")
+    u, v = u.astype(float, copy=False), v.astype(float, copy=False)
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise ParamOutOfRangeError("copula requires u and v to be numbers, got NaN")
+    try:
+        u, v = np.broadcast_arrays(u, v)
+    except ValueError:
+        raise ParamOutOfRangeError(
+            f"u and v must broadcast together, got shapes {u.shape} and {v.shape}"
+        ) from None
+    return u, v, scalar
 
 
 def copula_from_pickands(df: DependenceFunction) -> EvCopula:

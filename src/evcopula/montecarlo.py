@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int
+from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int, check_real
 from .pickands import check_mo
 from .rng import make_rng
 
@@ -219,8 +219,8 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
         raise DegenerateSampleError(f"need at least 10 pairs, got {n}")
     if np.ptp(u) == 0.0 or np.ptp(v) == 0.0:
         raise DegenerateSampleError("all values identical in one coordinate")
-    thresholds = tuple(float(t) for t in lambda_thresholds)
-    if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
+    thresholds = tuple(check_real(t, "lambda thresholds", 0.0, 1.0) for t in lambda_thresholds)
+    if not thresholds or any(t in (0.0, 1.0) for t in thresholds):
         raise ParamOutOfRangeError("lambda thresholds must lie in (0, 1)")
 
     pu = _average_ranks(u) / (n + 1)

@@ -165,7 +165,9 @@ def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> 
     d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
     i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
     t = np.union1d(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
-    t = t[np.concatenate([[True], np.diff(t) > 1e-12])]
+    # of two points within 1e-12 the first stays, except that t = 1 always stays
+    keep = np.concatenate([[True], np.diff(t) > 1e-12]) & (t < t[-1] - 1e-12)
+    t = np.append(t[keep], t[-1])
     return t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb))
 
 

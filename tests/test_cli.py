@@ -161,6 +161,12 @@ class TestVerify:
         assert "PASS" in out
         assert "verified 25 dependence functions" in out
 
+    def test_format_flag_rejected(self, capsys):
+        # verify writes one column of text lines; a --format that changed no byte would mislead
+        code, out, _ = run(["verify", "--n-random", "1", "--format", "tsv"], capsys)
+        assert code == 2
+        assert out == ""
+
     def test_report_shows_margins(self, capsys):
         code, out, _ = run(
             ["verify", "--n-random", "1", "--seed", "7", "--grid", "40"], capsys

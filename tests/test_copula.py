@@ -73,6 +73,25 @@ class TestEvaluation:
             with pytest.raises(ParamOutOfRangeError):
                 cop(u, v)
 
+    def test_off_unit_square_clamped(self):
+        # C = clip(min(u, v), 0, 1) off the open unit square; a copula never exceeds 1
+        for cop in _family_zoo():
+            assert cop(2.0, 2.0) == 1.0
+            assert cop(1.5, 1.0) == 1.0
+            assert cop(1.5, 0.4) == 0.4
+            assert cop(-0.5, 3.0) == 0.0
+            np.testing.assert_array_equal(
+                cop([2.0, 0.3, 1.0, 5.0], [1.0, 7.0, -1.0, 0.6]), [1.0, 0.3, 0.0, 0.6]
+            )
+
+    @pytest.mark.parametrize(
+        "u, v", [([0.2, 0.5], [0.1, 0.2, 0.3]), (True, 0.5), (0.5, np.False_), ("0.5", 0.5)]
+    )
+    def test_mismatched_or_non_real_arguments_rejected(self, u, v):
+        for cop in _family_zoo():
+            with pytest.raises(ParamOutOfRangeError):
+                cop(u, v)
+
     def test_diag_exponent(self):
         assert MO_HALF.diag_exponent == pytest.approx(1.5, abs=1e-15)
 
@@ -153,6 +172,19 @@ class TestPartialU:
         for cop in (MO_HALF, copula_from_pickands(gumbel_dependence(2.0))):
             with pytest.raises(ParamOutOfRangeError):
                 cop.partial_u(u, v)
+
+    @pytest.mark.parametrize(
+        "u, v", [([0.2, 0.5], [0.1, 0.2, 0.3]), (True, 0.5), (0.5, np.True_), ("0.5", 0.5)]
+    )
+    def test_mismatched_or_non_real_arguments_rejected(self, u, v):
+        for cop in (MO_HALF, copula_from_pickands(gumbel_dependence(2.0))):
+            with pytest.raises(ParamOutOfRangeError):
+                cop.partial_u(u, v)
+
+    def test_v_off_unit_interval(self):
+        for cop in _family_zoo():
+            p = cop.partial_u(0.5, [-1.0, 0.0, 1.0, 2.0])
+            np.testing.assert_array_equal(p, [0.0, 0.0, 1.0, 1.0])
 
     def test_out_of_range_u_rejected(self):
         for u in (0.0, -0.5, 1.5):

@@ -55,9 +55,9 @@ class TestSampleMo:
         assert ks_statistic_uniform(batch.v) <= crit
 
     def test_range_check(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             sample_mo(1.4, 0.5, 10, seed=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             sample_mo(0.5, 0.5, 0, seed=0)
 
 
@@ -199,8 +199,14 @@ class TestEmpiricalCoefficients:
 
     def test_threshold_validation(self):
         batch = sample_mo(0.5, 0.5, 100, seed=1)
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             empirical_coefficients(batch, lambda_thresholds=(1.5,))
+
+    @pytest.mark.parametrize("thresholds", [("0.9",), (True,), (0.9, np.True_), (1.0,), (None,)])
+    def test_threshold_must_be_real_in_open_unit_interval(self, thresholds):
+        batch = sample_mo(0.5, 0.5, 100, seed=1)
+        with pytest.raises(ParamOutOfRangeError, match="thresholds"):
+            empirical_coefficients(batch, lambda_thresholds=thresholds)
 
     @pytest.mark.parametrize("thresholds", [(1.5,), (), (0.9, 0.0), (math.nan,)])
     def test_threshold_outside_open_unit_interval_is_param_error(self, thresholds):

@@ -20,7 +20,7 @@ from evcopula import (
     validate,
     write_knots_csv,
 )
-from evcopula.pickands import _pwl_max
+from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
 from evcopula.rng import make_rng
 
 GRID = np.linspace(0.0, 1.0, 401)
@@ -52,7 +52,7 @@ class TestMarshallOlkin:
         assert df.deriv(t, "right") == pytest.approx(0.7, abs=1e-12)
 
     def test_param_range(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             mo_dependence(1.2, 0.5)
 
 
@@ -108,9 +108,9 @@ class TestGumbel:
                 gumbel_dependence(theta)
 
     def test_param_range(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             gumbel_dependence(0.8)
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             gumbel_dependence(math.inf)
 
 
@@ -149,9 +149,9 @@ class TestParetoTangentFamily:
             np.testing.assert_allclose(df(GRID), want, atol=1e-15)
 
     def test_param_range(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             pareto_dependence(0.7, 0.7)
-        with pytest.raises(Exception):
+        with pytest.raises(ParamOutOfRangeError):
             pareto_dependence(-0.1, 0.3)
 
     def test_near_collapsing_kinks(self):
@@ -219,6 +219,18 @@ class TestPiecewiseLinear:
         )
         np.testing.assert_allclose(t, [0.0, 0.5, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(a, [1.0, 0.8, 1.0 / 1.4, 1.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_pwl_max_keeps_t_one(self, swap):
+        # the line meets max(t, 1 - t) 5e-13 below t = 1; that crossing yields to t = 1
+        line = (np.array([0.0, 1.0]), np.array([1.0, 1.0 - 5e-13]))
+        pieces = [np.transpose(ENVELOPE_KNOTS), line]
+        if swap:
+            pieces.reverse()
+        t, a = _pwl_max(*pieces[0], *pieces[1])
+        assert (t[0], t[-1]) == (0.0, 1.0)
+        assert (a[0], a[-1]) == (1.0, 1.0)
+        assert np.all(np.diff(t) > 1e-12)
 
     @pytest.mark.parametrize(
         "knots",
