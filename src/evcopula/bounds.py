@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import lambda_upper, rho_numeric, tau_numeric
-from .copula import EvCopula, copula_from_pickands
+from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
 from .errors import check_int, check_real, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
@@ -58,7 +58,11 @@ class BoundsInterval:
 
 @dataclass(frozen=True)
 class EnvelopeCheck:
-    """Worst pointwise violations of the two-sided copula envelope."""
+    """Worst pointwise violations of the two-sided copula envelope (0 if none).
+
+    :func:`check_envelope` reports them in C units, on a (u, v) grid;
+    :func:`verify_case` reports them in A units, on a t-grid.
+    """
 
     grid: int
     max_lower_violation: float
@@ -102,6 +106,33 @@ def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     cvals = copula(uu, vv)
     lower_gap = pointwise_lower(lam, uu, vv) - cvals
     upper_gap = cvals - pointwise_upper(a, b, uu, vv)
+    return EnvelopeCheck(
+        grid=grid,
+        max_lower_violation=max(float(lower_gap.max()), 0.0),
+        max_upper_violation=max(float(upper_gap.max()), 0.0),
+        tangent_params=(a, b),
+    )
+
+
+def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeCheck:
+    """Both envelope gaps in A units, on a t-grid of ``16 (grid - 1) + 1`` points plus kinks.
+
+    With w = ln(uv) < 0 and t = ln v / w, C = exp(w A(t)); so C lies above
+    the lower envelope iff ``A(t) <= 1 - lam min(t, 1-t)``, and below the
+    upper one iff ``A(t) >= max(t, 1-t, (1-a)(1-t) + (1-b)t)``.  The grid
+    holds the split points of A and the kinks of both bounds, so for a
+    piecewise-linear A, linear between grid points, the check is exact.
+    """
+    grid = check_int(grid, "grid", 2)
+    a, b = tangent_at_half(df)
+    kinks = [0.5, *df.split_points]
+    if a + b < 1.0:
+        kinks += [a / (1.0 + a - b), (1.0 - a) / (1.0 - a + b)]
+    t = np.union1d(np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks)
+    s = 1.0 - t
+    at = df.eval_fn(t)
+    lower_gap = at - (1.0 - lam * np.minimum(t, s))
+    upper_gap = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t) - at
     return EnvelopeCheck(
         grid=grid,
         max_lower_violation=max(float(lower_gap.max()), 0.0),
@@ -208,15 +239,19 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     """Run every bound of this module against one dependence function.
 
     Returns a report dict with the computed coefficients, the interval
-    margins (negative means violation) and a ``passed`` flag: margins
-    >= -1e-7, envelope violations <= 1e-9 and the EV inequalities to 1e-9.
+    margins (negative means violation), the pointwise envelope check and a
+    ``passed`` flag: margins >= -1e-7, envelope violations <= 1e-9 and the
+    EV inequalities to 1e-9.  The envelope is checked on A at
+    ``16 (envelope_grid - 1) + 1`` values of t plus the kinks, so its
+    violations are in A units; :func:`check_envelope` checks C itself, in
+    C units.
     """
     lam = lambda_upper(df)
     rho = rho_numeric(df)
     tau = tau_numeric(df)
     ri = rho_bounds(lam)
     ti = tau_bounds(lam)
-    env = check_envelope(copula_from_pickands(df), envelope_grid)
+    env = _envelope_in_t(df, lam, envelope_grid)
     ineq = ev_inequalities(min(max(rho, 0.0), 1.0), min(max(tau, 0.0), 1.0))
     margins = {
         "rho_above_lo": rho - ri.lo,

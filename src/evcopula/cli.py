@@ -6,7 +6,9 @@ Subcommands: ``coeffs``, ``gumbel-table``, ``bounds-curve``, ``verify``,
 2 usage or input error, or out of memory.  Tables are CSV (TSV with
 ``--format tsv``) with headers; ``verify`` writes plain text lines.  Every
 output has LF line endings and goes to ``--out`` or stdout; ``estimate``
-reads ``--in`` or stdin.  Randomness is controlled only by ``--seed``.
+reads ``--in`` or stdin.  ``sample`` and ``verify`` open ``--out`` after
+checking their flags and before the work.  Randomness is controlled only
+by ``--seed``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import bounds as bounds_mod
 from . import coefficients as coef_mod
 from . import montecarlo as mc_mod
 from .copula import copula_from_pickands
-from .errors import EvCopulaError
+from .errors import EvCopulaError, check_int
 from .pickands import (
     gumbel_dependence,
     mo_dependence,
@@ -28,6 +30,21 @@ from .pickands import (
     read_knots_csv,
     write_knots_csv,
 )
+
+
+_MAX_PRECISION = 17  # significant digits that round-trip a double
+
+
+def _int_flag(name: str, lo: int, hi: int | None = None):
+    """argparse type for an integer flag checked by ``check_int``; a bad value is a usage error."""
+
+    def parse(text):
+        try:
+            return check_int(int(text), name, lo, hi)
+        except ValueError as exc:  # not an integer, or out of range
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,11 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("coeffs", _cmd_coeffs, "rho, tau, lambda, beta of one copula")
     add_family(p)
-    p.add_argument("--precision", type=int, default=16)
+    p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
     add_io(p)
 
     p = command("gumbel-table", _cmd_gumbel_table, "lambda/theta/rho table of the Gumbel family")
-    p.add_argument("--precision", type=int, default=3)
+    p.add_argument("--precision", type=_int_flag("precision", 0, _MAX_PRECISION), default=3)
     add_io(p)
 
     p = command("bounds-curve", _cmd_bounds_curve, "coefficient bound curves over lambda")
@@ -72,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", _cmd_verify, "randomized sweep of all bounds")
     p.add_argument("--n-random", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=_int_flag("grid", 2), default=200,
+                   help="envelope resolution: A is checked at 16 (grid - 1) + 1 equispaced t "
+                   "plus its kinks and those of both bounds (default: 200)")
     p.add_argument("--knots-file", help="also verify this piecewise-linear A")
     p.add_argument("--dump-knots", default="violating_dependence.csv",
                    help="where to serialize an offending A on failure")
@@ -80,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", _cmd_sample, "draw (u,v) pairs from one copula")
     add_family(p)
-    p.add_argument("-n", "--n", type=int, required=True)
+    p.add_argument("-n", "--n", type=_int_flag("n", 1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["exact", "generic"], default="exact")
     p.add_argument("--out", help="u,v CSV output file (default: stdout)")
@@ -88,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV")
     p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
     p.add_argument("--lambda-thresholds", default="0.9,0.95,0.99")
-    p.add_argument("--precision", type=int, default=16)
+    p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
     add_io(p)
     return parser
 
@@ -114,11 +133,11 @@ def _dependence_from_args(args):
 @contextlib.contextmanager
 def _stream(path, mode: str):
     """``path`` opened in ``mode`` with ``newline=""``; without a path, stdout or stdin."""
-    if path:
+    if path is None:
+        yield sys.stdout if mode == "w" else sys.stdin
+    else:
         with open(path, mode, newline="") as fh:
             yield fh
-    else:
-        yield sys.stdout if mode == "w" else sys.stdin
 
 
 def _emit(rows, args) -> None:
@@ -183,43 +202,42 @@ def _cmd_verify(args) -> int:
     cases = bounds_mod.dependence_corpus(args.n_random, args.seed)
     if args.knots_file:
         cases.append(read_knots_csv(args.knots_file))
-
-    results = [(df, bounds_mod.verify_case(df, envelope_grid=args.grid)) for df in cases]
-    failures = [(df, rep) for df, rep in results if not rep["passed"]]
-    lines = [
-        f"verified {len(cases)} dependence functions "
-        f"(seed {args.seed}, envelope grid {args.grid})"
-    ]
-    for fam in sorted({rep["family"] for _, rep in results}):
-        reps = [rep for _, rep in results if rep["family"] == fam]
-        margin = min(min(rep["margins"].values()) for rep in reps)
-        envs = [rep["envelope"] for rep in reps]
-        envelope = max(max(e.max_lower_violation, e.max_upper_violation) for e in envs)
-        lines.append(
-            f"family={fam} n={len(reps)} worst_interval_margin={margin:.3e} "
-            f"worst_envelope_violation={envelope:.3e}"
-        )
-    if failures:
-        df, rep = failures[0]
-        write_knots_csv(args.dump_knots, df)
-        lines.append(
-            f"FAIL: {len(failures)} violation(s); first offender family={rep['family']} "
-            f"lambda={rep['lambda']:.6f} serialized to {args.dump_knots}"
-        )
-    else:
-        lines.append("PASS: no violations")
     with _stream(args.out, "w") as fh:
+        results = [(df, bounds_mod.verify_case(df, envelope_grid=args.grid)) for df in cases]
+        failures = [(df, rep) for df, rep in results if not rep["passed"]]
+        lines = [
+            f"verified {len(cases)} dependence functions "
+            f"(seed {args.seed}, envelope grid {args.grid})"
+        ]
+        for fam in sorted({rep["family"] for _, rep in results}):
+            reps = [rep for _, rep in results if rep["family"] == fam]
+            margin = min(min(rep["margins"].values()) for rep in reps)
+            envs = [rep["envelope"] for rep in reps]
+            envelope = max(max(e.max_lower_violation, e.max_upper_violation) for e in envs)
+            lines.append(
+                f"family={fam} n={len(reps)} worst_interval_margin={margin:.3e} "
+                f"worst_envelope_violation={envelope:.3e}"
+            )
+        if failures:
+            df, rep = failures[0]
+            write_knots_csv(args.dump_knots, df)
+            lines.append(
+                f"FAIL: {len(failures)} violation(s); first offender family={rep['family']} "
+                f"lambda={rep['lambda']:.6f} serialized to {args.dump_knots}"
+            )
+        else:
+            lines.append("PASS: no violations")
         fh.write("\n".join(lines) + "\n")
-    return 1 if failures else 0
+        return 1 if failures else 0
 
 
 def _cmd_sample(args) -> int:
     df = _dependence_from_args(args)
-    if args.family == "mo" and args.method == "exact":
-        batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)
-    else:
-        batch = mc_mod.sample_generic(copula_from_pickands(df), args.n, args.seed)
     with _stream(args.out, "w") as fh:
+        if args.family == "mo" and args.method == "exact":
+            batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)
+        else:
+            batch = mc_mod.sample_generic(copula_from_pickands(df), args.n, args.seed)
         mc_mod.write_batch_csv(batch, fh)
     return 0
 

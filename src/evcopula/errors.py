@@ -23,12 +23,14 @@ def check_real(x, name: str, lo: float, hi: float) -> float:
     return float(x)
 
 
-def check_int(x, name: str, lo: int | None = None) -> int:
-    """``x`` as an int if it is an int or numpy integer (not a bool or float) >= ``lo``."""
+def check_int(x, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int if it is an int or numpy integer (not a bool or float) in [lo, hi]."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ParamOutOfRangeError(f"{name} must be an integer, got {x!r}")
     if lo is not None and x < lo:
         raise ParamOutOfRangeError(f"{name} must be >= {lo}, got {x}")
+    if hi is not None and x > hi:
+        raise ParamOutOfRangeError(f"{name} must be <= {hi}, got {x}")
     return int(x)
 
 

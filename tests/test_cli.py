@@ -272,7 +272,7 @@ class TestSample:
         assert "needs --alpha and --beta" in err
 
     def test_n_below_one_exit_2(self, capsys):
-        # both samplers check n themselves; the CLI has no copy of the check
+        # -n goes through the samplers' own check_int before --out is opened
         for family in (["mo", "--alpha", "0.5", "--beta", "0.5"], ["gumbel", "--theta", "2"]):
             code, out, err = run(["sample", "--family", *family, "-n", "0"], capsys)
             assert code == 2
@@ -327,6 +327,73 @@ class TestEstimate:
         )
         assert code == 0
         assert "lambda_hat@0.8" in out and "lambda_hat@0.9" in out
+
+
+class TestArgumentsBeforeWork:
+    """Arguments are checked, then --out is opened, then the work starts."""
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["verify", "--n-random", "200"], "bounds_mod.verify_case"),
+            (["sample", "--family", "gumbel", "--theta", "2", "-n", "200000",
+              "--method", "generic"], "mc_mod.sample_generic"),
+        ],
+    )
+    def test_unopenable_out_fails_before_work(self, argv, target, capsys, monkeypatch, tmp_path):
+        import evcopula.cli as cli_mod
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(cli_mod, module), name, work)
+        code, out, err = run([*argv, "--out", str(tmp_path / "nodir" / "x.txt")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "No such file" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--family", "mo", "--alpha", "0.5", "--beta", "0.5", "--out", ""],
+            ["estimate", "--in", ""],
+        ],
+    )
+    def test_empty_path_is_unopenable(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "No such file" in err
+
+    _COEFFS = ["coeffs", "--family", "mo", "--alpha", "0.5", "--beta", "0.5"]
+
+    # the g formats read a precision of 0 as 1; gumbel-table's f format takes 0
+    @pytest.mark.parametrize(
+        "argv, precision",
+        [(cmd, p) for cmd in (_COEFFS, ["estimate"]) for p in ("-1", "0", "18")]
+        + [(["gumbel-table"], p) for p in ("-1", "18")],
+    )
+    def test_precision_checked(self, argv, precision, capsys):
+        code, out, err = run([*argv, "--precision", precision], capsys)
+        assert code == 2
+        assert out == ""
+        assert "precision must be" in err
+
+    def test_precision_limits_accepted(self, capsys):
+        code, out, _ = run(["gumbel-table", "--precision", "0"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0.0,1,0"
+        code, out, _ = run([*self._COEFFS, "--precision", "17"], capsys)
+        assert code == 0
+        assert out.splitlines()[2] == "tau,0.33333333333333331,closed_form"
+
+    def test_grid_checked(self, capsys, tmp_path):
+        out_path = tmp_path / "v.txt"
+        code, out, err = run(["verify", "--grid", "1", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert "grid must be >= 2" in err
+        assert not out_path.exists()
 
 
 class TestOutOfMemory:

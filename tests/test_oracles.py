@@ -6,7 +6,9 @@ public ``partial_u``, the one-call CSV writer against the per-row writer,
 the ``loadtxt`` reader against the line-split reader, and the run-based
 Kendall tie counts against ``np.unique`` and an O(n^2) sign count.  The
 by-parts Kendall tau integral of piecewise-linear dependence functions must
-match the retired sum of Stieltjes atoms at their kinks.
+match the retired sum of Stieltjes atoms at their kinks.  The t-space
+envelope check of ``verify_case`` must agree with the (u, v)-grid
+``check_envelope`` it replaced.
 """
 
 import io
@@ -28,6 +30,9 @@ from evcopula import (
     tau_numeric,
     write_batch_csv,
 )
+from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
+from evcopula.coefficients import lambda_upper
+from evcopula.pickands import _pwl
 from evcopula.rng import make_rng
 
 SEEDS = (0, 1, 2)
@@ -299,3 +304,28 @@ def test_tau_matches_kink_atoms_on_piecewise_linear_corpus():
                 )
                 checked += 1
     assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# pointwise envelope: t-space check against the (u, v) grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_envelope_in_t_agrees_with_uv_grid_on_corpus(seed):
+    for df in dependence_corpus(500, seed):
+        in_t = _envelope_in_t(df, lambda_upper(df), 200)
+        on_grid = check_envelope(copula_from_pickands(df), 200)
+        assert in_t.tangent_params == on_grid.tangent_params
+        for env in (in_t, on_grid):
+            assert env.max_lower_violation <= _ENVELOPE_TOL, (seed, df)
+            assert env.max_upper_violation <= _ENVELOPE_TOL, (seed, df)
+
+
+def test_envelope_in_t_exact_between_grid_nodes():
+    # dips below max(t, 1 - t) most at its kink t = 0.5003, which lies
+    # between the equispaced nodes k / 3184; unvalidated, as no valid A dips
+    ts, vs = np.array([0.0, 0.5003, 1.0]), np.array([1.0, 0.4999, 1.0])
+    df = _pwl(ts, vs, "piecewise_linear", {})
+    env = _envelope_in_t(df, lambda_upper(df), 200)
+    assert abs(env.max_upper_violation - (0.5003 - 0.4999)) <= 1e-12
