@@ -6,9 +6,9 @@ Subcommands: ``coeffs``, ``gumbel-table``, ``bounds-curve``, ``verify``,
 2 usage or input error, or out of memory.  Tables are CSV (TSV with
 ``--format tsv``) with headers; ``verify`` writes plain text lines.  Every
 output has LF line endings and goes to ``--out`` or stdout; ``estimate``
-reads ``--in`` or stdin.  ``sample`` and ``verify`` open ``--out`` after
-checking their flags and before the work.  Randomness is controlled only
-by ``--seed``.
+reads ``--in`` or stdin.  ``sample``, ``verify`` and ``estimate`` open
+``--out`` after checking their flags and before the work (``estimate``
+before it opens ``--in``).  Randomness is controlled only by ``--seed``.
 """
 
 from __future__ import annotations
@@ -35,16 +35,26 @@ from .pickands import (
 _MAX_PRECISION = 17  # significant digits that round-trip a double
 
 
-def _int_flag(name: str, lo: int, hi: int | None = None):
-    """argparse type for an integer flag checked by ``check_int``; a bad value is a usage error."""
+def _flag(parse):
+    """argparse type from ``parse(text)``; a ValueError it raises is a usage error naming the flag."""
 
-    def parse(text):
+    def typed(text):
         try:
-            return check_int(int(text), name, lo, hi)
-        except ValueError as exc:  # not an integer, or out of range
+            return parse(text)
+        except ValueError as exc:  # not a number, or out of range
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
+    return typed
+
+
+def _int_flag(name: str, lo: int, hi: int | None = None):
+    """argparse type for an integer flag checked by ``check_int``."""
+    return _flag(lambda text: check_int(int(text), name, lo, hi))
+
+
+def _thresholds(text: str) -> tuple:
+    """Comma-separated tail thresholds, each a number in (0, 1); empty items are skipped."""
+    return mc_mod.check_thresholds([float(t) for t in text.split(",") if t.strip()])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV")
     p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
-    p.add_argument("--lambda-thresholds", default="0.9,0.95,0.99")
+    p.add_argument("--lambda-thresholds", type=_flag(_thresholds), default="0.9,0.95,0.99",
+                   help="comma-separated tail thresholds in (0, 1) (default: 0.9,0.95,0.99)")
     p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
     add_io(p)
     return parser
@@ -140,10 +151,14 @@ def _stream(path, mode: str):
             yield fh
 
 
-def _emit(rows, args) -> None:
+def _table(rows, args) -> str:
     delim = "\t" if args.format == "tsv" else ","
+    return "\n".join(delim.join(str(c) for c in row) for row in rows) + "\n"
+
+
+def _emit(rows, args) -> None:
     with _stream(args.out, "w") as fh:
-        fh.write("\n".join(delim.join(str(c) for c in row) for row in rows) + "\n")
+        fh.write(_table(rows, args))
 
 
 def _cmd_coeffs(args) -> int:
@@ -243,19 +258,19 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    thresholds = tuple(float(t) for t in args.lambda_thresholds.split(",") if t.strip())
-    with _stream(args.infile, "r") as fh:
-        batch = mc_mod.read_pairs_csv(fh)
-    est = mc_mod.empirical_coefficients(batch, thresholds)
-    prec = args.precision
-    rows = [("statistic", "value")]
-    rows.append(("rho_hat", f"{est.rho_hat:.{prec}g}"))
-    rows.append(("tau_hat", f"{est.tau_hat:.{prec}g}"))
-    rows.append(("beta_hat", f"{est.beta_hat:.{prec}g}"))
-    for t, lam in est.lambda_hat:
-        rows.append((f"lambda_hat@{t:g}", f"{lam:.{prec}g}"))
-    rows.append(("lambda_summary", f"{est.lambda_summary:.{prec}g}"))
-    _emit(rows, args)
+    with _stream(args.out, "w") as out:
+        with _stream(args.infile, "r") as fh:
+            batch = mc_mod.read_pairs_csv(fh)
+        est = mc_mod.empirical_coefficients(batch, args.lambda_thresholds)
+        prec = args.precision
+        rows = [("statistic", "value")]
+        rows.append(("rho_hat", f"{est.rho_hat:.{prec}g}"))
+        rows.append(("tau_hat", f"{est.tau_hat:.{prec}g}"))
+        rows.append(("beta_hat", f"{est.beta_hat:.{prec}g}"))
+        for t, lam in est.lambda_hat:
+            rows.append((f"lambda_hat@{t:g}", f"{lam:.{prec}g}"))
+        rows.append(("lambda_summary", f"{est.lambda_summary:.{prec}g}"))
+        out.write(_table(rows, args))
     return 0
 
 

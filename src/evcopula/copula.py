@@ -54,21 +54,15 @@ class EvCopula:
             raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
         out = np.where(v >= 1.0, 1.0, 0.0)
         interior = (v > 0.0) & (v < 1.0)
-        out[interior] = self._partial_u_interior(np.log(u[interior]), np.log(v[interior]))
-        np.clip(out, 0.0, 1.0, out=out)
-        return float(out) if scalar else out
-
-    def _partial_u_interior(self, lu, lv):
-        """Unclipped dC/du from ``ln u`` and ``ln v``, for u in (0, 1] and v in (0, 1).
-
-        The shared kernel of :meth:`partial_u` and the conditional-inversion
-        sampler; it does no validation.
-        """
+        lu = np.log(u[interior])
+        lv = np.log(v[interior])
         w = lu + lv
         t = np.clip(lv / w, 0.0, 1.0)
         a = self.dependence.eval_fn(t)
         da = self.dependence.deriv_fn(t, "left")
-        return np.exp(w * a - lu) * (a - t * da)
+        out[interior] = np.exp(w * a - lu) * (a - t * da)
+        np.clip(out, 0.0, 1.0, out=out)
+        return float(out) if scalar else out
 
 
 def _uv(u, v) -> tuple:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -338,6 +339,7 @@ class TestArgumentsBeforeWork:
             (["verify", "--n-random", "200"], "bounds_mod.verify_case"),
             (["sample", "--family", "gumbel", "--theta", "2", "-n", "200000",
               "--method", "generic"], "mc_mod.sample_generic"),
+            (["estimate", "--in", os.devnull], "mc_mod.read_pairs_csv"),
         ],
     )
     def test_unopenable_out_fails_before_work(self, argv, target, capsys, monkeypatch, tmp_path):
@@ -387,6 +389,19 @@ class TestArgumentsBeforeWork:
         code, out, _ = run([*self._COEFFS, "--precision", "17"], capsys)
         assert code == 0
         assert out.splitlines()[2] == "tau,0.33333333333333331,closed_form"
+
+    @pytest.mark.parametrize("thresholds", ["abc", "nan", "1", "0.9,abc", "0", ","])
+    def test_lambda_thresholds_checked_at_parse_time(self, thresholds, capsys, monkeypatch):
+        import evcopula.cli as cli_mod
+
+        def read(*args, **kwargs):
+            raise AssertionError("input read before --lambda-thresholds was checked")
+
+        monkeypatch.setattr(cli_mod.mc_mod, "read_pairs_csv", read)
+        code, out, err = run(["estimate", "--lambda-thresholds", thresholds], capsys)
+        assert code == 2
+        assert out == ""
+        assert "argument --lambda-thresholds: " in err
 
     def test_grid_checked(self, capsys, tmp_path):
         out_path = tmp_path / "v.txt"

@@ -1,17 +1,19 @@
 """Retired code paths and direct formulas kept as oracles.
 
-Each production path must reproduce its retired predecessor bit for bit:
-the sampler's shared dC/du kernel against a 47-pass bisection over the
-public ``partial_u``, the one-call CSV writer against the per-row writer,
-the ``loadtxt`` reader against the line-split reader, and the run-based
-Kendall tie counts against ``np.unique`` and an O(n^2) sign count.  The
-by-parts Kendall tau integral of piecewise-linear dependence functions must
-match the retired sum of Stieltjes atoms at their kinks.  The t-space
-envelope check of ``verify_case`` must agree with the (u, v)-grid
+The generic sampler must draw the same u, bit for bit, as the retired
+47-pass bisection over the public ``partial_u``, and a v within 1e-12 of
+it; the writer, reader and Kendall tie counts must reproduce their retired
+predecessors bit for bit: the one-call CSV writer against the per-row
+writer, the ``loadtxt`` reader against the line-split reader, and the
+run-based Kendall tie counts against ``np.unique`` and an O(n^2) sign
+count.  The by-parts Kendall tau integral of piecewise-linear dependence
+functions must match the retired sum of Stieltjes atoms at their kinks.
+The t-space envelope check of ``verify_case`` must agree with the (u, v)-grid
 ``check_envelope`` it replaced.
 """
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from evcopula import (
     tau_numeric,
     write_batch_csv,
 )
+from evcopula import montecarlo
 from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
 from evcopula.coefficients import lambda_upper
 from evcopula.pickands import _pwl
@@ -144,12 +147,40 @@ COPULAS = {
     "tangent(0.3,0.2)": lambda: pareto_dependence(0.3, 0.2),
     "tangent(0.6,0.4)": lambda: pareto_dependence(0.6, 0.4),
     "tangent(1,0)": lambda: pareto_dependence(1.0, 0.0),
+    "comonotone(0.5,0.5)": lambda: pareto_dependence(0.5, 0.5),
     "gumbel(1)": lambda: gumbel_dependence(1.0),
     "gumbel(2)": lambda: gumbel_dependence(2.0),
     "gumbel(50)": lambda: gumbel_dependence(50.0),
+    "gumbel(1e3)": lambda: gumbel_dependence(1e3),
+    "gumbel(1e12)": lambda: gumbel_dependence(1e12),
     "corpus_pwl": lambda: _corpus_member("piecewise_linear"),
     "corpus_mixture": lambda: _corpus_member("mixture"),
 }
+
+# The table-bracketed inversion and the bisection both resolve v to 2**-47,
+# but through different roundings of dC/du, so their v differ in the last
+# bits; where dC/du is flat in v, that rounding moves either v further
+# (to 2.3e-13 on the cases below).
+V_TOL = 1e-12
+
+
+def assert_matches_bisection(cop, n, seed):
+    """u bit-equal to the bisection sampler's, and v within ``V_TOL``; returns the batch.
+
+    A pair the bisection put on the jump curve v = u**q_k of a kink t_k,
+    q_k = t_k / (1 - t_k), is an atom: its v must lie on that curve exactly.
+    """
+    batch = sample_generic(cop, n, seed)
+    u, v = bisection_sample(cop, n, seed)
+    assert np.array_equal(batch.u, u), (seed, n)
+    assert np.abs(batch.v - v).max() <= V_TOL, (seed, n, np.abs(batch.v - v).max())
+    df = cop.dependence
+    for tk in df.split_points:
+        if df.deriv(tk, "left") < df.deriv(tk, "right"):
+            curve = u ** (tk / (1.0 - tk))
+            atoms = np.abs(v - curve) <= 2.0**-46
+            assert np.array_equal(batch.v[atoms], curve[atoms]), (seed, n, tk)
+    return batch
 
 
 @pytest.mark.parametrize("name", list(COPULAS))
@@ -157,14 +188,68 @@ def test_sampler_and_writer_match_retired_paths(name):
     cop = copula_from_pickands(COPULAS[name]())
     for seed in SEEDS:
         for n in SIZES:
-            batch = sample_generic(cop, n, seed)
-            u, v = bisection_sample(cop, n, seed)
-            assert np.array_equal(batch.u, u), (seed, n)
-            assert np.array_equal(batch.v, v), (seed, n)
+            batch = assert_matches_bisection(cop, n, seed)
             new, old = io.StringIO(), io.StringIO()
             write_batch_csv(batch, new)
             write_rows(batch, old)
             assert new.getvalue() == old.getvalue(), (seed, n)
+
+
+FAMILIES = ("marshall_olkin", "pareto", "gumbel", "piecewise_linear", "mixture")
+
+
+def test_sampler_matches_bisection_on_corpus():
+    corpus = dependence_corpus(300, seed=11)
+    members = [[df for df in corpus if df.family == f][:24] for f in FAMILIES]
+    assert all(len(m) == 24 for m in members)
+    for i, df in enumerate(itertools.chain(*members)):
+        assert_matches_bisection(copula_from_pickands(df), 1000, i)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_sampler_puts_tangent_kink_atom_on_jump_curve(seed):
+    # kink t_P = a / (1 + a - b) ~ 0.096074 of a ~ 0.10040, b ~ 0.05540; its
+    # q = t / (1 - t) maps back to the t one ulp below the kink, so a table
+    # that read A'(t+) there through q would take the slope of the left piece
+    df = dependence_corpus(40, 5)[31]
+    assert df.family == "pareto"
+    assert df.params["a"] == pytest.approx(0.10040, abs=1e-5)
+    assert df.params["b"] == pytest.approx(0.05540, abs=1e-5)
+    assert df.split_points[0] == pytest.approx(0.096074, abs=1e-6)
+    assert_matches_bisection(copula_from_pickands(df), 5000, seed)
+
+
+class _Draws:
+    """Stand-in for the sampler's generator: returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def random(self, n):
+        out = next(self._arrays)
+        assert len(out) == n
+        return out.copy()
+
+
+@pytest.mark.parametrize("name", ["gumbel(2)", "mo(0.3,0.8)", "comonotone(0.5,0.5)", "mo(1,1)"])
+def test_sampler_edge_draws_are_generalized_inverses(name, monkeypatch):
+    # u = 0 is floored at 1e-300; p = 0 gives e = -ln p = inf and v = 0;
+    # u = 1 - 2**-53 puts q* far out in the last table cell; on comonotone
+    # pieces A - t A' = 0, so phi = inf.  At p = 1 - 2**-53 the inverse is
+    # ill-conditioned for Gumbel (1 - dC/du ~ (1 - v)**2), so rounding of
+    # dC/du alone moves v by ~6e-10 there, in either sampler: v is checked
+    # against the definition of the generalized inverse, not the bisection
+    u = np.array([0.0, 1e-300, 0.5, 0.5, 0.5, 1.0 - 2.0**-53, 0.3, 0.9, 2.0**-53])
+    p = np.array([0.5, 0.5, 0.0, 2.0**-53, 1.0 - 2.0**-53, 0.5, 0.0, 1e-300, 0.7])
+    monkeypatch.setattr(montecarlo, "make_rng", lambda seed, tag: _Draws(u, p))
+    cop = copula_from_pickands(COPULAS[name]())
+    batch = sample_generic(cop, len(u), 0)
+    np.testing.assert_array_equal(batch.u, np.maximum(u, 1e-300))
+    v, d, eps = batch.v, 2.0**-46, 1e-15  # v within 2**-47 of inf{v : dC/du >= p}
+    assert np.all(v[p == 0.0] == 0.0)
+    assert np.all(cop.partial_u(batch.u, np.minimum(v + d, 1.0)) >= p - eps)
+    inside = v > d
+    assert np.all(cop.partial_u(batch.u[inside], v[inside] - d) <= p[inside] + eps)
 
 
 def test_writer_matches_per_row_writer_on_edge_values():
