@@ -1,9 +1,10 @@
-"""The shared scalar checks and every public entry point that takes a scalar.
+"""The shared scalar checks, every public entry point that takes a scalar, and the pair check.
 
 ``check_real`` and ``check_int`` decide what a valid parameter, count or
 seed is.  The property test feeds hostile scalars to the public scalar
 entry points: each either returns a finite result or raises
-:class:`EvCopulaError`.
+:class:`EvCopulaError`.  ``SampleBatch`` and ``kendall_tau_stat`` share
+one check of (u, v) arrays.
 """
 
 import dataclasses
@@ -16,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcopula import (
+    DegenerateSampleError,
     DependenceFunction,
     EvCopulaError,
     ParamOutOfRangeError,
+    SampleBatch,
     blomqvist_from_lambda,
     check_envelope,
     classical_region,
     copula_from_pickands,
+    empirical_coefficients,
     ev_inequalities,
     gumbel_closed_form,
     gumbel_dependence,
@@ -32,6 +36,7 @@ from evcopula import (
     mo_dependence,
     pareto_closed_form,
     pareto_dependence,
+    kendall_tau_stat,
     rho_bounds,
     sample_generic,
     sample_mo,
@@ -177,3 +182,56 @@ def test_scalar_entry_points_finite_or_evcopula_error(name, data):
     except EvCopulaError:
         return
     assert _finite(out), (name, args, out)
+
+
+# ---------------------------------------------------------------------------
+# (u, v) arrays: SampleBatch and kendall_tau_stat share one check
+# ---------------------------------------------------------------------------
+
+_U = [0.1, 0.7, 0.3, 0.9, 0.5, 0.2, 0.8, 0.4, 0.6, 0.05]
+_V = [0.3, 0.6, 0.1, 0.8, 0.9, 0.2, 0.7, 0.5, 0.4, 0.15]
+_ACCEPTED_PAIRS = {
+    "list": (_U, _V),
+    "int64": (np.arange(10), np.array([2, 5, 0, 8, 9, 1, 7, 4, 3, 6])),
+    "uint8": (np.arange(10, dtype=np.uint8), np.arange(10, dtype=np.uint8)[::-1]),
+    "float32": (np.float32(_U), np.float32(_V)),
+    "int list": ([3, 1, 2], [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ACCEPTED_PAIRS))
+def test_pairs_become_float_arrays(name):
+    u, v = _ACCEPTED_PAIRS[name]
+    batch = SampleBatch(u, v, 0, "manual")
+    for got, given_ in ((batch.u, u), (batch.v, v)):
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.ndim == 1
+        np.testing.assert_array_equal(got, np.asarray(given_, dtype=float))
+    floats = SampleBatch(np.asarray(u, dtype=float), np.asarray(v, dtype=float), 0, "manual")
+    assert kendall_tau_stat(u, v) == kendall_tau_stat(floats.u, floats.v)
+    if batch.n >= 10:
+        assert empirical_coefficients(batch) == empirical_coefficients(floats)
+
+
+_REJECTED_PAIRS = {
+    "2-D": (np.full((5, 10), 0.5), np.full((5, 10), 0.25)),
+    "2-D v": (np.linspace(0, 1, 10), np.full((10, 1), 0.25)),
+    "0-D": (np.float64(0.5), np.float64(0.25)),
+    "bool": (np.arange(10) % 2 == 0, np.arange(10) % 3 == 0),
+    "bool list": ([True, False, True], [False, True, True]),
+    "complex": (np.linspace(0, 1, 10) + 1j, np.linspace(0, 1, 10)),
+    "object": (np.array(_U, dtype=object), np.array(_V, dtype=object)),
+    "None in list": ([0.1, None, 0.3], [0.1, 0.2, 0.3]),
+    "strings": (np.array(_U).astype(str), np.array(_V).astype(str)),
+    "ragged list": ([[0.1, 0.2], [0.3]], [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("entry", ["SampleBatch", "kendall_tau_stat"])
+@pytest.mark.parametrize("name", list(_REJECTED_PAIRS))
+def test_pairs_that_are_not_1d_real_arrays_rejected(name, entry):
+    u, v = _REJECTED_PAIRS[name]
+    with pytest.raises(DegenerateSampleError, match="1-D array of real numbers"):
+        if entry == "SampleBatch":
+            SampleBatch(u, v, 0, "manual")
+        else:
+            kendall_tau_stat(u, v)

@@ -2,11 +2,13 @@
 
 The generic sampler must draw the same u, bit for bit, as the retired
 47-pass bisection over the public ``partial_u``, and a v within 1e-12 of
-it; the writer, reader and Kendall tie counts must reproduce their retired
-predecessors bit for bit: the one-call CSV writer against the per-row
-writer, the ``loadtxt`` reader against the line-split reader, and the
-run-based Kendall tie counts against ``np.unique`` and an O(n^2) sign
-count.  The by-parts Kendall tau integral of piecewise-linear dependence
+it; the writer, reader and rank estimators must reproduce their retired
+predecessors bit for bit: the chunked CSV writer against the per-row
+writer, the ``loadtxt`` reader against the line-split reader, Kendall's tau
+against ``np.unique`` tie counts and an O(n^2) sign count, and
+``empirical_coefficients`` against the estimator that sorted each
+coordinate for its ranks, lexsorted (u, v) and merge-counted block by
+block.  The by-parts Kendall tau integral of piecewise-linear dependence
 functions must match the retired sum of Stieltjes atoms at their kinks.
 The t-space envelope check of ``verify_case`` must agree with the (u, v)-grid
 ``check_envelope`` it replaced.
@@ -20,21 +22,25 @@ import pytest
 
 from evcopula import (
     DegenerateSampleError,
+    EmpiricalCoefficients,
     SampleBatch,
     copula_from_pickands,
     dependence_corpus,
+    empirical_coefficients,
     gumbel_dependence,
     kendall_tau_stat,
     mo_dependence,
     pareto_dependence,
     read_pairs_csv,
     sample_generic,
+    sample_mo,
     tau_numeric,
     write_batch_csv,
 )
 from evcopula import montecarlo
 from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
 from evcopula.coefficients import lambda_upper
+from evcopula.montecarlo import _run_starts
 from evcopula.pickands import _pwl
 from evcopula.rng import make_rng
 
@@ -117,6 +123,77 @@ def kendall_tau_direct(u, v):
     c_minus_d = int((du[iu, ju] * dv[iu, ju]).sum())
     n0 = len(u) * (len(u) - 1) // 2
     return c_minus_d / n0
+
+
+def average_ranks(x):
+    """1-based ranks with ties sharing their mean, from a stable argsort."""
+    order = np.argsort(x, kind="stable")
+    group = np.cumsum(_run_starts(x[order])) - 1
+    counts = np.bincount(group)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    mean_rank = (starts + ends + 1) / 2.0  # 1-based average rank per group
+    ranks = np.empty(len(x))
+    ranks[order] = mean_rank[group]
+    return ranks
+
+
+def count_strict_inversions(a):
+    """Pairs i < j with a[i] > a[j]: 64-wide blocks, then a Python loop over block pairs."""
+    n = len(a)
+    block = 64
+    m = -(-n // block)
+    padded = np.full(m * block, np.inf)
+    padded[:n] = a
+    x = padded.reshape(m, block)
+    iu, ju = np.triu_indices(block, k=1)
+    inv = 0
+    for r in range(0, m, 64):
+        rows = x[r : r + 64]
+        inv += int(np.count_nonzero(rows[:, iu] > rows[:, ju]))
+    flat = np.sort(x, axis=1).ravel()
+    width = block
+    while width < m * block:
+        for start in range(0, m * block, 2 * width):
+            left = flat[start : start + width]
+            right = flat[start + width : start + 2 * width]
+            if right.size == 0:
+                continue
+            inv += int((width - np.searchsorted(left, right, side="right")).sum())
+            merged = flat[start : start + 2 * width]
+            merged[:] = np.sort(merged, kind="stable")
+        width *= 2
+    return inv
+
+
+def retired_tau(u, v):
+    """Kendall's tau-a from the lexsorted (u, v) order and the retired merge count."""
+    n0 = len(u) * (len(u) - 1) // 2
+    discordant = count_strict_inversions(v[np.lexsort((v, u))])
+    ties_uv = tie_pair_count(np.rec.fromarrays([u, v]))
+    return (n0 - tie_pair_count(u) - tie_pair_count(v) + ties_uv - 2 * discordant) / n0
+
+
+def retired_empirical(batch, lambda_thresholds=(0.9, 0.95, 0.99)):
+    """The rank estimator as it was: two rank sorts, a lexsort, a sort of v, np.median."""
+    u, v = batch.u, batch.v
+    n = batch.n
+    pu = average_ranks(u) / (n + 1)
+    pv = average_ranks(v) / (n + 1)
+    rho_hat = 12.0 * float(np.mean(pu * pv)) - 3.0
+    beta_hat = float(np.mean(np.sign((u - np.median(u)) * (v - np.median(v)))))
+    lams = []
+    for t in sorted(lambda_thresholds):
+        cn = float(np.mean((pu <= t) & (pv <= t)))
+        est = 0.0 if cn <= 0.0 else 2.0 - np.log(cn) / np.log(t)
+        lams.append((t, float(np.clip(est, 0.0, 1.0))))
+    return EmpiricalCoefficients(
+        rho_hat=rho_hat,
+        tau_hat=retired_tau(u, v),
+        beta_hat=beta_hat,
+        lambda_hat=tuple(lams),
+        lambda_summary=lams[-1][1],
+    )
 
 
 def kink_atom_tau(df):
@@ -262,8 +339,19 @@ def test_writer_matches_per_row_writer_on_edge_values():
     assert new.getvalue().splitlines()[4] == "4.9406564584124654e-324,7.1054273576010019e-15"
 
 
+def test_writer_matches_per_row_writer_at_chunk_edges():
+    k = montecarlo._CSV_ROWS
+    rng = make_rng(43)
+    for n in (k - 1, k, k + 1, 2 * k + 1):
+        batch = SampleBatch(rng.random(n), rng.random(n), 0, "manual")
+        new, old = io.StringIO(), io.StringIO()
+        write_batch_csv(batch, new)
+        write_rows(batch, old)
+        assert new.getvalue() == old.getvalue(), n
+
+
 # ---------------------------------------------------------------------------
-# Kendall tie counts and the 64-wide blocks
+# Kendall tie counts at the block edges of the merge counts
 # ---------------------------------------------------------------------------
 
 
@@ -282,7 +370,7 @@ def test_kendall_matches_direct_count_at_block_edges(ties):
 
 @pytest.mark.parametrize("ties", ["none", "u", "v", "both"])
 def test_kendall_matches_unique_tie_counts_at_chunk_edges(ties):
-    # 64 blocks of 64 make one chunk of the in-block comparison
+    # 64 blocks of 64 made one chunk of the retired counter's in-block comparison
     for i, n in enumerate((4095, 4096, 4097, 4160, 4161, 8193)):
         rng = make_rng(41, i)
         u = _tied(rng.random(n), ties in ("u", "both"))
@@ -294,6 +382,79 @@ def test_kendall_signed_zero_and_infinities_tie_like_unique():
     u = np.array([0.0, -0.0, 1.0, np.inf, np.inf, 0.5, -np.inf])
     v = np.array([0.2, 0.2, -0.0, 0.0, 1.0, np.inf, 0.2])
     assert kendall_tau_stat(u, v) == kendall_unique_ties(u, v)
+
+
+# ---------------------------------------------------------------------------
+# empirical_coefficients against the retired estimator, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_retired(u, v):
+    batch = SampleBatch(u, v, 0, "manual")
+    assert empirical_coefficients(batch) == retired_empirical(batch), batch.n
+
+
+def test_empirical_matches_retired_on_corpus_samples():
+    corpus = dependence_corpus(100, seed=13)
+    members = [[df for df in corpus if df.family == f][:4] for f in FAMILIES]
+    assert all(len(m) == 4 for m in members)
+    for i, df in enumerate(itertools.chain(*members)):
+        batch = sample_generic(copula_from_pickands(df), 2000, i)
+        _assert_matches_retired(batch.u, batch.v)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.5, 0.5), (0.3, 0.8), (1.0, 0.4), (1.0, 1.0), (0.0, 0.3)]
+)
+def test_empirical_matches_retired_on_mo_samples(alpha, beta):
+    for seed, n in ((0, 10), (1, 2000), (2, 5000)):
+        batch = sample_mo(alpha, beta, n, seed)
+        _assert_matches_retired(batch.u, batch.v)
+
+
+def test_empirical_matches_retired_on_ties_signed_zeros_and_infinities():
+    rng = make_rng(44)
+    for n in (10, 11, 300, 2001):
+        x = rng.random(n)
+        for u, v in (
+            (_tied(x, True), _tied(rng.random(n), True)),
+            (np.floor(x * 2.0), np.floor(rng.random(n) * 3.0)),
+            (x, x),
+            (x, -x),
+            (_tied(x, True), 1.0 - _tied(x, True)),
+            (rng.choice([-0.0, 0.0, 1.0], n), rng.choice([0.0, -0.0, 0.5, 0.5], n)),
+        ):
+            _assert_matches_retired(u, v)
+        u, v = rng.random(n), rng.random(n)
+        u[:4] = np.inf, -np.inf, -0.0, 0.0
+        v[4:7] = -0.0, 0.0, np.inf
+        _assert_matches_retired(u, v)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_empirical_matches_retired_at_block_and_level_edges(ties):
+    # Kendall's tau alone below 10 pairs, where the other estimates refuse
+    edges = {2**k + d for k in range(1, 12) for d in (-1, 0, 1)} - {1}
+    sizes = sorted(edges | {10, 4095, 4096, 4097})
+    for i, n in enumerate(sizes):
+        rng = make_rng(45, i)
+        u, v = _tied(rng.random(n), ties), _tied(rng.random(n), ties)
+        assert kendall_tau_stat(u, v) == retired_tau(u, v), n
+        if n >= 10:
+            _assert_matches_retired(u, v)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_inversion_count_matches_retired_in_both_key_dtypes(dtype):
+    # Kendall counts on int32 keys below 2**30 pairs and on int64 keys above
+    for i, n in enumerate((2, 7, 8, 9, 100, 4097)):
+        w = make_rng(46, i).integers(0, n, n)
+        assert montecarlo._inversions(w.astype(dtype)) == count_strict_inversions(w), n
+
+
+def test_empirical_matches_retired_on_large_gumbel_sample():
+    batch = sample_generic(copula_from_pickands(gumbel_dependence(2.0)), 200000, seed=0)
+    assert empirical_coefficients(batch) == retired_empirical(batch)
 
 
 # ---------------------------------------------------------------------------
