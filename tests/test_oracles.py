@@ -40,7 +40,6 @@ from evcopula import (
 from evcopula import montecarlo
 from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
 from evcopula.coefficients import lambda_upper
-from evcopula.montecarlo import _run_starts
 from evcopula.pickands import _pwl
 from evcopula.rng import make_rng
 
@@ -128,7 +127,8 @@ def kendall_tau_direct(u, v):
 def average_ranks(x):
     """1-based ranks with ties sharing their mean, from a stable argsort."""
     order = np.argsort(x, kind="stable")
-    group = np.cumsum(_run_starts(x[order])) - 1
+    xs = x[order]
+    group = np.cumsum(np.r_[True, xs[1:] != xs[:-1]]) - 1
     counts = np.bincount(group)
     ends = np.cumsum(counts)
     starts = ends - counts
