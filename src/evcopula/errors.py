@@ -43,7 +43,7 @@ def check_unit_interval(x, name: str) -> np.ndarray:
 
 
 class NonConvergentError(EvCopulaError, ArithmeticError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance."""
+    """Adaptive quadrature hit its depth or panel limit before reaching tolerance."""
 
 
 class NonFiniteError(EvCopulaError, ArithmeticError):

@@ -146,16 +146,21 @@ def _band_violations(t: np.ndarray, a: np.ndarray) -> list:
 
 
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
-    """Exact constraint checks for a piecewise-linear candidate."""
+    """Exact constraint checks for a piecewise-linear candidate.
+
+    Every check is in A units, within ``_CHECK_TOL``: knot values against the
+    band, and each interior knot against the chord of its two neighbours.
+    """
     bad = []
     if abs(ts[0]) > _CHECK_TOL or abs(ts[-1] - 1.0) > _CHECK_TOL:
         bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
     # linear pieces make knots (plus the envelope kink at 1/2) sufficient
     probe = np.union1d(ts, [0.5])
     bad += _band_violations(probe, np.interp(probe, ts, vs))
-    rise = np.diff(np.diff(vs) / np.diff(ts))
-    for i in np.flatnonzero(rise < -_CHECK_TOL):
-        bad.append((float(ts[i + 1]), "convexity", float(-rise[i])))
+    w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
+    above = vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
+    for i in np.flatnonzero(above > _CHECK_TOL):
+        bad.append((float(ts[i + 1]), "convexity", float(above[i])))
     return ValidationReport(valid=not bad, violations=tuple(bad))
 
 

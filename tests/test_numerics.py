@@ -1,6 +1,8 @@
 """Adaptive quadrature with declared split points."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +59,23 @@ class TestIntegrate:
         # tolerance, so bisection reaches the depth limit
         with pytest.raises(NonConvergentError):
             integrate(lambda t: t**-0.9)
+
+    def test_non_finite_message_names_t_in_bad_region(self):
+        # only (0.3, 0.4) is bad; the first level's nodes 0.297 and 0.396 straddle it
+        f = lambda t: np.where((t > 0.3) & (t < 0.4), np.nan, 1.0)
+        with pytest.raises(NonFiniteError, match=r"at t=") as err:
+            integrate(f)
+        t = float(re.search(r"at t=(\S+)", str(err.value)).group(1))
+        assert 0.3 < t < 0.4
+
+    def test_integrand_rough_at_every_scale_stops(self):
+        # every bisection leaves each panel's error estimate near 1e-6 times its
+        # width, so nearly every panel is bisected and the level doubles until
+        # it reaches the panel cap
+        start = time.perf_counter()
+        with pytest.raises(NonConvergentError, match=r"stalled on \[.*\] at depth"):
+            integrate(lambda t: 1.0 + 1e-6 * np.sin(1e15 * t))
+        assert time.perf_counter() - start < 5.0
 
     def test_spec_validation(self):
         for bad in [(0.0,), (0.6, 0.4), (math.nan,)]:

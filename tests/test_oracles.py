@@ -11,9 +11,12 @@ coordinate for its ranks, lexsorted (u, v) and merge-counted block by
 block.  The by-parts Kendall tau integral of piecewise-linear dependence
 functions must match the retired sum of Stieltjes atoms at their kinks.
 The t-space envelope check of ``verify_case`` must agree with the (u, v)-grid
-``check_envelope`` it replaced.
+``check_envelope`` it replaced.  The level-by-level quadrature must agree
+with the retired heap integrator, which bisected the worst panel one call
+of the integrand at a time, to twice the stated tolerance.
 """
 
+import heapq
 import io
 import itertools
 
@@ -23,6 +26,8 @@ import pytest
 from evcopula import (
     DegenerateSampleError,
     EmpiricalCoefficients,
+    NonConvergentError,
+    NonFiniteError,
     SampleBatch,
     copula_from_pickands,
     dependence_corpus,
@@ -32,12 +37,13 @@ from evcopula import (
     mo_dependence,
     pareto_dependence,
     read_pairs_csv,
+    rho_numeric,
     sample_generic,
     sample_mo,
     tau_numeric,
     write_batch_csv,
 )
-from evcopula import montecarlo
+from evcopula import coefficients, montecarlo, numerics
 from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
 from evcopula.coefficients import lambda_upper
 from evcopula.pickands import _pwl
@@ -202,6 +208,44 @@ def kink_atom_tau(df):
         t * (1.0 - t) * (df.deriv(t, "right") - df.deriv(t, "left")) / df(t)
         for t in df.split_points
     )
+
+
+def gk15_panel(f, a, b):
+    """One Gauss-Kronrod 7-15 panel; returns (kronrod, error_estimate)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c + h * numerics._NODES
+    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError(f"integrand returned a non-finite value at t={x[~np.isfinite(y)][0]!r}")
+    kron = h * float(numerics._WK @ y)
+    return kron, abs(kron - h * float(numerics._WG @ y))
+
+
+def heap_integrate(f, split_points=()):
+    """The adaptive quadrature as it was: bisect the worst panel, one panel per call of f."""
+    edges = [0.0, *(float(p) for p in split_points), 1.0]
+    heap = []
+    total = total_err = 0.0
+    for order, (a, b) in enumerate(zip(edges, edges[1:])):
+        val, err = gk15_panel(f, a, b)
+        heapq.heappush(heap, (-err, order, a, b, val, 0))
+        total += val
+        total_err += err
+    order = len(heap)
+    while total_err > numerics._ABS_TOL + numerics._REL_TOL * abs(total):
+        neg_err, _, a, b, val, depth = heapq.heappop(heap)
+        if depth >= numerics._MAX_DEPTH:
+            raise NonConvergentError(f"quadrature stalled on [{a}, {b}] at depth {depth}")
+        mid = 0.5 * (a + b)
+        val_l, err_l = gk15_panel(f, a, mid)
+        val_r, err_r = gk15_panel(f, mid, b)
+        total += val_l + val_r - val
+        total_err += err_l + err_r + neg_err  # neg_err == -err
+        heapq.heappush(heap, (-err_l, order, a, mid, val_l, depth + 1))
+        heapq.heappush(heap, (-err_r, order + 1, mid, b, val_r, depth + 1))
+        order += 2
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +594,48 @@ def test_tau_matches_kink_atoms_on_piecewise_linear_corpus():
                 )
                 checked += 1
     assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# quadrature: one call of the integrand per level against the heap
+# ---------------------------------------------------------------------------
+
+
+def _quad_tol(integral):
+    """Twice the stated tolerance: both integrators are within it of the integral."""
+    return 2.0 * (numerics._ABS_TOL + numerics._REL_TOL * abs(integral))
+
+
+def test_integrate_matches_heap_on_corpus(monkeypatch):
+    cases = dependence_corpus(600, 3)
+    assert {df.family for df in cases} == set(FAMILIES)
+    levels = [(rho_numeric(df), tau_numeric(df)) for df in cases]
+    monkeypatch.setattr(coefficients, "integrate", heap_integrate)
+    for df, (rho, tau) in zip(cases, levels):
+        heap_rho, heap_tau = rho_numeric(df), tau_numeric(df)
+        # rho = 12 I - 3, so I differs by a twelfth of rho's difference
+        assert abs(rho - heap_rho) / 12.0 <= _quad_tol((heap_rho + 3.0) / 12.0), df
+        assert abs(tau - heap_tau) <= _quad_tol(heap_tau), df
+
+
+@pytest.mark.parametrize("theta", (1.0 + 1e-8, 1.0001, 2.0, 50.0, 1e3, 1e6, 1e12))
+def test_gumbel_tau_matches_closed_form(theta):
+    assert abs(tau_numeric(gumbel_dependence(theta)) - (1.0 - 1.0 / theta)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "f, split_points",
+    [
+        (lambda t: np.exp(t) * np.cos(3.0 * t), ()),
+        (lambda t: np.abs(t - 1.0 / 3.0) + 1.0, (1.0 / 3.0,)),
+        (lambda t: np.sqrt(t), ()),
+        (lambda t: np.log(t), ()),
+        (lambda t: 1.0 / (1e-4 + (t - 0.37) ** 2), (0.2, 0.7)),
+    ],
+)
+def test_integrate_matches_heap_on_hard_integrands(f, split_points):
+    heap = heap_integrate(f, split_points)
+    assert abs(numerics.integrate(f, split_points) - heap) <= _quad_tol(heap)
 
 
 # ---------------------------------------------------------------------------

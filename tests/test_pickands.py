@@ -266,6 +266,28 @@ class TestPiecewiseLinear:
         with pytest.raises(InvalidDependenceFunctionError, match="row 3"):
             read_knots_csv(path)
 
+    @pytest.mark.parametrize(
+        "node, beta",
+        [(n, b) for n in (0.5, 0.25, 0.75, 37 / 256) for b in (0.2, 0.5, 0.9) if b * n / (1 - n) <= 1],
+    )
+    def test_csv_roundtrip_of_kink_next_to_grid_knot(self, tmp_path, node, beta):
+        # the written grid has a knot at `node`, 1e-13 to 1e-9 from the MO kink;
+        # across that gap a rounding of A by 1e-16 moves the slope by up to 1e-3
+        path = tmp_path / "knots.csv"
+        for offset in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            for kink in (node - offset, node + offset):
+                df = mo_dependence(beta * kink / (1 - kink), beta)
+                write_knots_csv(path, df)
+                back = read_knots_csv(path)
+                np.testing.assert_allclose(back(GRID), df(GRID), rtol=0, atol=1e-15)
+
+    def test_convexity_gap_in_a_units(self):
+        # the knot at 0.3 lies 0.05 above the chord 0.9 of its neighbours
+        with pytest.raises(InvalidDependenceFunctionError) as err:
+            piecewise_linear_dependence([(0, 1), (0.3, 0.95), (0.6, 0.8), (1, 1)])
+        (t, gap), = [(t, g) for t, c, g in err.value.report.violations if c == "convexity"]
+        assert t == 0.3 and gap == pytest.approx(0.05, abs=1e-15)
+
 
 class TestValidate:
     def test_families_are_valid(self):
