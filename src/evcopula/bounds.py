@@ -119,26 +119,23 @@ def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeChe
 
     With w = ln(uv) < 0 and t = ln v / w, C = exp(w A(t)); so C lies above
     the lower envelope iff ``A(t) <= 1 - lam min(t, 1-t)``, and below the
-    upper one iff ``A(t) >= max(t, 1-t, (1-a)(1-t) + (1-b)t)``.  The grid
-    holds the split points of A and the kinks of both bounds, so for a
-    piecewise-linear A, linear between grid points, the check is exact.
+    upper one iff ``A(t) >= max(t, 1-t, (1-a)(1-t) + (1-b)t)``.  The gaps are
+    maximized over the grid and, as a second array, the kinks (split points
+    of A, kinks of both bounds), so for a piecewise-linear A the check is
+    exact.  ``np.maximum`` keeps NaN, so a NaN in A is a violation.
     """
     grid = check_int(grid, "grid", 2)
     a, b = tangent_at_half(df)
     kinks = [0.5, *df.split_points]
     if a + b < 1.0:
         kinks += [a / (1.0 + a - b), (1.0 - a) / (1.0 - a + b)]
-    t = np.union1d(np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks)
-    s = 1.0 - t
-    at = df.eval_fn(t)
-    lower_gap = at - (1.0 - lam * np.minimum(t, s))
-    upper_gap = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t) - at
-    return EnvelopeCheck(
-        grid=grid,
-        max_lower_violation=max(float(lower_gap.max()), 0.0),
-        max_upper_violation=max(float(upper_gap.max()), 0.0),
-        tangent_params=(a, b),
-    )
+    lower = upper = 0.0
+    for t in (np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), np.array(kinks)):
+        s, at = 1.0 - t, df.eval_fn(t)
+        lower = np.maximum(lower, (at - (1.0 - lam * np.minimum(t, s))).max())
+        top = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t)
+        upper = np.maximum(upper, (top - at).max())
+    return EnvelopeCheck(grid, float(lower), float(upper), (a, b))
 
 
 def rho_bounds(lam: float) -> BoundsInterval:

@@ -59,8 +59,8 @@ class CoefficientSet:
 
 
 def lambda_upper(df: DependenceFunction) -> float:
-    """Upper tail dependence coefficient ``2 (1 - A(1/2))``."""
-    return float(np.clip(2.0 * (1.0 - df(0.5)), 0.0, 1.0))
+    """Upper tail dependence coefficient ``2 (1 - A(1/2))``, A read through ``df.eval_fn``."""
+    return min(max(2.0 * (1.0 - float(df.eval_fn(np.asarray(0.5)))), 0.0), 1.0)
 
 
 def rho_numeric(df: DependenceFunction) -> float:

@@ -102,22 +102,22 @@ def check_theta(theta: float) -> float:
 def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     """Dependence function through the knot arrays ``(ts, vs)``, linear between them.
 
-    A' is the slope of the piece to the left or right of t, and the split
-    points are the interior knots where the slope rises by more than
-    ``_KINK_TOL``.  A is ``np.interp`` over the knots unless ``eval_fn``
-    gives a family's closed form.
+    A' is the slope of the piece to the left or right of t, indexed by the
+    count of interior knots below t (at or below it for ``side='right'``);
+    NaN and t at or past either end take an end piece.  Split points are
+    the interior knots where the slope rises by more than ``_KINK_TOL``.
+    A is ``np.interp`` over the knots unless ``eval_fn`` gives a closed form.
     """
     slopes = np.diff(vs) / np.diff(ts)
-    last = len(slopes) - 1
+    inner = ts[1:-1]
 
     def deriv_fn(t, side):
-        idx = np.searchsorted(ts, t, side=side) - 1
-        return slopes[np.clip(idx, 0, last)]
+        return slopes[np.searchsorted(inner, t, side=side)]
 
     return DependenceFunction(
         family=family,
         params=params,
-        split_points=tuple(ts[1:-1][np.diff(slopes) > _KINK_TOL].tolist()),
+        split_points=tuple(inner[np.diff(slopes) > _KINK_TOL].tolist()),
         eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
         deriv_fn=deriv_fn,
     )
@@ -402,11 +402,12 @@ def tangent_at_half(df: DependenceFunction) -> tuple:
     The line ``(1-a)(1-t) + (1-b)t`` touches the graph at
     ``(1/2, A(1/2))`` with slope taken as the midpoint of the
     subdifferential there, clipped so that a, b >= 0.  Then
-    ``a + b = 2 (1 - A(1/2))`` and the line never exceeds A.
+    ``a + b = 2 (1 - A(1/2))`` and the line never exceeds A.  A and A' are
+    read through ``df.eval_fn`` and ``df.deriv_fn``: t = 1/2 needs no check.
     """
-    lam = 2.0 * (1.0 - df(0.5))
-    lam = min(max(lam, 0.0), 1.0)
-    slope = 0.5 * (df.deriv(0.5, "left") + df.deriv(0.5, "right"))
+    half = np.asarray(0.5)
+    lam = min(max(2.0 * (1.0 - float(df.eval_fn(half))), 0.0), 1.0)
+    slope = 0.5 * float(df.deriv_fn(half, "left") + df.deriv_fn(half, "right"))
     slope = min(max(slope, -lam), lam)
     a = max(0.5 * (lam + slope), 0.0)
     b = max(0.5 * (lam - slope), 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evcopula import (
+    DependenceFunction,
     ParamOutOfRangeError,
     blomqvist_from_lambda,
     check_envelope,
@@ -221,6 +222,26 @@ class TestRandomizedCorpus:
         for df in dependence_corpus(80, seed=2):
             rep = verify_case(df, envelope_grid=100)
             assert rep["passed"], (df.family, rep["margins"])
+
+    @pytest.mark.parametrize(
+        "bad_t, split_points",
+        [(np.linspace(0.0, 1.0, 3185)[3], ()), (0.3, (0.3,))],
+        ids=["grid_point", "split_point"],
+    )
+    def test_nan_in_a_fails(self, bad_t, split_points):
+        # A == 1 but NaN at one point of the envelope check: a grid point of
+        # envelope grid 200, or a declared split point off that grid
+        df = DependenceFunction(
+            family="broken",
+            params={},
+            split_points=split_points,
+            eval_fn=lambda t: np.where(t == bad_t, np.nan, 1.0),
+            deriv_fn=lambda t, side: np.zeros(np.shape(t)),
+        )
+        rep = verify_case(df, envelope_grid=200)
+        assert math.isnan(rep["envelope"].max_lower_violation)
+        assert math.isnan(rep["envelope"].max_upper_violation)
+        assert rep["passed"] is False
 
     def test_tangent_family_dominance(self):
         # members with the same tail coefficient are mutually incomparable

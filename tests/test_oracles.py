@@ -13,7 +13,12 @@ functions must match the retired sum of Stieltjes atoms at their kinks.
 The t-space envelope check of ``verify_case`` must agree with the (u, v)-grid
 ``check_envelope`` it replaced.  The level-by-level quadrature must agree
 with the retired heap integrator, which bisected the worst panel one call
-of the integrand at a time, to twice the stated tolerance.
+of the integrand at a time, to twice the stated tolerance.  The envelope
+check on two arrays must equal the retired check on their ``union1d``; the
+A' of piecewise-linear functions must equal the retired index into all
+knots, less one and clipped; and ``tangent_at_half`` and ``lambda_upper``
+must equal, bit for bit, the same formulas read through the checked
+``df(0.5)`` and ``df.deriv``.
 """
 
 import heapq
@@ -34,19 +39,29 @@ from evcopula import (
     empirical_coefficients,
     gumbel_dependence,
     kendall_tau_stat,
+    mix,
     mo_dependence,
     pareto_dependence,
+    piecewise_linear_dependence,
+    read_knots_csv,
     read_pairs_csv,
     rho_numeric,
     sample_generic,
     sample_mo,
     tau_numeric,
     write_batch_csv,
+    write_knots_csv,
 )
-from evcopula import coefficients, montecarlo, numerics
-from evcopula.bounds import _ENVELOPE_TOL, _envelope_in_t, check_envelope
+from evcopula import coefficients, montecarlo, numerics, pickands
+from evcopula.bounds import (
+    _ENVELOPE_TOL,
+    EnvelopeCheck,
+    _envelope_in_t,
+    _random_convex_pwl,
+    check_envelope,
+)
 from evcopula.coefficients import lambda_upper
-from evcopula.pickands import _pwl
+from evcopula.pickands import _pwl, tangent_at_half
 from evcopula.rng import make_rng
 
 SEEDS = (0, 1, 2)
@@ -246,6 +261,54 @@ def heap_integrate(f, split_points=()):
         heapq.heappush(heap, (-err_r, order + 1, mid, b, val_r, depth + 1))
         order += 2
     return total
+
+
+def retired_lambda_upper(df):
+    """The tail coefficient as it was, through the checked ``df(0.5)``."""
+    return float(np.clip(2.0 * (1.0 - df(0.5)), 0.0, 1.0))
+
+
+def retired_tangent_at_half(df):
+    """The tangent at t = 1/2 as it was, through the checked ``df(0.5)`` and ``df.deriv``."""
+    lam = 2.0 * (1.0 - df(0.5))
+    lam = min(max(lam, 0.0), 1.0)
+    slope = 0.5 * (df.deriv(0.5, "left") + df.deriv(0.5, "right"))
+    slope = min(max(slope, -lam), lam)
+    a = max(0.5 * (lam + slope), 0.0)
+    b = max(0.5 * (lam - slope), 0.0)
+    return float(a), float(b)
+
+
+def retired_envelope_in_t(df, grid):
+    """The t-space envelope check as it was: one ``union1d`` of the grid and the kinks."""
+    lam = retired_lambda_upper(df)
+    a, b = retired_tangent_at_half(df)
+    kinks = [0.5, *df.split_points]
+    if a + b < 1.0:
+        kinks += [a / (1.0 + a - b), (1.0 - a) / (1.0 - a + b)]
+    t = np.union1d(np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks)
+    s = 1.0 - t
+    at = df.eval_fn(t)
+    lower_gap = at - (1.0 - lam * np.minimum(t, s))
+    upper_gap = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t) - at
+    return EnvelopeCheck(
+        grid=grid,
+        max_lower_violation=max(float(lower_gap.max()), 0.0),
+        max_upper_violation=max(float(upper_gap.max()), 0.0),
+        tangent_params=(a, b),
+    )
+
+
+def retired_pwl_deriv(ts, vs):
+    """The A' of ``_pwl`` as it was: the index into all knots, less one, clipped."""
+    slopes = np.diff(vs) / np.diff(ts)
+    last = len(slopes) - 1
+
+    def deriv_fn(t, side):
+        idx = np.searchsorted(ts, t, side=side) - 1
+        return slopes[np.clip(idx, 0, last)]
+
+    return deriv_fn
 
 
 # ---------------------------------------------------------------------------
@@ -661,3 +724,182 @@ def test_envelope_in_t_exact_between_grid_nodes():
     df = _pwl(ts, vs, "piecewise_linear", {})
     env = _envelope_in_t(df, lambda_upper(df), 200)
     assert abs(env.max_upper_violation - (0.5003 - 0.4999)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# pointwise envelope: grid and kinks as two arrays against their union
+# ---------------------------------------------------------------------------
+
+ENVELOPE_GRIDS = (2, 3, 40, 200)
+T_NODES = np.linspace(0.0, 1.0, 16 * 199 + 1)  # the t-grid of envelope grid 200
+
+
+def _hull_on_grid(seed, k):
+    """A valid piecewise-linear A whose interior knots are nodes of ``T_NODES``.
+
+    The lower convex hull of (0, 1), (1, 1) and k points in the band at
+    random nodes, some of them on max(t, 1 - t).
+    """
+    rng = make_rng(seed, 0xE7)
+    t = T_NODES[np.sort(rng.choice(np.arange(1, T_NODES.size - 1), k, replace=False))]
+    env = np.maximum(t, 1.0 - t)
+    y = np.where(rng.random(k) < 0.3, env, env + rng.random(k) * (1.0 - env))
+    hull = []
+    for p in [(0.0, 1.0), *zip(t, y), (1.0, 1.0)]:
+        # drop the last vertex while it lies on or above the chord to p
+        while len(hull) > 1 and _cross(hull[-2], hull[-1], p) <= 0.0:
+            hull.pop()
+        hull.append(p)
+    return piecewise_linear_dependence(hull)
+
+
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+ON_GRID = {
+    "mo(0.5,0.5)": lambda: mo_dependence(0.5, 0.5),
+    "tangent(0.25,0.25)": lambda: pareto_dependence(0.25, 0.25),
+    "tangent(0.125,0.125)": lambda: pareto_dependence(0.125, 0.125),
+    "comonotone(0.5,0.5)": lambda: pareto_dependence(0.5, 0.5),
+    **{f"knots_on_grid_{s}": (lambda s=s: _hull_on_grid(s, 2 + 3 * s)) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("grid", ENVELOPE_GRIDS)
+def test_envelope_in_t_matches_union_on_corpus(grid):
+    cases = dependence_corpus(600, 3)
+    assert {df.family for df in cases} == set(FAMILIES)
+    for df in cases:
+        assert _envelope_in_t(df, lambda_upper(df), grid) == retired_envelope_in_t(df, grid), df
+
+
+@pytest.mark.parametrize("grid", ENVELOPE_GRIDS)
+@pytest.mark.parametrize("name", sorted(ON_GRID))
+def test_envelope_in_t_matches_union_with_kinks_on_grid(name, grid):
+    df = ON_GRID[name]()
+    # every kink of A is a node of the t-grid, so union1d drops it as a duplicate
+    assert df.split_points and np.isin(df.split_points, T_NODES).all()
+    assert _envelope_in_t(df, lambda_upper(df), grid) == retired_envelope_in_t(df, grid)
+
+
+@pytest.mark.parametrize("grid", ENVELOPE_GRIDS)
+@pytest.mark.parametrize("theta", (1.0, 1.0 + 1e-8, 2.0, 1e12))
+def test_envelope_in_t_matches_union_on_gumbel(theta, grid):
+    df = gumbel_dependence(theta)
+    assert _envelope_in_t(df, lambda_upper(df), grid) == retired_envelope_in_t(df, grid)
+
+
+# ---------------------------------------------------------------------------
+# A' of piecewise-linear functions, and the reads at t = 1/2
+# ---------------------------------------------------------------------------
+
+
+def _built_with_knots(build, monkeypatch):
+    """``build()`` and the one pair of knot arrays it passed to ``_pwl``."""
+    seen = []
+    real = pickands._pwl
+
+    def spy(ts, vs, *rest, **kwargs):
+        seen.append((ts, vs))
+        return real(ts, vs, *rest, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(pickands, "_pwl", spy)
+        df = build()
+    ((ts, vs),) = seen
+    return df, ts, vs
+
+
+def _assert_deriv_matches_retired(df, ts, vs):
+    retired = retired_pwl_deriv(ts, vs)
+    rng = make_rng(0, 0xD1)
+    lo, half = ts[:-1, None], 0.5 * np.diff(ts)[:, None]
+    inputs = [
+        ts,
+        np.array([0.0, -0.0, 1.0]),
+        np.asarray(0.5),
+        rng.random(10**4),
+        lo + half * (1.0 + numerics._NODES),  # (panels x 15), as the quadrature asks
+        np.array([np.nan]),
+        np.array([-np.inf, -0.5, -1e-300, 1.0 + 1e-16, 1.5, np.inf]),
+    ]
+    for t in inputs:
+        for side in ("left", "right"):
+            assert np.array_equal(df.deriv_fn(t, side), retired(t, side)), (t, side)
+
+
+KNOT_FUNCTIONS = {
+    "mo(0,0.3)": lambda: mo_dependence(0.0, 0.3),
+    "gumbel(1)": lambda: gumbel_dependence(1.0),
+    "mo_kink_1e-13_from_0": lambda: mo_dependence(1e-13, 1.0),
+    "mo_kink_1e-13_from_1": lambda: mo_dependence(1.0, 1e-13),
+    "mo_kink_2e-12_from_0": lambda: mo_dependence(2e-12, 1.0),
+    "mo_kink_2e-12_from_1": lambda: mo_dependence(1.0, 2e-12),
+    "mo(0.5,0.5)": lambda: mo_dependence(0.5, 0.5),
+    "mo(0.3,0.8)": lambda: mo_dependence(0.3, 0.8),
+    "knots_1e-13_from_ends": lambda: pickands._pwl(
+        np.array([0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0]),
+        np.array([1.0, 1.0 - 1e-13, 0.75, 1.0 - 1e-13, 1.0]),
+        "piecewise_linear",
+        {},
+    ),
+    "tangent(0.3,0.2)": lambda: pareto_dependence(0.3, 0.2),
+    "tangent(0.25,0.25)": lambda: pareto_dependence(0.25, 0.25),
+    "tangent(1,0)": lambda: pareto_dependence(1.0, 0.0),
+    "comonotone(0.5,0.5)": lambda: pareto_dependence(0.5, 0.5),
+    **{f"random_knots_{s}": (lambda s=s: _random_convex_pwl(make_rng(s, 5))) for s in range(6)},
+    **{f"knots_on_grid_{s}": (lambda s=s: _hull_on_grid(s, 2 + 3 * s)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOT_FUNCTIONS))
+def test_pwl_deriv_matches_retired_index(name, monkeypatch):
+    _assert_deriv_matches_retired(*_built_with_knots(KNOT_FUNCTIONS[name], monkeypatch))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda: mo_dependence(0.3, 0.8),
+        lambda: mo_dependence(0.5 * (0.5 + 1e-12) / (0.5 - 1e-12), 0.5),
+        lambda: pareto_dependence(0.3, 0.2),
+        lambda: gumbel_dependence(2.0),
+        lambda: _corpus_member("piecewise_linear"),
+        lambda: _corpus_member("mixture"),
+    ],
+)
+def test_pwl_deriv_matches_retired_index_after_csv_roundtrip(source, tmp_path, monkeypatch):
+    path = tmp_path / "knots.csv"
+    write_knots_csv(path, source())
+    _assert_deriv_matches_retired(*_built_with_knots(lambda: read_knots_csv(path), monkeypatch))
+
+
+def _bits(*xs):
+    return tuple(float(x).hex() for x in xs)
+
+
+def _unvalidated(a_half):
+    """A through (0, 1), (1/2, a_half), (1, 1): outside the band, or NaN, at t = 1/2."""
+    ts, vs = np.array([0.0, 0.5, 1.0]), np.array([1.0, a_half, 1.0])
+    return _pwl(ts, vs, "piecewise_linear", {}, lambda t: np.interp(t, ts, vs))
+
+
+def test_reads_at_half_match_checked_reads():
+    corpus_mixture = _corpus_member("mixture")
+    # lambda clipped from above and from below, and a NaN that must stay NaN
+    invalid = [_unvalidated(0.4), _unvalidated(1.1), _unvalidated(np.nan)]
+    mixes = [
+        mix(mo_dependence(0.5, 0.5), gumbel_dependence(2.0), 0.3),
+        mix(pareto_dependence(0.3, 0.2), mo_dependence(0.2, 0.9), 0.7),
+        mix(gumbel_dependence(1.0), gumbel_dependence(1e12), 0.5),
+        mix(mo_dependence(0.0, 0.3), pareto_dependence(0.5, 0.5), 1.0),
+        mix(mo_dependence(1.0, 1.0), _corpus_member("piecewise_linear"), 0.0),
+        mix(mix(mo_dependence(0.4, 0.6), gumbel_dependence(50.0), 0.2), corpus_mixture, 0.6),
+    ]
+    for df in dependence_corpus(600, 3) + mixes + invalid:
+        lam = lambda_upper(df)
+        a, b = tangent_at_half(df)
+        assert type(lam) is float and type(a) is float and type(b) is float
+        assert _bits(lam) == _bits(retired_lambda_upper(df)), df
+        assert _bits(a, b) == _bits(*retired_tangent_at_half(df)), df
