@@ -10,12 +10,9 @@ from .bounds import (
     BoundsInterval,
     EnvelopeCheck,
     InequalityReport,
-    blomqvist_from_lambda,
     check_envelope,
-    classical_region,
     dependence_corpus,
     ev_inequalities,
-    lambda_from_blomqvist,
     pointwise_lower,
     pointwise_upper,
     random_dependence_function,
@@ -41,7 +38,6 @@ from .copula import (
     check_max_stability,
     check_two_increasing,
     copula_from_pickands,
-    survival,
 )
 from .errors import (
     DegenerateSampleError,
@@ -73,7 +69,6 @@ from .pickands import (
     piecewise_linear_dependence,
     read_knots_csv,
     tangent_at_half,
-    validate,
     write_knots_csv,
 )
 

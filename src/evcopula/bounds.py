@@ -12,10 +12,9 @@ function at t = 1/2).  Coefficientwise:
 
 with the lower ends attained by the Marshall-Olkin copula (alpha = beta =
 lam) and the upper ends by the tangent family with a = b = lam / 2.  The
-classical rho-tau region, the Hutchinson-Lai and the Trutschnig
-inequalities, and the Blomqvist <-> lambda conversion are also provided,
-plus a seeded generator of random valid dependence functions for
-verification sweeps.
+Hutchinson-Lai and the Trutschnig inequalities are also provided, plus a
+seeded generator of random valid dependence functions for verification
+sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .coefficients import lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
-from .errors import check_int, check_real, check_unit_interval
+from .errors import ParamOutOfRangeError, check_int, check_real, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -80,17 +79,27 @@ class InequalityReport:
     trutschnig_margin: float
 
 
+def _unit_pair(u, v) -> tuple:
+    """u and v as float arrays in [0, 1] whose shapes broadcast together."""
+    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
+    try:
+        np.broadcast_shapes(u.shape, v.shape)
+    except ValueError:
+        raise ParamOutOfRangeError(f"u {u.shape} and v {v.shape} do not broadcast") from None
+    return u, v
+
+
 def pointwise_lower(lam: float, u, v):
     """Lower envelope: the Marshall-Olkin copula with alpha = beta = lam; u, v in [0, 1]."""
     lam = check_lambda(lam)
-    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
+    u, v = _unit_pair(u, v)
     return np.minimum(u ** (1.0 - lam) * v, u * v ** (1.0 - lam))
 
 
 def pointwise_upper(a: float, b: float, u, v):
     """Upper envelope member ``min(u, v, u**(1-a) * v**(1-b))``; u, v in [0, 1]."""
     a, b = check_tangent(a, b)
-    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
+    u, v = _unit_pair(u, v)
     return np.minimum(np.minimum(u, v), u ** (1.0 - a) * v ** (1.0 - b))
 
 
@@ -154,14 +163,6 @@ def tau_bounds(lam: float) -> BoundsInterval:
     )
 
 
-def classical_region(tau: float) -> tuple:
-    """Classical (all-copulas) rho range for a given tau."""
-    tau = check_real(tau, "tau", -1.0, 1.0)
-    if tau >= 0.0:
-        return (3.0 * tau - 1.0) / 2.0, (1.0 + 2.0 * tau - tau * tau) / 2.0
-    return (tau * tau + 2.0 * tau - 1.0) / 2.0, (1.0 + 3.0 * tau) / 2.0
-
-
 def ev_inequalities(rho: float, tau: float) -> InequalityReport:
     """Hutchinson-Lai and Trutschnig margins for an EV (rho, tau) pair; passed if all >= -1e-9."""
     rho, tau = check_real(rho, "rho", 0.0, 1.0), check_real(tau, "tau", 0.0, 1.0)
@@ -170,17 +171,6 @@ def ev_inequalities(rho: float, tau: float) -> InequalityReport:
     trut = rho - 3.0 * tau / (2.0 + tau)
     passed = bool(min(hl_lower, hl_upper, trut) >= -_ENVELOPE_TOL)
     return InequalityReport(passed, float(hl_lower), float(hl_upper), float(trut))
-
-
-def blomqvist_from_lambda(lam: float) -> float:
-    """Blomqvist beta of an EV copula with tail coefficient lam: ``2**lam - 1``."""
-    lam = check_lambda(lam)
-    return 2.0**lam - 1.0
-
-
-def lambda_from_blomqvist(beta: float) -> float:
-    """Tail coefficient from Blomqvist beta: ``log2(1 + beta)``."""
-    return float(np.log2(1.0 + check_real(beta, "beta", 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

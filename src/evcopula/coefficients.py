@@ -164,10 +164,11 @@ def pareto_closed_form(a: float, b: float) -> tuple:
     """Tangent-family ``(rho, tau)``.
 
     rho = 1 - 16 (1 - lam)^2 / ((4 - lam)^2 - 9 (a - b)^2) with
-    lam = a + b, and tau = lam exactly.
+    lam = min(a + b, 1), and tau = lam exactly; ``check_tangent`` lets
+    a + b pass 1 by up to 1e-12.
     """
     a, b = check_tangent(a, b)
-    lam = a + b
+    lam = min(a + b, 1.0)
     denom = (4.0 - lam) ** 2 - 9.0 * (a - b) ** 2
     rho = 1.0 if denom == 0.0 else 1.0 - 16.0 * (1.0 - lam) ** 2 / denom
     return rho, lam

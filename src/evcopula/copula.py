@@ -2,8 +2,8 @@
 
 The copula is ``C(u, v) = exp((ln u + ln v) * A(ln v / (ln u + ln v)))``
 with boundary values handled analytically.  Evaluation, the conditional
-distribution dC/du, the survival transform, and structural checks
-(max-stability, 2-increasingness) all accept scalars or numpy arrays.
+distribution dC/du, and structural checks (max-stability,
+2-increasingness) all accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError, check_unit_interval
+from .errors import ParamOutOfRangeError
 from .pickands import DependenceFunction
 from .rng import make_rng
 
@@ -22,11 +22,6 @@ class EvCopula:
     """Immutable extreme value copula with conditional-distribution access."""
 
     dependence: DependenceFunction
-
-    @property
-    def diag_exponent(self) -> float:
-        """Exponent in the diagonal law ``C(u, u) = u**diag_exponent``."""
-        return 2.0 * self.dependence(0.5)
 
     def __call__(self, u, v):
         """``C(u, v)``; u and v outside [0, 1] are clamped, NaN raises."""
@@ -89,16 +84,6 @@ def _uv(u, v) -> tuple:
 def copula_from_pickands(df: DependenceFunction) -> EvCopula:
     """Induce the extreme value copula of a dependence function."""
     return EvCopula(dependence=df)
-
-
-def survival(copula, u, v):
-    """Survival transform ``u + v - 1 + C(1 - u, 1 - v)``.
-
-    ``copula`` may be any evaluator of two arguments; applying the
-    transform twice recovers the original values.
-    """
-    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
-    return u + v - 1.0 + copula(1.0 - u, 1.0 - v)
 
 
 def check_max_stability(copula: EvCopula, seed: int = 0) -> float:

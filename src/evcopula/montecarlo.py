@@ -465,9 +465,11 @@ def read_pairs_csv(stream) -> SampleBatch:
     first = next(rows, None)
     if first is None:
         raise DegenerateSampleError("no sample rows in input")
-    data = np.loadtxt(
-        itertools.chain((first,), rows), delimiter=",", usecols=(0, 1), ndmin=2, comments=None
-    )
+    lines = itertools.chain((first,), rows)
+    try:
+        data = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None)
+    except ValueError as exc:  # a non-number, or a row with one column
+        raise DegenerateSampleError(str(exc)) from None
     if not np.isfinite(data).all():
         raise DegenerateSampleError("coordinates must be finite numbers")
     u, v = data[:, 0], data[:, 1]

@@ -4,8 +4,8 @@ A dependence function A on [0, 1] is convex, satisfies
 ``max(t, 1-t) <= A(t) <= 1`` and ``A(0) = A(1) = 1``.  Every bivariate
 extreme value copula is induced by exactly one such function.  This module
 provides the Marshall-Olkin, Gumbel and tangent (Pareto-bound) families,
-arbitrary piecewise-linear convex functions, convex mixtures, a grid
-validator, and the supporting-tangent construction at t = 1/2.
+arbitrary piecewise-linear convex functions, convex mixtures, and the
+supporting-tangent construction at t = 1/2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDependenceFunctionError, check_int, check_real, check_unit_interval
+from .errors import (
+    InvalidDependenceFunctionError,
+    ParamOutOfRangeError,
+    check_real,
+    check_unit_interval,
+)
 
 _KINK_TOL = 1e-12
 _CHECK_TOL = 1e-9
@@ -62,7 +67,7 @@ class DependenceFunction:
     def deriv(self, t, side: str = "right"):
         """One-sided derivative; ``side`` is 'left' or 'right'."""
         if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+            raise ParamOutOfRangeError(f"side must be 'left' or 'right', got {side!r}")
         arr = check_unit_interval(t, "t")
         out = self.deriv_fn(arr, side)
         return float(out) if np.ndim(t) == 0 else out
@@ -123,44 +128,34 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     )
 
 
-def _band_violations(t: np.ndarray, a: np.ndarray) -> list:
-    """Non-finite, endpoint, envelope and upper-bound violations of ``a`` at increasing ``t``.
-
-    Non-finite and band violations come in increasing t, at most the first
-    50 of each kind; no t can be both below the envelope and above 1.
-    """
-    bad = [(float(t[i]), "non_finite", math.inf) for i in np.flatnonzero(~np.isfinite(a))[:50]]
-    bad += [
-        (end, "endpoint", abs(float(v) - 1.0))
-        for end, v in ((0.0, a[0]), (1.0, a[-1]))
-        if abs(v - 1.0) > _CHECK_TOL
-    ]
-    low = np.maximum(t, 1.0 - t) - a
-    high = a - 1.0
-    below = np.flatnonzero(low > _CHECK_TOL)[:50]
-    above = np.flatnonzero(high > _CHECK_TOL)[:50]
-    for i in np.union1d(below, above):
-        kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", high[i])
-        bad.append((float(t[i]), kind, float(gap)))
-    return bad
-
-
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
-    """Exact constraint checks for a piecewise-linear candidate.
+    """Exact constraint checks for finite, increasing knots, in A units within ``_CHECK_TOL``.
 
-    Every check is in A units, within ``_CHECK_TOL``: knot values against the
-    band, and each interior knot against the chord of its two neighbours.
+    Domain and endpoints, then knot values against the band in increasing t
+    (at most 50 envelope and 50 upper-bound violations; no t is both), then
+    each interior knot against the chord of its two neighbours.
     """
     bad = []
     if abs(ts[0]) > _CHECK_TOL or abs(ts[-1] - 1.0) > _CHECK_TOL:
         bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
+    bad += [
+        (end, "endpoint", abs(float(v) - 1.0))
+        for end, v in ((0.0, vs[0]), (1.0, vs[-1]))
+        if abs(v - 1.0) > _CHECK_TOL
+    ]
     # linear pieces make knots (plus the envelope kink at 1/2) sufficient
-    probe = np.union1d(ts, [0.5])
-    bad += _band_violations(probe, np.interp(probe, ts, vs))
+    t = np.union1d(ts, [0.5])
+    a = np.interp(t, ts, vs)
+    low = np.maximum(t, 1.0 - t) - a
+    below = np.flatnonzero(low > _CHECK_TOL)[:50]
+    above = np.flatnonzero(a - 1.0 > _CHECK_TOL)[:50]
+    for i in np.union1d(below, above):
+        kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", a[i] - 1.0)
+        bad.append((float(t[i]), kind, float(gap)))
     w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
-    above = vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
-    for i in np.flatnonzero(above > _CHECK_TOL):
-        bad.append((float(ts[i + 1]), "convexity", float(above[i])))
+    bulge = vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
+    for i in np.flatnonzero(bulge > _CHECK_TOL):
+        bad.append((float(ts[i + 1]), "convexity", float(bulge[i])))
     return ValidationReport(valid=not bad, violations=tuple(bad))
 
 
@@ -347,53 +342,8 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
 
 
 # ---------------------------------------------------------------------------
-# validation and geometry
+# tangent geometry and knot files
 # ---------------------------------------------------------------------------
-
-
-def validate(fn, grid_size: int = 2048) -> ValidationReport:
-    """Check a candidate dependence function on a uniform grid.
-
-    Verifies that A is finite, the endpoint condition, the band
-    ``max(t, 1-t) <= A <= 1``, and midpoint convexity over all grid pairs,
-    each with absolute tolerance 1e-9.  Declared split points of a
-    :class:`DependenceFunction` are added to the grid.  The report lists
-    the grid points where A is not finite, the endpoint violations, then
-    the envelope and upper-bound violations in increasing t (at most 50 of
-    each kind), then the worst convexity violation.  A non-finite A at a
-    grid point or midpoint ends the check, with the midpoint, if any,
-    reported last as ``non_finite``.
-    """
-    grid = np.linspace(0.0, 1.0, check_int(grid_size, "grid_size", 3))
-    if isinstance(fn, DependenceFunction) and fn.split_points:
-        grid = np.union1d(grid, np.asarray(fn.split_points))
-    vals = np.asarray(fn(grid), dtype=float)
-    bad = _band_violations(grid, vals)
-    if not np.isfinite(vals).all():
-        return ValidationReport(valid=False, violations=tuple(bad))
-
-    # midpoint convexity over all pairs, in row blocks to bound memory
-    worst = (-np.inf, 0.0)
-    count = 0
-    block = 128
-    for start in range(0, len(grid), block):
-        s = grid[start : start + block, None]
-        mids = 0.5 * (s + grid[None, :])
-        mid_vals = np.asarray(fn(mids), dtype=float)
-        if not np.isfinite(mid_vals).all():
-            bad.append((float(mids[~np.isfinite(mid_vals)][0]), "non_finite", math.inf))
-            return ValidationReport(valid=False, violations=tuple(bad))
-        gap = mid_vals - 0.5 * (vals[start : start + block, None] + vals[None, :])
-        over = gap > _CHECK_TOL
-        count += int(over.sum())
-        if over.any():
-            i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            if gap[i, j] > worst[0]:
-                worst = (float(gap[i, j]), float(mids[i, j]))
-    if count:
-        bad.append((worst[1], "convexity", worst[0]))
-
-    return ValidationReport(valid=not bad, violations=tuple(bad))
 
 
 def tangent_at_half(df: DependenceFunction) -> tuple:
@@ -427,12 +377,14 @@ def read_knots_csv(path) -> DependenceFunction:
     for i, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) < 2:
+        try:
+            knots.append((float(row[0]), float(row[1])))
+        except (IndexError, ValueError):  # one column, or not a number
+            got = "one column" if len(row) < 2 else f"{row[0]!r}, {row[1]!r}"
             raise InvalidDependenceFunctionError(
-                f"{path}: row {i} has one column, expected 't,A'",
+                f"{path}: row {i} has {got}, expected two numbers 't,A'",
                 ValidationReport(False, ((0.0, "format", 1.0),)),
-            )
-        knots.append((float(row[0]), float(row[1])))
+            ) from None
     return piecewise_linear_dependence(knots)
 
 

@@ -1,0 +1,121 @@
+"""Helpers that no command or criterion of the package calls, kept as test oracles.
+
+``validate`` checks any callable A on a uniform grid: the band, the
+endpoints and midpoint convexity over all grid pairs.  It is the grid
+oracle for the family and property tests; the package itself validates
+only piecewise-linear knots, exactly.  The survival transform, the
+diagonal exponent, the classical rho-tau region and the Blomqvist <->
+lambda conversion are closed forms of the copula literature, tested here
+against known values.
+"""
+
+import math
+
+import numpy as np
+
+from evcopula import DependenceFunction, ValidationReport
+from evcopula.errors import check_int, check_real, check_unit_interval
+from evcopula.pickands import check_lambda
+
+_CHECK_TOL = 1e-9
+
+
+def diag_exponent(copula) -> float:
+    """Exponent in the diagonal law ``C(u, u) = u**diag_exponent``."""
+    return 2.0 * copula.dependence(0.5)
+
+
+def survival(copula, u, v):
+    """Survival transform ``u + v - 1 + C(1 - u, 1 - v)``.
+
+    ``copula`` may be any evaluator of two arguments; applying the
+    transform twice recovers the original values.
+    """
+    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
+    return u + v - 1.0 + copula(1.0 - u, 1.0 - v)
+
+
+def classical_region(tau: float) -> tuple:
+    """Classical (all-copulas) rho range for a given tau."""
+    tau = check_real(tau, "tau", -1.0, 1.0)
+    if tau >= 0.0:
+        return (3.0 * tau - 1.0) / 2.0, (1.0 + 2.0 * tau - tau * tau) / 2.0
+    return (tau * tau + 2.0 * tau - 1.0) / 2.0, (1.0 + 3.0 * tau) / 2.0
+
+
+def blomqvist_from_lambda(lam: float) -> float:
+    """Blomqvist beta of an EV copula with tail coefficient lam: ``2**lam - 1``."""
+    lam = check_lambda(lam)
+    return 2.0**lam - 1.0
+
+
+def lambda_from_blomqvist(beta: float) -> float:
+    """Tail coefficient from Blomqvist beta: ``log2(1 + beta)``."""
+    return float(np.log2(1.0 + check_real(beta, "beta", 0.0, 1.0)))
+
+
+def _band_violations(t: np.ndarray, a: np.ndarray) -> list:
+    """Non-finite, endpoint, envelope and upper-bound violations of ``a`` at increasing ``t``.
+
+    Non-finite and band violations come in increasing t, at most the first
+    50 of each kind; no t can be both below the envelope and above 1.
+    """
+    bad = [(float(t[i]), "non_finite", math.inf) for i in np.flatnonzero(~np.isfinite(a))[:50]]
+    bad += [
+        (end, "endpoint", abs(float(v) - 1.0))
+        for end, v in ((0.0, a[0]), (1.0, a[-1]))
+        if abs(v - 1.0) > _CHECK_TOL
+    ]
+    low = np.maximum(t, 1.0 - t) - a
+    high = a - 1.0
+    below = np.flatnonzero(low > _CHECK_TOL)[:50]
+    above = np.flatnonzero(high > _CHECK_TOL)[:50]
+    for i in np.union1d(below, above):
+        kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", high[i])
+        bad.append((float(t[i]), kind, float(gap)))
+    return bad
+
+
+def validate(fn, grid_size: int = 2048) -> ValidationReport:
+    """Check a candidate dependence function on a uniform grid.
+
+    Verifies that A is finite, the endpoint condition, the band
+    ``max(t, 1-t) <= A <= 1``, and midpoint convexity over all grid pairs,
+    each with absolute tolerance 1e-9.  Declared split points of a
+    :class:`DependenceFunction` are added to the grid.  The report lists
+    the grid points where A is not finite, the endpoint violations, then
+    the envelope and upper-bound violations in increasing t (at most 50 of
+    each kind), then the worst convexity violation.  A non-finite A at a
+    grid point or midpoint ends the check, with the midpoint, if any,
+    reported last as ``non_finite``.
+    """
+    grid = np.linspace(0.0, 1.0, check_int(grid_size, "grid_size", 3))
+    if isinstance(fn, DependenceFunction) and fn.split_points:
+        grid = np.union1d(grid, np.asarray(fn.split_points))
+    vals = np.asarray(fn(grid), dtype=float)
+    bad = _band_violations(grid, vals)
+    if not np.isfinite(vals).all():
+        return ValidationReport(valid=False, violations=tuple(bad))
+
+    # midpoint convexity over all pairs, in row blocks to bound memory
+    worst = (-np.inf, 0.0)
+    count = 0
+    block = 128
+    for start in range(0, len(grid), block):
+        s = grid[start : start + block, None]
+        mids = 0.5 * (s + grid[None, :])
+        mid_vals = np.asarray(fn(mids), dtype=float)
+        if not np.isfinite(mid_vals).all():
+            bad.append((float(mids[~np.isfinite(mid_vals)][0]), "non_finite", math.inf))
+            return ValidationReport(valid=False, violations=tuple(bad))
+        gap = mid_vals - 0.5 * (vals[start : start + block, None] + vals[None, :])
+        over = gap > _CHECK_TOL
+        count += int(over.sum())
+        if over.any():
+            i, j = np.unravel_index(np.argmax(gap), gap.shape)
+            if gap[i, j] > worst[0]:
+                worst = (float(gap[i, j]), float(mids[i, j]))
+    if count:
+        bad.append((worst[1], "convexity", worst[0]))
+
+    return ValidationReport(valid=not bad, violations=tuple(bad))

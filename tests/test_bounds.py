@@ -8,14 +8,11 @@ import pytest
 from evcopula import (
     DependenceFunction,
     ParamOutOfRangeError,
-    blomqvist_from_lambda,
     check_envelope,
-    classical_region,
     copula_from_pickands,
     dependence_corpus,
     ev_inequalities,
     gumbel_dependence,
-    lambda_from_blomqvist,
     mo_closed_form,
     mo_dependence,
     pareto_closed_form,
@@ -28,6 +25,7 @@ from evcopula import (
     tau_numeric,
     verify_case,
 )
+from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist
 
 
 class TestPointwiseLower:
@@ -80,7 +78,15 @@ class TestPointwiseUpper:
 
 
 @pytest.mark.parametrize(
-    "u, v", [(math.nan, 0.5), (0.5, math.nan), (2.0, 0.5), (0.5, -0.1), ([0.5, math.nan], 0.5)]
+    "u, v",
+    [
+        (math.nan, 0.5),
+        (0.5, math.nan),
+        (2.0, 0.5),
+        (0.5, -0.1),
+        ([0.5, math.nan], 0.5),
+        ([0.1, 0.2], [0.1, 0.2, 0.3]),  # shapes that do not broadcast
+    ],
 )
 def test_pointwise_envelopes_need_u_v_in_unit_interval(u, v):
     with pytest.raises(ParamOutOfRangeError):

@@ -22,15 +22,12 @@ from evcopula import (
     EvCopulaError,
     ParamOutOfRangeError,
     SampleBatch,
-    blomqvist_from_lambda,
     check_envelope,
-    classical_region,
     copula_from_pickands,
     empirical_coefficients,
     ev_inequalities,
     gumbel_closed_form,
     gumbel_dependence,
-    lambda_from_blomqvist,
     mix,
     mo_closed_form,
     mo_dependence,
@@ -41,10 +38,10 @@ from evcopula import (
     sample_generic,
     sample_mo,
     tau_bounds,
-    validate,
     verify_case,
 )
 from evcopula.errors import check_int, check_real
+from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist, validate
 
 
 class TestCheckReal:
@@ -88,8 +85,8 @@ class TestCheckInt:
 _MO = mo_dependence(0.3, 0.6)
 _GUMBEL = copula_from_pickands(gumbel_dependence(2.0))
 
-# each call accepted a bool as a number, raised a bare TypeError, or
-# truncated a float seed before the checks were shared
+# each call accepted a bool as a number, raised a bare TypeError or
+# ValueError, or truncated a float seed before the checks were shared
 _REJECTED = {
     "mo_dependence(True, .5)": lambda: mo_dependence(True, 0.5),
     "pareto_dependence(True, False)": lambda: pareto_dependence(True, False),
@@ -103,6 +100,7 @@ _REJECTED = {
     "check_envelope(grid=2.5)": lambda: check_envelope(_GUMBEL, 2.5),
     "validate(grid_size=np.float64(5))": lambda: validate(_MO, np.float64(5)),
     "sample_mo(seed=2.5)": lambda: sample_mo(0.5, 0.5, 10, 2.5),
+    'deriv(side="middle")': lambda: _MO.deriv(0.5, "middle"),
 }
 
 

@@ -44,6 +44,13 @@ class TestCoeffs:
         assert rows["rho"] == pytest.approx(0.6734693877551021, abs=1e-12)
         assert rows["tau"] == 0.5
 
+    def test_pareto_sum_just_past_one_prints_tau_one(self, capsys):
+        code, out, _ = run(
+            ["coeffs", "--family", "pareto", "--a", "0.5", "--b", "0.5000000000005"], capsys
+        )
+        assert code == 0
+        assert "\ntau,1,closed_form\n" in out
+
     def test_bad_params_exit_2(self, capsys):
         code, _, err = run(
             ["coeffs", "--family", "mo", "--alpha", "2", "--beta", "0.5"], capsys

@@ -230,6 +230,10 @@ class TestParetoClosedForm:
     def test_independence(self):
         assert pareto_closed_form(0.0, 0.0) == (0.0, 0.0)
 
+    def test_sum_just_past_one_gives_tau_one(self):
+        # the parameter check lets a + b pass 1 by up to 1e-12; tau must not
+        assert pareto_closed_form(0.5, 0.5 + 5e-13) == (1.0, 1.0)
+
     def test_agreement_with_quadrature(self):
         for i in range(40):
             rng = make_rng(19, i)

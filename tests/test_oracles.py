@@ -18,7 +18,8 @@ check on two arrays must equal the retired check on their ``union1d``; the
 A' of piecewise-linear functions must equal the retired index into all
 knots, less one and clipped; and ``tangent_at_half`` and ``lambda_upper``
 must equal, bit for bit, the same formulas read through the checked
-``df(0.5)`` and ``df.deriv``.
+``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
+reported through the band check it shared with the grid ``validate``.
 """
 
 import heapq
@@ -63,6 +64,8 @@ from evcopula.bounds import (
 from evcopula.coefficients import lambda_upper
 from evcopula.pickands import _pwl, tangent_at_half
 from evcopula.rng import make_rng
+
+import reference
 
 SEEDS = (0, 1, 2)
 SIZES = (1, 2, 63, 64, 65, 257, 4097)
@@ -626,16 +629,16 @@ def test_reader_errors_match_line_split_reader(text, message):
 def test_reader_rejects_malformed_rows_like_line_split_reader(text):
     with pytest.raises(ValueError):
         read_lines(io.StringIO(text))
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateSampleError):
         read_pairs_csv(io.StringIO(text))
 
 
 def test_reader_rejects_one_column_row_as_value_error():
     # the line-split reader failed here with an IndexError, which the CLI
-    # did not catch; loadtxt reports a ValueError (CLI exit 2)
+    # did not catch; loadtxt's ValueError message is kept (CLI exit 2)
     with pytest.raises(IndexError):
         read_lines(io.StringIO("u,v\n0.1\n"))
-    with pytest.raises(ValueError, match="column"):
+    with pytest.raises(DegenerateSampleError, match="column"):
         read_pairs_csv(io.StringIO("u,v\n0.1\n"))
 
 
@@ -903,3 +906,38 @@ def test_reads_at_half_match_checked_reads():
         assert type(lam) is float and type(a) is float and type(b) is float
         assert _bits(lam) == _bits(retired_lambda_upper(df)), df
         assert _bits(a, b) == _bits(*retired_tangent_at_half(df)), df
+
+
+# ---------------------------------------------------------------------------
+# knot validation: the folded band check against the shared one
+# ---------------------------------------------------------------------------
+
+
+def retired_structural_report(ts, vs):
+    """The knot check as it was, through the band check it shared with ``validate``."""
+    bad = []
+    if abs(ts[0]) > 1e-9 or abs(ts[-1] - 1.0) > 1e-9:
+        bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
+    probe = np.union1d(ts, [0.5])
+    bad += reference._band_violations(probe, np.interp(probe, ts, vs))
+    w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
+    above = vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
+    for i in np.flatnonzero(above > 1e-9):
+        bad.append((float(ts[i + 1]), "convexity", float(above[i])))
+    return pickands.ValidationReport(valid=not bad, violations=tuple(bad))
+
+
+def test_structural_report_matches_shared_band_check():
+    # finite, strictly increasing knots, as piecewise_linear_dependence passes
+    # them: ends on or off (0, 1) and (1, 1), values in and out of the band,
+    # 0.5 a knot or not, and over 50 violations of one kind
+    for i in range(400):
+        rng = make_rng(47, i)
+        k = int(rng.choice([2, 3, 5, 9, 120]))
+        ts = np.sort(rng.choice(np.concatenate([rng.random(2 * k), [0.5]]), k, replace=False))
+        if rng.random() < 0.7:
+            ts[0], ts[-1] = 0.0, 1.0
+        vs = np.maximum(ts, 1.0 - ts) + rng.uniform(-0.1, 0.6, k) * rng.random()
+        if rng.random() < 0.5:
+            vs[0], vs[-1] = 1.0, 1.0
+        assert pickands._structural_report(ts, vs) == retired_structural_report(ts, vs), i

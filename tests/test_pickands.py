@@ -17,11 +17,11 @@ from evcopula import (
     piecewise_linear_dependence,
     read_knots_csv,
     tangent_at_half,
-    validate,
     write_knots_csv,
 )
 from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
 from evcopula.rng import make_rng
+from reference import validate
 
 GRID = np.linspace(0.0, 1.0, 401)
 
@@ -265,6 +265,13 @@ class TestPiecewiseLinear:
         path.write_text("t,A\n0,1\n0.5\n1,1\n")
         with pytest.raises(InvalidDependenceFunctionError, match="row 3"):
             read_knots_csv(path)
+
+    def test_csv_non_number_rejected(self, tmp_path):
+        path = tmp_path / "abc.csv"
+        path.write_text("t,A\n0,1\n0.5,abc\n1,1\n")
+        with pytest.raises(InvalidDependenceFunctionError, match="row 3 has '0.5', 'abc'") as err:
+            read_knots_csv(path)
+        assert err.value.report.violations == ((0.0, "format", 1.0),)
 
     @pytest.mark.parametrize(
         "node, beta",
