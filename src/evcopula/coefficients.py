@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import check_real
 from .numerics import integrate
 from .pickands import (
@@ -33,6 +31,7 @@ from .pickands import (
     check_lambda,
     check_mo,
     check_tangent,
+    lambda_upper,
 )
 
 CLOSED_FORM = "closed_form"
@@ -56,11 +55,6 @@ class CoefficientSet:
             ("lambda", self.lambda_u, self.method["lambda"]),
             ("beta", self.beta, self.method["beta"]),
         )
-
-
-def lambda_upper(df: DependenceFunction) -> float:
-    """Upper tail dependence coefficient ``2 (1 - A(1/2))``, A read through ``df.eval_fn``."""
-    return min(max(2.0 * (1.0 - float(df.eval_fn(np.asarray(0.5)))), 0.0), 1.0)
 
 
 def rho_numeric(df: DependenceFunction) -> float:

@@ -1,9 +1,10 @@
 """Extreme value copulas induced from a dependence function.
 
 The copula is ``C(u, v) = exp((ln u + ln v) * A(ln v / (ln u + ln v)))``
-with boundary values handled analytically.  Evaluation, the conditional
-distribution dC/du, and structural checks (max-stability,
-2-increasingness) all accept scalars or numpy arrays.
+with boundary values handled analytically.  Evaluation and the structural
+checks (max-stability, 2-increasingness) accept scalars or numpy arrays.
+The conditional distribution dC/du that sampling inverts is defined in
+``montecarlo`` only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .rng import make_rng
 
 @dataclass(frozen=True)
 class EvCopula:
-    """Immutable extreme value copula with conditional-distribution access."""
+    """Immutable extreme value copula ``C(u, v)`` of a dependence function."""
 
     dependence: DependenceFunction
 
@@ -34,29 +35,6 @@ class EvCopula:
         w = lu + lv
         t = np.clip(lv / w, 0.0, 1.0)
         out[interior] = np.exp(w * self.dependence.eval_fn(t))
-        return float(out) if scalar else out
-
-    def partial_u(self, u, v):
-        """Conditional distribution ``P(V <= v | U = u) = dC/du``.
-
-        At kink-induced jump curves the right limit in v is returned, so
-        ``v -> partial_u(u, v)`` is a right-continuous CDF.  Because t
-        decreases in v, that corresponds to the left derivative of the
-        dependence function.
-        """
-        u, v, scalar = _uv(u, v)
-        if not np.all((u > 0.0) & (u <= 1.0)):
-            raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
-        out = np.where(v >= 1.0, 1.0, 0.0)
-        interior = (v > 0.0) & (v < 1.0)
-        lu = np.log(u[interior])
-        lv = np.log(v[interior])
-        w = lu + lv
-        t = np.clip(lv / w, 0.0, 1.0)
-        a = self.dependence.eval_fn(t)
-        da = self.dependence.deriv_fn(t, "left")
-        out[interior] = np.exp(w * a - lu) * (a - t * da)
-        np.clip(out, 0.0, 1.0, out=out)
         return float(out) if scalar else out
 
 

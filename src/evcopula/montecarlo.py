@@ -34,25 +34,29 @@ from .pickands import check_mo
 from .rng import make_rng
 
 
-def _check_pairs(u, v) -> tuple:
-    """``u`` and ``v`` as 1-D float arrays of one length.
+def _real_1d(x, name: str) -> np.ndarray:
+    """``x`` as a 1-D float array.
 
     Lists and integer arrays are accepted; any other dimension, and bool,
     complex, object or string data, raise :class:`DegenerateSampleError`.
     """
     try:
-        u, v = np.asarray(u), np.asarray(v)
+        x = np.asarray(x)
     except ValueError as exc:  # a ragged list
-        message = f"u and v must each be a 1-D array of real numbers: {exc}"
-        raise DegenerateSampleError(message) from None
-    for name, x in (("u", u), ("v", v)):
-        if x.ndim != 1 or x.dtype.kind not in "iuf":
-            raise DegenerateSampleError(
-                f"{name} must be a 1-D array of real numbers, got {x.ndim}-D {x.dtype}"
-            )
+        raise DegenerateSampleError(f"{name} must be a 1-D array of real numbers: {exc}") from None
+    if x.ndim != 1 or x.dtype.kind not in "iuf":
+        raise DegenerateSampleError(
+            f"{name} must be a 1-D array of real numbers, got {x.ndim}-D {x.dtype}"
+        )
+    return x.astype(float, copy=False)
+
+
+def _check_pairs(u, v) -> tuple:
+    """``u`` and ``v`` as 1-D float arrays of one length, each checked by :func:`_real_1d`."""
+    u, v = _real_1d(u, "u"), _real_1d(v, "v")
     if len(u) != len(v):
         raise DegenerateSampleError(f"{len(u)} u values but {len(v)} v values")
-    return u.astype(float, copy=False), v.astype(float, copy=False)
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -374,9 +378,10 @@ def kendall_tau_stat(u, v) -> float:
 def ks_statistic_uniform(x: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1].
 
-    Raises :class:`DegenerateSampleError` for an empty sample or one with NaN.
+    Raises :class:`DegenerateSampleError` for anything but a 1-D array of
+    real numbers (see :func:`_real_1d`), for an empty sample and for NaN.
     """
-    xs = np.sort(x)
+    xs = np.sort(_real_1d(x, "x"))
     n = len(xs)
     if n == 0 or np.isnan(xs[-1]):  # sorting puts NaN last
         raise DegenerateSampleError("the KS distance needs a non-empty sample without NaN")
@@ -386,6 +391,8 @@ def ks_statistic_uniform(x: np.ndarray) -> float:
 
 def check_thresholds(values) -> tuple:
     """Tail thresholds as a non-empty tuple of floats, each a real number in (0, 1)."""
+    if not np.iterable(values):
+        raise ParamOutOfRangeError(f"lambda thresholds must be numbers, got {values!r}")
     thresholds = tuple(check_real(t, "lambda thresholds", 0.0, 1.0) for t in values)
     if not thresholds or any(t in (0.0, 1.0) for t in thresholds):
         raise ParamOutOfRangeError("lambda thresholds must lie in (0, 1)")

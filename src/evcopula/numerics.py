@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergentError, NonFiniteError
+from .errors import NonConvergentError, NonFiniteError, ParamOutOfRangeError, check_real
 
 # Gauss-Kronrod 7-15 abscissae and weights on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -72,13 +72,14 @@ def integrate(f, split_points=()) -> float:
     :class:`NonConvergentError` names the worst panel when it would need
     bisecting at depth 60, or when the next level would hold more than
     ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
-    :class:`NonFiniteError` naming its t.  Split points must be finite,
-    strictly increasing and inside (0, 1), else ValueError.
+    :class:`NonFiniteError` naming its t.  Split points must be real
+    numbers, strictly increasing and inside (0, 1), else
+    :class:`ParamOutOfRangeError`.
     """
-    edges = np.array([0.0, *(float(p) for p in split_points), 1.0])
+    edges = np.array([0.0, *(check_real(p, "split point", 0.0, 1.0) for p in split_points), 1.0])
     a, b = edges[:-1], edges[1:]
-    if not (a < b).all():  # also rejects NaN
-        raise ValueError("split points must increase strictly inside (0, 1)")
+    if not (a < b).all():
+        raise ParamOutOfRangeError("split points must increase strictly inside (0, 1)")
     done = done_err = 0.0
     for depth in range(_MAX_DEPTH + 1):
         val, err = _gk15(f, a, b)

@@ -23,7 +23,6 @@ from .errors import (
     check_unit_interval,
 )
 
-_KINK_TOL = 1e-12
 _CHECK_TOL = 1e-9
 
 ENVELOPE_KNOTS = ((0.0, 1.0), (0.5, 0.5), (1.0, 1.0))
@@ -42,9 +41,10 @@ class DependenceFunction:
     """A validated Pickands dependence function: A, A' and split points.
 
     ``split_points`` lists, in increasing order, the points strictly inside
-    (0, 1) where a quadrature panel must end: every jump of A' (the kinks
-    of piecewise-linear functions) and, for Gumbel, the edges of its
-    narrow curvature spike at t = 1/2.  A is defined on [0, 1] only:
+    (0, 1) where a quadrature panel must end: every jump of A' (for
+    piecewise-linear A, each knot more than 1e-15 below the chord of its
+    neighbours) and, for Gumbel, the edges of its narrow curvature spike
+    at t = 1/2.  A is defined on [0, 1] only:
     calling the function or :meth:`deriv` with t outside [0, 1] or NaN
     raises :class:`ParamOutOfRangeError`.  ``second_fn`` is always None and
     nothing reads it.  Instances are immutable and safe to share across
@@ -110,7 +110,7 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     A' is the slope of the piece to the left or right of t, indexed by the
     count of interior knots below t (at or below it for ``side='right'``);
     NaN and t at or past either end take an end piece.  Split points are
-    the interior knots where the slope rises by more than ``_KINK_TOL``.
+    the interior knots whose :func:`_bulge` is below -1e-15, a few ulps of 1.
     A is ``np.interp`` over the knots unless ``eval_fn`` gives a closed form.
     """
     slopes = np.diff(vs) / np.diff(ts)
@@ -122,10 +122,16 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     return DependenceFunction(
         family=family,
         params=params,
-        split_points=tuple(inner[np.diff(slopes) > _KINK_TOL].tolist()),
+        split_points=tuple(inner[_bulge(ts, vs) < -1e-15].tolist()),
         eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
         deriv_fn=deriv_fn,
     )
+
+
+def _bulge(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Height of each interior knot above the chord of its neighbours, in A units; < 0 at a kink."""
+    w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
+    return vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
 
 
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
@@ -152,8 +158,7 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
     for i in np.union1d(below, above):
         kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", a[i] - 1.0)
         bad.append((float(t[i]), kind, float(gap)))
-    w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
-    bulge = vs[1:-1] - (vs[:-2] + w * (vs[2:] - vs[:-2]))
+    bulge = _bulge(ts, vs)
     for i in np.flatnonzero(bulge > _CHECK_TOL):
         bad.append((float(ts[i + 1]), "convexity", float(bulge[i])))
     return ValidationReport(valid=not bad, violations=tuple(bad))
@@ -346,17 +351,22 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
 # ---------------------------------------------------------------------------
 
 
+def lambda_upper(df: DependenceFunction) -> float:
+    """Upper tail coefficient ``2 (1 - A(1/2))`` in [0, 1]; A is read through ``df.eval_fn``."""
+    return min(max(2.0 * (1.0 - float(df.eval_fn(np.asarray(0.5)))), 0.0), 1.0)
+
+
 def tangent_at_half(df: DependenceFunction) -> tuple:
     """Parameters (a, b) of a supporting tangent line at t = 1/2.
 
     The line ``(1-a)(1-t) + (1-b)t`` touches the graph at
     ``(1/2, A(1/2))`` with slope taken as the midpoint of the
     subdifferential there, clipped so that a, b >= 0.  Then
-    ``a + b = 2 (1 - A(1/2))`` and the line never exceeds A.  A and A' are
-    read through ``df.eval_fn`` and ``df.deriv_fn``: t = 1/2 needs no check.
+    ``a + b = lambda_upper(df)`` and the line never exceeds A.  A' is read
+    through ``df.deriv_fn``: t = 1/2 needs no check.
     """
     half = np.asarray(0.5)
-    lam = min(max(2.0 * (1.0 - float(df.eval_fn(half))), 0.0), 1.0)
+    lam = lambda_upper(df)
     slope = 0.5 * float(df.deriv_fn(half, "left") + df.deriv_fn(half, "right"))
     slope = min(max(slope, -lam), lam)
     a = max(0.5 * (lam + slope), 0.0)

@@ -1,5 +1,7 @@
 """Helpers that no command or criterion of the package calls, kept as test oracles.
 
+``partial_u`` is the conditional distribution dC/du of a copula, the
+oracle of the generic sampler, which inverts its own form of it.
 ``validate`` checks any callable A on a uniform grid: the band, the
 endpoints and midpoint convexity over all grid pairs.  It is the grid
 oracle for the family and property tests; the package itself validates
@@ -13,7 +15,8 @@ import math
 
 import numpy as np
 
-from evcopula import DependenceFunction, ValidationReport
+from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
+from evcopula.copula import _uv
 from evcopula.errors import check_int, check_real, check_unit_interval
 from evcopula.pickands import check_lambda
 
@@ -23,6 +26,30 @@ _CHECK_TOL = 1e-9
 def diag_exponent(copula) -> float:
     """Exponent in the diagonal law ``C(u, u) = u**diag_exponent``."""
     return 2.0 * copula.dependence(0.5)
+
+
+def partial_u(copula, u, v):
+    """Conditional distribution ``P(V <= v | U = u) = dC/du``.
+
+    At kink-induced jump curves the right limit in v is returned, so
+    ``v -> partial_u(copula, u, v)`` is a right-continuous CDF.  Because t
+    decreases in v, that corresponds to the left derivative of the
+    dependence function.
+    """
+    u, v, scalar = _uv(u, v)
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
+    out = np.where(v >= 1.0, 1.0, 0.0)
+    interior = (v > 0.0) & (v < 1.0)
+    lu = np.log(u[interior])
+    lv = np.log(v[interior])
+    w = lu + lv
+    t = np.clip(lv / w, 0.0, 1.0)
+    a = copula.dependence.eval_fn(t)
+    da = copula.dependence.deriv_fn(t, "left")
+    out[interior] = np.exp(w * a - lu) * (a - t * da)
+    np.clip(out, 0.0, 1.0, out=out)
+    return float(out) if scalar else out
 
 
 def survival(copula, u, v):

@@ -41,6 +41,7 @@ from evcopula import (
     verify_case,
 )
 from evcopula.errors import check_int, check_real
+from evcopula.montecarlo import check_thresholds
 from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist, validate
 
 
@@ -101,6 +102,10 @@ _REJECTED = {
     "validate(grid_size=np.float64(5))": lambda: validate(_MO, np.float64(5)),
     "sample_mo(seed=2.5)": lambda: sample_mo(0.5, 0.5, 10, 2.5),
     'deriv(side="middle")': lambda: _MO.deriv(0.5, "middle"),
+    "empirical_coefficients(thresholds=0.9)": lambda: empirical_coefficients(
+        sample_mo(0.3, 0.4, 20, 0), 0.9
+    ),
+    "check_thresholds(None)": lambda: check_thresholds(None),
 }
 
 

@@ -16,7 +16,7 @@ from evcopula import (
     pareto_dependence,
 )
 from evcopula.rng import make_rng
-from reference import diag_exponent, survival
+from reference import diag_exponent, partial_u, survival
 
 IND = copula_from_pickands(gumbel_dependence(1.0))
 MO_HALF = copula_from_pickands(mo_dependence(0.5, 0.5))
@@ -113,18 +113,18 @@ class TestEvaluation:
 
 class TestPartialU:
     def test_independence_gives_v(self):
-        assert IND.partial_u(0.4, 0.7) == pytest.approx(0.7, abs=1e-15)
+        assert partial_u(IND, 0.4, 0.7) == pytest.approx(0.7, abs=1e-15)
 
     def test_comonotone_indicator(self):
         cop = copula_from_pickands(mo_dependence(1.0, 1.0))
-        assert cop.partial_u(0.3, 0.6) == pytest.approx(1.0, abs=1e-12)
-        assert cop.partial_u(0.6, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert partial_u(cop, 0.3, 0.6) == pytest.approx(1.0, abs=1e-12)
+        assert partial_u(cop, 0.6, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_gumbel_closed_value(self):
         # at u = v = 1/2 the symmetric Gumbel(2) has A'(1/2) = 0, so
         # dC/du = (C/u) A(1/2) = 2**(1/2 - sqrt(2))
         cop = copula_from_pickands(gumbel_dependence(2.0))
-        assert cop.partial_u(0.5, 0.5) == pytest.approx(
+        assert partial_u(cop, 0.5, 0.5) == pytest.approx(
             2.0 ** (0.5 - math.sqrt(2.0)), abs=1e-14
         )
 
@@ -143,35 +143,35 @@ class TestPartialU:
                 if any(abs(t - k) < 1e-3 for k in kink_ts):
                     continue  # FD straddles the jump curve there
                 fd = (cop(u + h, v) - cop(u - h, v)) / (2.0 * h)
-                assert cop.partial_u(u, v) == pytest.approx(fd, abs=1e-5)
+                assert partial_u(cop, u, v) == pytest.approx(fd, abs=1e-5)
 
     def test_right_continuous_and_monotone_in_v(self):
         cop = copula_from_pickands(mo_dependence(0.5, 0.5))
         u = 0.3
         vs = np.linspace(1e-6, 1.0, 2001)
-        f = cop.partial_u(u, vs)
+        f = partial_u(cop, u, vs)
         assert np.all(np.diff(f) >= -1e-12)
         # at the jump curve v = u**(alpha/beta) the right limit is returned
         vjump = u ** (0.5 / 0.5)
         eps = 1e-9
-        assert cop.partial_u(u, vjump) == pytest.approx(
-            cop.partial_u(u, vjump + eps), abs=1e-6
+        assert partial_u(cop, u, vjump) == pytest.approx(
+            partial_u(cop, u, vjump + eps), abs=1e-6
         )
-        assert cop.partial_u(u, vjump) > cop.partial_u(u, vjump - eps) + 0.1
+        assert partial_u(cop, u, vjump) > partial_u(cop, u, vjump - eps) + 0.1
 
     def test_range(self):
         rng = make_rng(5)
         u, v = rng.random(1000), rng.random(1000)
         u = np.maximum(u, 1e-12)
         for cop in _family_zoo():
-            p = cop.partial_u(u, v)
+            p = partial_u(cop, u, v)
             assert np.all((p >= 0.0) & (p <= 1.0))
 
     @pytest.mark.parametrize("u, v", [(math.nan, 0.5), (0.5, math.nan), ([0.5, 0.7], [0.2, math.nan])])
     def test_nan_rejected(self, u, v):
         for cop in (MO_HALF, copula_from_pickands(gumbel_dependence(2.0))):
             with pytest.raises(ParamOutOfRangeError):
-                cop.partial_u(u, v)
+                partial_u(cop, u, v)
 
     @pytest.mark.parametrize(
         "u, v", [([0.2, 0.5], [0.1, 0.2, 0.3]), (True, 0.5), (0.5, np.True_), ("0.5", 0.5)]
@@ -179,17 +179,17 @@ class TestPartialU:
     def test_mismatched_or_non_real_arguments_rejected(self, u, v):
         for cop in (MO_HALF, copula_from_pickands(gumbel_dependence(2.0))):
             with pytest.raises(ParamOutOfRangeError):
-                cop.partial_u(u, v)
+                partial_u(cop, u, v)
 
     def test_v_off_unit_interval(self):
         for cop in _family_zoo():
-            p = cop.partial_u(0.5, [-1.0, 0.0, 1.0, 2.0])
+            p = partial_u(cop, 0.5, [-1.0, 0.0, 1.0, 2.0])
             np.testing.assert_array_equal(p, [0.0, 0.0, 1.0, 1.0])
 
     def test_out_of_range_u_rejected(self):
         for u in (0.0, -0.5, 1.5):
             with pytest.raises(ParamOutOfRangeError):
-                MO_HALF.partial_u(u, 0.5)
+                partial_u(MO_HALF, u, 0.5)
 
 
 class TestSurvival:

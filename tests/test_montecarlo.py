@@ -154,6 +154,15 @@ class TestKsStatistic:
         with pytest.raises(DegenerateSampleError):
             ks_statistic_uniform(np.asarray(x, dtype=float))
 
+    @pytest.mark.parametrize(
+        "x",
+        [np.full((2, 2), 0.5), "abc", np.float64(0.5), np.array([True, False]), [[0], [0, 1]]],
+        ids=["2-D", "string", "0-D", "bool", "ragged"],
+    )
+    def test_not_a_1d_real_array_rejected(self, x):
+        with pytest.raises(DegenerateSampleError, match="1-D array of real numbers"):
+            ks_statistic_uniform(x)
+
 
 class TestSampleBatch:
     def test_length_mismatch_rejected(self):

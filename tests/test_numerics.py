@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from evcopula import (
     NonConvergentError,
     NonFiniteError,
+    ParamOutOfRangeError,
     integrate,
     mo_dependence,
 )
@@ -78,8 +79,8 @@ class TestIntegrate:
         assert time.perf_counter() - start < 5.0
 
     def test_spec_validation(self):
-        for bad in [(0.0,), (0.6, 0.4), (math.nan,)]:
-            with pytest.raises(ValueError):
+        for bad in [(0.0,), (0.6, 0.4), (0.7, 0.3), (math.nan,), (1.5,), "ab", [[0.2, 0.3]]]:
+            with pytest.raises(ParamOutOfRangeError):
                 integrate(lambda t: t, bad)
 
     @given(

@@ -1,7 +1,7 @@
 """Retired code paths and direct formulas kept as oracles.
 
 The generic sampler must draw the same u, bit for bit, as the retired
-47-pass bisection over the public ``partial_u``, and a v within 1e-12 of
+47-pass bisection over ``reference.partial_u``, and a v within 1e-12 of
 it; the writer, reader and rank estimators must reproduce their retired
 predecessors bit for bit: the chunked CSV writer against the per-row
 writer, the ``loadtxt`` reader against the line-split reader, Kendall's tau
@@ -16,9 +16,10 @@ with the retired heap integrator, which bisected the worst panel one call
 of the integrand at a time, to twice the stated tolerance.  The envelope
 check on two arrays must equal the retired check on their ``union1d``; the
 A' of piecewise-linear functions must equal the retired index into all
-knots, less one and clipped; and ``tangent_at_half`` and ``lambda_upper``
-must equal, bit for bit, the same formulas read through the checked
-``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
+knots, less one and clipped, and their split points on the corpus must
+equal those of the retired rule on slope differences; and
+``tangent_at_half`` and ``lambda_upper`` must equal, bit for bit, the same
+formulas read through the checked ``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
 reported through the band check it shared with the grid ``validate``.
 """
 
@@ -77,7 +78,7 @@ SIZES = (1, 2, 63, 64, 65, 257, 4097)
 
 
 def bisection_sample(copula, n, seed):
-    """The generic sampler as it was: every pass calls the public partial_u."""
+    """The generic sampler as it was: every pass calls dC/du, now ``reference.partial_u``."""
     rng = make_rng(seed, 0xB1)
     u = np.maximum(rng.random(n), 1e-300)
     p = rng.random(n)
@@ -85,7 +86,7 @@ def bisection_sample(copula, n, seed):
     hi = np.ones(n)
     for _ in range(47):
         mid = 0.5 * (lo + hi)
-        ge = copula.partial_u(u, mid) >= p
+        ge = reference.partial_u(copula, u, mid) >= p
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
     return u, hi
@@ -314,6 +315,12 @@ def retired_pwl_deriv(ts, vs):
     return deriv_fn
 
 
+def retired_split_points(ts, vs):
+    """The split points of ``_pwl`` as they were: the knots where the slope rises by > 1e-12."""
+    slopes = np.diff(vs) / np.diff(ts)
+    return tuple(ts[1:-1][np.diff(slopes) > 1e-12].tolist())
+
+
 # ---------------------------------------------------------------------------
 # sampler and writer
 # ---------------------------------------------------------------------------
@@ -434,9 +441,9 @@ def test_sampler_edge_draws_are_generalized_inverses(name, monkeypatch):
     np.testing.assert_array_equal(batch.u, np.maximum(u, 1e-300))
     v, d, eps = batch.v, 2.0**-46, 1e-15  # v within 2**-47 of inf{v : dC/du >= p}
     assert np.all(v[p == 0.0] == 0.0)
-    assert np.all(cop.partial_u(batch.u, np.minimum(v + d, 1.0)) >= p - eps)
+    assert np.all(reference.partial_u(cop, batch.u, np.minimum(v + d, 1.0)) >= p - eps)
     inside = v > d
-    assert np.all(cop.partial_u(batch.u[inside], v[inside] - d) <= p[inside] + eps)
+    assert np.all(reference.partial_u(cop, batch.u[inside], v[inside] - d) <= p[inside] + eps)
 
 
 def test_writer_matches_per_row_writer_on_edge_values():
@@ -876,6 +883,22 @@ def test_pwl_deriv_matches_retired_index_after_csv_roundtrip(source, tmp_path, m
     path = tmp_path / "knots.csv"
     write_knots_csv(path, source())
     _assert_deriv_matches_retired(*_built_with_knots(lambda: read_knots_csv(path), monkeypatch))
+
+
+def test_split_points_match_retired_slope_rule_on_corpus(monkeypatch):
+    pairs = []
+    real = pickands._pwl
+
+    def spy(ts, vs, *rest, **kwargs):
+        df = real(ts, vs, *rest, **kwargs)
+        pairs.append((df.split_points, retired_split_points(ts, vs)))
+        return df
+
+    monkeypatch.setattr(pickands, "_pwl", spy)
+    dependence_corpus(600, 3)
+    assert len(pairs) > 500 and sum(len(new) for new, _ in pairs) > 1000
+    for new, old in pairs:
+        assert new == old
 
 
 def _bits(*xs):

@@ -279,7 +279,8 @@ class TestPiecewiseLinear:
     )
     def test_csv_roundtrip_of_kink_next_to_grid_knot(self, tmp_path, node, beta):
         # the written grid has a knot at `node`, 1e-13 to 1e-9 from the MO kink;
-        # across that gap a rounding of A by 1e-16 moves the slope by up to 1e-3
+        # across that gap a rounding of A by 1e-16 moves the slope by up to 1e-3,
+        # but the knot stays within rounding of the chord, so it is no split point
         path = tmp_path / "knots.csv"
         for offset in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             for kink in (node - offset, node + offset):
@@ -287,6 +288,7 @@ class TestPiecewiseLinear:
                 write_knots_csv(path, df)
                 back = read_knots_csv(path)
                 np.testing.assert_allclose(back(GRID), df(GRID), rtol=0, atol=1e-15)
+                assert back.split_points == df.split_points, kink
 
     def test_convexity_gap_in_a_units(self):
         # the knot at 0.3 lies 0.05 above the chord 0.9 of its neighbours
