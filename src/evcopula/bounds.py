@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
-from .errors import ParamOutOfRangeError, check_int, check_real, check_unit_interval
+from .errors import ParamOutOfRangeError, check_int, check_real, check_type, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -233,7 +233,7 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     violations are in A units; :func:`check_envelope` checks C itself, in
     C units.
     """
-    lam = lambda_upper(df)
+    lam = lambda_upper(check_type(df, DependenceFunction, "df"))
     rho = rho_numeric(df)
     tau = tau_numeric(df)
     ri = rho_bounds(lam)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_real
+from .errors import check_real, check_type
 from .numerics import integrate
 from .pickands import (
     DependenceFunction,
@@ -87,7 +87,7 @@ def blomqvist(copula) -> float:
 
 def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
     """All four coefficients, closed-form where the family provides one."""
-    if df.family == "marshall_olkin":
+    if check_type(df, DependenceFunction, "df").family == "marshall_olkin":
         return mo_closed_form(df.params["alpha"], df.params["beta"])
     lam = lambda_upper(df)
     beta = 2.0**lam - 1.0

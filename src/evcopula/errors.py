@@ -34,6 +34,15 @@ def check_int(x, name: str, lo: int | None = None, hi: int | None = None) -> int
     return int(x)
 
 
+def check_type(x, cls: type, name: str):
+    """``x`` itself if it is an instance of ``cls``, else ParamOutOfRangeError."""
+    if not isinstance(x, cls):
+        raise ParamOutOfRangeError(
+            f"{name} must be an instance of {cls.__name__}, got {type(x).__name__}"
+        )
+    return x
+
+
 def check_unit_interval(x, name: str) -> np.ndarray:
     """``x`` as a float array if every entry lies in [0, 1] (so none is NaN)."""
     arr = np.asarray(x, dtype=float)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int, check_real
+from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int, check_real, check_type
 from .pickands import check_mo
 from .rng import make_rng
 
@@ -229,11 +229,11 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     of v lands exactly on the jump curve.  Pairs are inverted in blocks of
     ``_BLOCK``, so memory beyond the output stays bounded.
     """
+    df = check_type(copula, EvCopula, "copula").dependence
     n = check_int(n, "n", 1)
     rng = make_rng(seed, 0xB1)
     u = np.maximum(rng.random(n), 1e-300)
     p = rng.random(n)
-    df = copula.dependence
     v = np.empty(n)
     with np.errstate(divide="ignore"):  # -ln 0 = inf: m on a piece where A = t
         table = _phi_table(df)

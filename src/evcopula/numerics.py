@@ -72,10 +72,12 @@ def integrate(f, split_points=()) -> float:
     :class:`NonConvergentError` names the worst panel when it would need
     bisecting at depth 60, or when the next level would hold more than
     ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
-    :class:`NonFiniteError` naming its t.  Split points must be real
-    numbers, strictly increasing and inside (0, 1), else
+    :class:`NonFiniteError` naming its t.  Split points must be a sequence
+    of real numbers, strictly increasing and inside (0, 1), else
     :class:`ParamOutOfRangeError`.
     """
+    if not np.iterable(split_points):
+        raise ParamOutOfRangeError(f"split points must be a sequence, got {split_points!r}")
     edges = np.array([0.0, *(check_real(p, "split point", 0.0, 1.0) for p in split_points), 1.0])
     a, b = edges[:-1], edges[1:]
     if not (a < b).all():

@@ -20,6 +20,7 @@ from .errors import (
     InvalidDependenceFunctionError,
     ParamOutOfRangeError,
     check_real,
+    check_type,
     check_unit_interval,
 )
 
@@ -44,11 +45,12 @@ class DependenceFunction:
     (0, 1) where a quadrature panel must end: every jump of A' (for
     piecewise-linear A, each knot more than 1e-15 below the chord of its
     neighbours) and, for Gumbel, the edges of its narrow curvature spike
-    at t = 1/2.  A is defined on [0, 1] only:
-    calling the function or :meth:`deriv` with t outside [0, 1] or NaN
-    raises :class:`ParamOutOfRangeError`.  ``second_fn`` is always None and
-    nothing reads it.  Instances are immutable and safe to share across
-    threads.
+    at t = 1/2 and, for theta < 2, the points ``4^-k`` and ``1 - 4^-k``
+    graded toward both ends, where the slope of A' is unbounded.  A is
+    defined on [0, 1] only: calling the function or :meth:`deriv` with t
+    outside [0, 1] or NaN raises :class:`ParamOutOfRangeError`.
+    ``second_fn`` is always None and nothing reads it.  Instances are
+    immutable and safe to share across threads.
     """
 
     family: str
@@ -209,7 +211,10 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     ``M = max(t, 1-t)`` and ``r = min(t, 1-t) / M`` so large theta stays
     finite.  A' turns from about -1 to about +1 within ~1/theta of
     t = 1/2, so panels end at ``1/2`` and ``1/2 +- k/theta`` for
-    k in {1, 4, 16, 64}, wherever those lie inside (0, 1).
+    k in {1, 4, 16, 64}, wherever those lie inside (0, 1).  For
+    theta < 2, A' holds ``r^(theta-1)``, whose slope is unbounded at t = 0
+    and t = 1, so panels also end at ``4^-k`` and ``1 - 4^-k`` for
+    k = 1..20, graded toward both ends.
     """
     theta = check_theta(theta)
     if theta == 1.0:
@@ -233,11 +238,13 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
         sign = np.where(t >= 0.5, 1.0, -1.0)
         return sign * (1.0 + r**theta) ** (1.0 / theta - 1.0) * (1.0 - r ** (theta - 1.0))
 
-    spike = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}
+    points = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}
+    if theta < 2.0:  # r^(theta-1) in A' has an unbounded slope at t = 0 and t = 1
+        points |= {e for k in range(1, 21) for e in (4.0**-k, 1.0 - 4.0**-k)}
     return DependenceFunction(
         family="gumbel",
         params={"theta": theta},
-        split_points=tuple(sorted(p for p in spike if 0.0 < p < 1.0)),
+        split_points=tuple(sorted(p for p in points if 0.0 < p < 1.0)),
         eval_fn=eval_fn,
         deriv_fn=deriv_fn,
     )
@@ -328,6 +335,8 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
     combination, so the result is valid by construction.  Its split points
     are the union of both components' points.
     """
+    check_type(first, DependenceFunction, "first")
+    check_type(second, DependenceFunction, "second")
     w = check_real(weight, "weight", 0.0, 1.0)
     cw = 1.0 - w
 

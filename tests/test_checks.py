@@ -23,6 +23,7 @@ from evcopula import (
     ParamOutOfRangeError,
     SampleBatch,
     check_envelope,
+    compute_coefficients,
     copula_from_pickands,
     empirical_coefficients,
     ev_inequalities,
@@ -106,6 +107,12 @@ _REJECTED = {
         sample_mo(0.3, 0.4, 20, 0), 0.9
     ),
     "check_thresholds(None)": lambda: check_thresholds(None),
+    # a dependence function where a copula belongs, or a string for either:
+    # each raised a bare AttributeError
+    "sample_generic(dependence function)": lambda: sample_generic(mo_dependence(0.3, 0.4), 10, 0),
+    'mix(second="abc")': lambda: mix(_MO, "abc", 0.5),
+    'compute_coefficients("abc")': lambda: compute_coefficients("abc"),
+    'verify_case("abc")': lambda: verify_case("abc"),
 }
 
 

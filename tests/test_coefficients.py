@@ -24,6 +24,7 @@ from evcopula import (
     rho_numeric,
     tau_numeric,
 )
+from evcopula import numerics
 from evcopula.rng import make_rng
 
 QUAD_ORACLE_SIZE = 20
@@ -76,6 +77,44 @@ class TestTauNumeric:
         assert tau_numeric(m) == pytest.approx(tau_numeric(f), abs=1e-10)
         m = mix(f, g, 0.0)
         assert tau_numeric(m) == pytest.approx(tau_numeric(g), abs=1e-8)
+
+
+# Gumbel (rho, tau) near independence, at the double theta of each key.  rho
+# is 12 * mpmath.quad((A + 1)^-2) - 3 at 50 digits, over the panels that end
+# at 1/2, 4^-k and 1 - 4^-k (k = 1..20), with A = M (1 + r^theta)^(1/theta),
+# M = max(t, 1-t) and r = min(t, 1-t) / M; tau is 1 - 1/theta at 50 digits,
+# which mpmath.quad of the tau integrand over the same panels matches to 1e-49.
+_GUMBEL_MPMATH = {
+    1.00000001: (1.499999974796788382720125e-8, 9.999999839225292506272665e-9),
+    1.0001: (1.499839144436545005151601e-4, 9.999000099988899878894794e-5),
+    1.01: (0.01484056810121132734685806, 0.00990099009900990969687697),
+    1.5: (0.4766611555985565603782422, 0.3333333333333333333333333),
+    1.99: (0.6793863563727820257129052, 0.4974874371859296459983879),
+}
+
+
+class TestGumbelNearIndependence:
+    @pytest.mark.parametrize("theta", list(_GUMBEL_MPMATH))
+    def test_rho_and_tau_match_mpmath(self, theta):
+        rho, tau = _GUMBEL_MPMATH[theta]
+        df = gumbel_dependence(theta)
+        assert rho_numeric(df) == pytest.approx(rho, rel=0, abs=1e-15)
+        assert tau_numeric(df) == pytest.approx(tau, rel=0, abs=1e-15)
+
+    def test_tau_takes_at_most_two_levels_below_theta_two(self, monkeypatch):
+        # the ends' panels are graded from the first level on, so the
+        # unbounded slope of r^(theta-1) at t = 0 and 1 bisects nothing
+        gk15, calls = numerics._gk15, []
+
+        def counted(*args):
+            calls.append(1)
+            return gk15(*args)
+
+        monkeypatch.setattr(numerics, "_gk15", counted)
+        for theta in (1.0 + 1e-12, 1.00000001, 1.0001, 1.01, 1.03, 1.2, 1.5, 1.99, 2.0 - 1e-9):
+            calls.clear()
+            tau_numeric(gumbel_dependence(theta))
+            assert len(calls) <= 2, (theta, len(calls))
 
 
 class TestScipyQuadOracle:

@@ -79,7 +79,8 @@ class TestIntegrate:
         assert time.perf_counter() - start < 5.0
 
     def test_spec_validation(self):
-        for bad in [(0.0,), (0.6, 0.4), (0.7, 0.3), (math.nan,), (1.5,), "ab", [[0.2, 0.3]]]:
+        bad_points = [(0.0,), (0.6, 0.4), (0.7, 0.3), (math.nan,), (1.5,), "ab", [[0.2, 0.3]]]
+        for bad in bad_points + [0.5, None]:  # the last two are not sequences
             with pytest.raises(ParamOutOfRangeError):
                 integrate(lambda t: t, bad)
 

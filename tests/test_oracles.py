@@ -343,6 +343,10 @@ COPULAS = {
     "tangent(1,0)": lambda: pareto_dependence(1.0, 0.0),
     "comonotone(0.5,0.5)": lambda: pareto_dependence(0.5, 0.5),
     "gumbel(1)": lambda: gumbel_dependence(1.0),
+    # theta < 2: 41 split points graded toward both ends, 42 table panels
+    "gumbel(1.03)": lambda: gumbel_dependence(1.03),
+    "gumbel(1.5)": lambda: gumbel_dependence(1.5),
+    "mix(gumbel(1.2),mo(0.3,0.8))": lambda: mix(gumbel_dependence(1.2), mo_dependence(0.3, 0.8), 0.6),
     "gumbel(2)": lambda: gumbel_dependence(2.0),
     "gumbel(50)": lambda: gumbel_dependence(50.0),
     "gumbel(1e3)": lambda: gumbel_dependence(1e3),

@@ -17,6 +17,7 @@ from evcopula import (
     piecewise_linear_dependence,
     read_knots_csv,
     tangent_at_half,
+    verify_case,
     write_knots_csv,
 )
 from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
@@ -95,6 +96,12 @@ class TestGumbel:
         assert pts == pytest.approx(sorted(want + [0.5]), abs=1e-15)
         # huge theta: the offsets vanish below the spacing of doubles at 1/2
         assert gumbel_dependence(1e300).split_points == (0.5,)
+        # theta < 2: every 1/2 +- k/theta lies outside (0, 1), and the panels
+        # are graded toward the ends, where the slope of A' is unbounded
+        ends = [4.0**-k for k in range(1, 21)]
+        want = sorted(ends + [0.5] + [1.0 - e for e in ends])
+        assert gumbel_dependence(1.5).split_points == tuple(want)
+        assert gumbel_dependence(1.0 + 1e-8).split_points == tuple(want)
 
     def test_numpy_real_theta_accepted(self):
         for theta in (np.float32(2.0), np.float64(2.0), np.int64(2), 2):
@@ -289,6 +296,19 @@ class TestPiecewiseLinear:
                 back = read_knots_csv(path)
                 np.testing.assert_allclose(back(GRID), df(GRID), rtol=0, atol=1e-15)
                 assert back.split_points == df.split_points, kink
+
+    def test_csv_roundtrip_of_gumbel_below_theta_two_verifies(self, tmp_path):
+        # the written knots include the split points graded toward both ends,
+        # down to 4^-20 from t = 0 and t = 1, where knots lie 1e-12 apart
+        path = tmp_path / "knots.csv"
+        df = gumbel_dependence(1.03)
+        write_knots_csv(path, df)
+        back = read_knots_csv(path)
+        t = np.array([k[0] for k in back.params["knots"]])
+        assert set(df.split_points) <= set(t.tolist())
+        np.testing.assert_allclose(back(t), df(t), rtol=0, atol=1e-15)
+        report = verify_case(back)
+        assert report["passed"], report
 
     def test_convexity_gap_in_a_units(self):
         # the knot at 0.3 lies 0.05 above the chord 0.9 of its neighbours
