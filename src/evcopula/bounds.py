@@ -106,7 +106,7 @@ def pointwise_upper(a: float, b: float, u, v):
 def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     """Evaluate both envelopes against the copula on a uniform grid."""
     grid = check_int(grid, "grid", 2)
-    df = copula.dependence
+    df = check_type(copula, EvCopula, "copula").dependence
     lam = lambda_upper(df)
     a, b = tangent_at_half(df)
     pts = np.linspace(0.0, 1.0, grid)
@@ -209,7 +209,7 @@ def _random_component(rng, kind: int) -> DependenceFunction:
 
 def random_dependence_function(rng) -> DependenceFunction:
     """Draw one valid dependence function (PWL, MO, Gumbel, tangent, or mixture)."""
-    kind = int(rng.integers(0, 5))
+    kind = int(check_type(rng, np.random.Generator, "rng").integers(0, 5))
     if kind < 4:
         return _random_component(rng, kind)
     first = _random_component(rng, int(rng.integers(0, 4)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .copula import EvCopula
 from .errors import check_real, check_type
 from .numerics import integrate
 from .pickands import (
@@ -59,7 +60,8 @@ class CoefficientSet:
 
 def rho_numeric(df: DependenceFunction) -> float:
     """Spearman's rho by quadrature split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
-    return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, df.split_points) - 3.0
+    points = check_type(df, DependenceFunction, "df").split_points
+    return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, points) - 3.0
 
 
 def tau_numeric(df: DependenceFunction) -> float:
@@ -77,12 +79,12 @@ def tau_numeric(df: DependenceFunction) -> float:
         d = df.deriv_fn(t, "right")
         return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
 
-    return integrate(integrand, df.split_points)
+    return integrate(integrand, check_type(df, DependenceFunction, "df").split_points)
 
 
 def blomqvist(copula) -> float:
     """Blomqvist's beta ``4 C(1/2, 1/2) - 1``."""
-    return 4.0 * float(copula(0.5, 0.5)) - 1.0
+    return 4.0 * float(check_type(copula, EvCopula, "copula")(0.5, 0.5)) - 1.0
 
 
 def compute_coefficients(df: DependenceFunction) -> CoefficientSet:

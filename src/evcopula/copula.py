@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError
+from .errors import ParamOutOfRangeError, check_type
 from .pickands import DependenceFunction
 from .rng import make_rng
 
@@ -23,6 +23,9 @@ class EvCopula:
     """Immutable extreme value copula ``C(u, v)`` of a dependence function."""
 
     dependence: DependenceFunction
+
+    def __post_init__(self):
+        check_type(self.dependence, DependenceFunction, "dependence")
 
     def __call__(self, u, v):
         """``C(u, v)``; u and v outside [0, 1] are clamped, NaN raises."""
@@ -66,6 +69,7 @@ def copula_from_pickands(df: DependenceFunction) -> EvCopula:
 
 def check_max_stability(copula: EvCopula, seed: int = 0) -> float:
     """Max of ``|C(u^s, v^s) - C(u, v)^s|`` over 10000 random (u, v, s), s in (0, 10]."""
+    check_type(copula, EvCopula, "copula")
     rng = make_rng(seed, 0x5CA1E)
     u = rng.random(10000)
     v = rng.random(10000)
@@ -76,6 +80,6 @@ def check_max_stability(copula: EvCopula, seed: int = 0) -> float:
 def check_two_increasing(copula: EvCopula) -> float:
     """Minimum rectangle volume of the copula over the 64 x 64 cells of a uniform grid."""
     pts = np.linspace(0.0, 1.0, 65)
-    cm = copula(pts[:, None], pts[None, :])
+    cm = check_type(copula, EvCopula, "copula")(pts[:, None], pts[None, :])
     vol = cm[1:, 1:] - cm[:-1, 1:] - cm[1:, :-1] + cm[:-1, :-1]
     return float(vol.min())

@@ -44,8 +44,14 @@ def check_type(x, cls: type, name: str):
 
 
 def check_unit_interval(x, name: str) -> np.ndarray:
-    """``x`` as a float array if every entry lies in [0, 1] (so none is NaN)."""
-    arr = np.asarray(x, dtype=float)
+    """``x`` as a float array if it holds real numbers (not bools, strings or NaN) in [0, 1]."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ParamOutOfRangeError(f"{name} must be real numbers, got {type(x).__name__}")
+    arr = arr.astype(float, copy=False)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ParamOutOfRangeError(f"{name} must lie in [0, 1]")
     return arr

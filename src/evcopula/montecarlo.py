@@ -409,7 +409,7 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with the empirical copula
     C_n on normalized ranks, summarized at the largest threshold.
     """
-    u, v = batch.u, batch.v
+    u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
     if n < 10:
         raise DegenerateSampleError(f"need at least 10 pairs, got {n}")
@@ -453,6 +453,7 @@ def write_batch_csv(batch: SampleBatch, stream) -> None:
     u and v values, written to ``stream`` as soon as it is made, so the
     text of the whole batch never sits in memory.
     """
+    check_type(batch, SampleBatch, "batch")
     stream.write("u,v\n")
     for s in range(0, batch.n, _CSV_ROWS):
         uv = np.column_stack((batch.u[s : s + _CSV_ROWS], batch.v[s : s + _CSV_ROWS]))

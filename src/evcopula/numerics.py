@@ -74,8 +74,10 @@ def integrate(f, split_points=()) -> float:
     ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
     :class:`NonFiniteError` naming its t.  Split points must be a sequence
     of real numbers, strictly increasing and inside (0, 1), else
-    :class:`ParamOutOfRangeError`.
+    :class:`ParamOutOfRangeError`, as is an ``f`` that is not callable.
     """
+    if not callable(f):
+        raise ParamOutOfRangeError(f"integrand must be callable, got {type(f).__name__}")
     if not np.iterable(split_points):
         raise ParamOutOfRangeError(f"split points must be a sequence, got {split_points!r}")
     edges = np.array([0.0, *(check_real(p, "split point", 0.0, 1.0) for p in split_points), 1.0])

@@ -139,13 +139,13 @@ def _bulge(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
     """Exact constraint checks for finite, increasing knots, in A units within ``_CHECK_TOL``.
 
-    Domain and endpoints, then knot values against the band in increasing t
+    Each end of the domain that is off 0 or 1, at its own t, then the
+    endpoint values, then knot values against the band in increasing t
     (at most 50 envelope and 50 upper-bound violations; no t is both), then
     each interior knot against the chord of its two neighbours.
     """
-    bad = []
-    if abs(ts[0]) > _CHECK_TOL or abs(ts[-1] - 1.0) > _CHECK_TOL:
-        bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
+    ends = ((float(ts[0]), 0.0), (float(ts[-1]), 1.0))
+    bad = [(t, "domain", abs(t - end)) for t, end in ends if abs(t - end) > _CHECK_TOL]
     bad += [
         (end, "endpoint", abs(float(v) - 1.0))
         for end, v in ((0.0, vs[0]), (1.0, vs[-1]))
@@ -166,16 +166,26 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
     return ValidationReport(valid=not bad, violations=tuple(bad))
 
 
+def _distinct(ts: np.ndarray, vs: np.ndarray) -> tuple:
+    """``(ts, vs)`` less each knot within 1e-12 of the one before it or of the last, which stays."""
+    keep = (np.diff(ts, prepend=-np.inf) > 1e-12) & (ts < ts[-1] - 1e-12)
+    keep[-1] = True
+    return ts[keep], vs[keep]
+
+
 def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> tuple:
     """Knots ``(t, A)`` of the pointwise maximum of two piecewise-linear functions."""
     ts = np.union1d(ta, tb)
     d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
     i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
     t = np.union1d(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
-    # of two points within 1e-12 the first stays, except that t = 1 always stays
-    keep = np.concatenate([[True], np.diff(t) > 1e-12]) & (t < t[-1] - 1e-12)
-    t = np.append(t[keep], t[-1])
-    return t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb))
+    return _distinct(t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb)))
+
+
+def _invalid(message: str, t: float, kind: str, gap: float) -> InvalidDependenceFunctionError:
+    """The knot error whose report holds the one violation ``(t, kind, gap)``."""
+    report = ValidationReport(False, ((float(t), kind, gap),))
+    return InvalidDependenceFunctionError(message, report)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +198,19 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
 
     Piecewise linear with a single kink at ``alpha / (alpha + beta)``;
     either parameter equal to zero collapses to independence (A == 1).
+    A kink that :func:`_distinct` drops, one too near t = 0 or 1 as at
+    ``(1e-13, 0.2)``, stays in A but is no split point, so ``tau_numeric``
+    misses its atom: within its absolute tolerance, up to 100% relative.
     """
     alpha, beta = check_mo(alpha, beta)
 
     def eval_fn(t):
         return 1.0 - np.minimum(beta * t, alpha * (1.0 - t))
 
-    tstar = alpha / (alpha + beta) if alpha + beta > 0.0 else 0.0
-    if alpha == 0.0 or beta == 0.0 or not 1e-12 < tstar < 1.0 - 1e-12:
-        # no kink, or one indistinguishable from the boundary
-        knots = [(0.0, 1.0), (1.0, 1.0)]
-    else:
-        knots = [(0.0, 1.0), (tstar, 1.0 - alpha * beta / (alpha + beta)), (1.0, 1.0)]
-    return _pwl(*np.transpose(knots), "marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn)
+    s = alpha + beta or 1.0  # both zero: the kink sits at t = 0 and is dropped
+    knots = [(0.0, 1.0), (alpha / s, 1.0 - alpha * beta / s), (1.0, 1.0)]
+    params = {"alpha": alpha, "beta": beta}
+    return _pwl(*_distinct(*np.transpose(knots)), "marshall_olkin", params, eval_fn)
 
 
 def gumbel_dependence(theta: float) -> DependenceFunction:
@@ -267,17 +277,10 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
 
     if a + b >= 1.0:
         knots = ENVELOPE_KNOTS
-    else:
-        nu = a - b
-        knots = [(0.0, 1.0)]
-        tp = a / (1.0 + nu)
-        tq = (1.0 - a) / (1.0 - nu)
-        if tp > 1e-12:
-            knots.append((tp, 1.0 - tp))
-        if tq < 1.0 - 1e-12 and tq - tp > 1e-12:  # a + b -> 1 collapses tq onto tp
-            knots.append((tq, tq))
-        knots.append((1.0, 1.0))
-    return _pwl(*np.transpose(knots), "pareto", {"a": a, "b": b}, eval_fn)
+    else:  # a + b -> 1 collapses tq onto tp, and _distinct drops it
+        tp, tq = a / (1.0 + (a - b)), (1.0 - a) / (1.0 - (a - b))
+        knots = [(0.0, 1.0), (tp, 1.0 - tp), (tq, tq), (1.0, 1.0)]
+    return _pwl(*_distinct(*np.transpose(knots)), "pareto", {"a": a, "b": b}, eval_fn)
 
 
 def piecewise_linear_dependence(knots) -> DependenceFunction:
@@ -294,27 +297,16 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     except (TypeError, ValueError):  # ragged rows or non-numbers
         pts = np.empty(0)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidDependenceFunctionError(
-            "knots must be (t, A) pairs", ValidationReport(False, ((0.0, "format", 1.0),))
-        )
+        raise _invalid("knots must be (t, A) pairs", 0.0, "format", 1.0)
     if len(pts) < 2:
-        raise InvalidDependenceFunctionError(
-            "need at least two knots",
-            ValidationReport(False, ((0.0, "domain", 1.0),)),
-        )
+        raise _invalid("need at least two knots", 0.0, "domain", 1.0)
     ts, vs = pts.T.copy()  # contiguous rows
     finite = np.isfinite(ts) & np.isfinite(vs)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise InvalidDependenceFunctionError(
-            f"knot {i} is not finite: ({ts[i]}, {vs[i]})",
-            ValidationReport(False, ((float(ts[i]), "non_finite", math.inf),)),
-        )
+        raise _invalid(f"knot {i} is not finite: ({ts[i]}, {vs[i]})", ts[i], "non_finite", math.inf)
     if np.any(np.diff(ts) <= 0.0):
-        raise InvalidDependenceFunctionError(
-            "knot abscissae must be strictly increasing",
-            ValidationReport(False, ((float(ts.min()), "domain", 0.0),)),
-        )
+        raise _invalid("knot abscissae must be strictly increasing", ts.min(), "domain", 0.0)
     report = _structural_report(ts, vs)
     if not report.valid:
         raise InvalidDependenceFunctionError(
@@ -362,7 +354,8 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
 
 def lambda_upper(df: DependenceFunction) -> float:
     """Upper tail coefficient ``2 (1 - A(1/2))`` in [0, 1]; A is read through ``df.eval_fn``."""
-    return min(max(2.0 * (1.0 - float(df.eval_fn(np.asarray(0.5)))), 0.0), 1.0)
+    a_half = check_type(df, DependenceFunction, "df").eval_fn(np.asarray(0.5))
+    return min(max(2.0 * (1.0 - float(a_half)), 0.0), 1.0)
 
 
 def tangent_at_half(df: DependenceFunction) -> tuple:
@@ -388,10 +381,7 @@ def read_knots_csv(path) -> DependenceFunction:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["t", "a"]:
-        raise InvalidDependenceFunctionError(
-            f"{path}: expected header 't,A'",
-            ValidationReport(False, ((0.0, "header", 1.0),)),
-        )
+        raise _invalid(f"{path}: expected header 't,A'", 0.0, "header", 1.0)
     knots = []
     for i, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -400,18 +390,13 @@ def read_knots_csv(path) -> DependenceFunction:
             knots.append((float(row[0]), float(row[1])))
         except (IndexError, ValueError):  # one column, or not a number
             got = "one column" if len(row) < 2 else f"{row[0]!r}, {row[1]!r}"
-            raise InvalidDependenceFunctionError(
-                f"{path}: row {i} has {got}, expected two numbers 't,A'",
-                ValidationReport(False, ((0.0, "format", 1.0),)),
-            ) from None
+            message = f"{path}: row {i} has {got}, expected two numbers 't,A'"
+            raise _invalid(message, 0.0, "format", 1.0) from None
     return piecewise_linear_dependence(knots)
 
 
 def write_knots_csv(path, df: DependenceFunction) -> None:
     """Serialize a dependence function as a ``t,A`` CSV: 257 equispaced knots plus split points."""
-    grid = np.union1d(np.linspace(0.0, 1.0, 257), np.asarray(df.split_points))
-    vals = df(grid)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,A\n")
-        for t, v in zip(grid, vals):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    t = np.union1d(np.linspace(0, 1, 257), check_type(df, DependenceFunction, "df").split_points)
+    rows = np.column_stack((t, df(t)))
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,A", comments="")

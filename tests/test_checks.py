@@ -8,8 +8,10 @@ one check of (u, v) arrays.
 """
 
 import dataclasses
+import io
 import math
 import numbers
+import os
 
 import numpy as np
 import pytest
@@ -19,27 +21,40 @@ from hypothesis import strategies as st
 from evcopula import (
     DegenerateSampleError,
     DependenceFunction,
+    EvCopula,
     EvCopulaError,
     ParamOutOfRangeError,
     SampleBatch,
+    blomqvist,
     check_envelope,
+    check_max_stability,
+    check_two_increasing,
     compute_coefficients,
     copula_from_pickands,
     empirical_coefficients,
     ev_inequalities,
     gumbel_closed_form,
     gumbel_dependence,
+    integrate,
+    lambda_upper,
     mix,
     mo_closed_form,
     mo_dependence,
     pareto_closed_form,
     pareto_dependence,
     kendall_tau_stat,
+    pointwise_lower,
+    random_dependence_function,
     rho_bounds,
+    rho_numeric,
     sample_generic,
     sample_mo,
+    tangent_at_half,
     tau_bounds,
+    tau_numeric,
     verify_case,
+    write_batch_csv,
+    write_knots_csv,
 )
 from evcopula.errors import check_int, check_real
 from evcopula.montecarlo import check_thresholds
@@ -113,6 +128,27 @@ _REJECTED = {
     'mix(second="abc")': lambda: mix(_MO, "abc", 0.5),
     'compute_coefficients("abc")': lambda: compute_coefficients("abc"),
     'verify_case("abc")': lambda: verify_case("abc"),
+    # a string where t, u, v or the integrand belongs: a bare ValueError or TypeError
+    'df("abc")': lambda: _MO("abc"),
+    'df.deriv("abc")': lambda: _MO.deriv("abc"),
+    'pointwise_lower(v="abc")': lambda: pointwise_lower(0.5, "abc", 0.5),
+    'integrate("abc")': lambda: integrate("abc", ()),
+    # a string where a dependence function, copula, batch or generator belongs:
+    # a bare AttributeError or TypeError, or a copula that failed when called
+    'rho_numeric("abc")': lambda: rho_numeric("abc"),
+    'tau_numeric("abc")': lambda: tau_numeric("abc"),
+    'lambda_upper("abc")': lambda: lambda_upper("abc"),
+    'tangent_at_half("abc")': lambda: tangent_at_half("abc"),
+    'check_envelope("abc")': lambda: check_envelope("abc"),
+    'check_max_stability("abc")': lambda: check_max_stability("abc"),
+    'check_two_increasing("abc")': lambda: check_two_increasing("abc"),
+    'blomqvist("abc")': lambda: blomqvist("abc"),
+    'copula_from_pickands("abc")': lambda: copula_from_pickands("abc"),
+    'EvCopula("abc")': lambda: EvCopula("abc"),
+    'empirical_coefficients("abc")': lambda: empirical_coefficients("abc"),
+    'write_knots_csv(df="abc")': lambda: write_knots_csv(os.devnull, "abc"),
+    'write_batch_csv("abc")': lambda: write_batch_csv("abc", io.StringIO()),
+    'random_dependence_function("abc")': lambda: random_dependence_function("abc"),
 }
 
 

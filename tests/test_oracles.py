@@ -20,7 +20,11 @@ knots, less one and clipped, and their split points on the corpus must
 equal those of the retired rule on slope differences; and
 ``tangent_at_half`` and ``lambda_upper`` must equal, bit for bit, the same
 formulas read through the checked ``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
-reported through the band check it shared with the grid ``validate``.
+reported through the band check it shared with the grid ``validate``,
+except that an end of the domain that is off is named at its own t.  The
+Marshall-Olkin and tangent knots, built through the one distinct-knot rule,
+must equal bit for bit those of the guards each family kept before, and the
+knot writer must write the bytes of the retired per-row writer.
 """
 
 import heapq
@@ -35,6 +39,7 @@ from evcopula import (
     EmpiricalCoefficients,
     NonConvergentError,
     NonFiniteError,
+    ParamOutOfRangeError,
     SampleBatch,
     copula_from_pickands,
     dependence_corpus,
@@ -42,6 +47,7 @@ from evcopula import (
     gumbel_dependence,
     kendall_tau_stat,
     mix,
+    mo_closed_form,
     mo_dependence,
     pareto_dependence,
     piecewise_linear_dependence,
@@ -942,9 +948,8 @@ def test_reads_at_half_match_checked_reads():
 
 def retired_structural_report(ts, vs):
     """The knot check as it was, through the band check it shared with ``validate``."""
-    bad = []
-    if abs(ts[0]) > 1e-9 or abs(ts[-1] - 1.0) > 1e-9:
-        bad.append((float(ts[0]), "domain", abs(float(ts[0]))))
+    ends = ((float(ts[0]), 0.0), (float(ts[-1]), 1.0))
+    bad = [(t, "domain", abs(t - e)) for t, e in ends if abs(t - e) > 1e-9]
     probe = np.union1d(ts, [0.5])
     bad += reference._band_violations(probe, np.interp(probe, ts, vs))
     w = (ts[1:-1] - ts[:-2]) / (ts[2:] - ts[:-2])
@@ -968,3 +973,123 @@ def test_structural_report_matches_shared_band_check():
         if rng.random() < 0.5:
             vs[0], vs[-1] = 1.0, 1.0
         assert pickands._structural_report(ts, vs) == retired_structural_report(ts, vs), i
+
+
+# ---------------------------------------------------------------------------
+# MO and tangent knots: the shared distinct-knot rule against the retired guards
+# ---------------------------------------------------------------------------
+
+
+def retired_mo_knots(alpha, beta):
+    """The knot arrays ``mo_dependence`` built as it was, with its own guard on the kink."""
+    tstar = alpha / (alpha + beta) if alpha + beta > 0.0 else 0.0
+    if alpha == 0.0 or beta == 0.0 or not 1e-12 < tstar < 1.0 - 1e-12:
+        return np.transpose([(0.0, 1.0), (1.0, 1.0)])
+    return np.transpose([(0.0, 1.0), (tstar, 1.0 - alpha * beta / (alpha + beta)), (1.0, 1.0)])
+
+
+def retired_tangent_knots(a, b):
+    """The knot arrays ``pareto_dependence`` built as it was, with its own guards on both kinks."""
+    if a + b >= 1.0:
+        return np.transpose(pickands.ENVELOPE_KNOTS)
+    nu = a - b
+    knots = [(0.0, 1.0)]
+    tp = a / (1.0 + nu)
+    tq = (1.0 - a) / (1.0 - nu)
+    if tp > 1e-12:
+        knots.append((tp, 1.0 - tp))
+    if tq < 1.0 - 1e-12 and tq - tp > 1e-12:
+        knots.append((tq, tq))
+    knots.append((1.0, 1.0))
+    return np.transpose(knots)
+
+
+def retired_write_knots_csv(path, df):
+    """The knot writer as it was: one formatted line per knot."""
+    grid = np.union1d(np.linspace(0.0, 1.0, 257), np.asarray(df.split_points))
+    vals = df(grid)
+    with open(path, "w", newline="") as fh:
+        fh.write("t,A\n")
+        for t, v in zip(grid, vals):
+            fh.write(f"{t:.17g},{v:.17g}\n")
+
+
+_EPS = np.finfo(float).eps
+# kinks at, just inside and just outside 1e-12 of either end, and in the middle
+EDGE_VALUES = (
+    0.0, 1e-300, 1e-15, 1e-13, 1e-12 * (1.0 - _EPS), 1e-12, 1e-12 * (1.0 + 2.0 * _EPS), 2e-12,
+    1e-9, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-12, 1.0 - 1e-13, 1.0,
+)
+
+
+def _edge_pairs():
+    """Every pair of edge values, 300 random pairs, and pairs whose sum is within 1e-11 of 1."""
+    rng = make_rng(0, 0xED6E)
+    pairs = [(a, b) for a in EDGE_VALUES for b in EDGE_VALUES]
+    pairs += [tuple(rng.random(2).tolist()) for _ in range(300)]
+    firsts = (*EDGE_VALUES, *rng.random(20).tolist())
+    gaps = (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12, 5e-12, 1e-11)
+    return pairs + [(a, 1.0 - a - d) for a in firsts for d in gaps]
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, retired",
+    [(mo_dependence, retired_mo_knots), (pareto_dependence, retired_tangent_knots)],
+    ids=["mo", "tangent"],
+)
+def test_family_knots_match_retired_guards(build, retired, monkeypatch):
+    seen = []
+    real = pickands._pwl
+
+    def spy(ts, vs, *rest):
+        seen.append((ts, vs))
+        return real(ts, vs, *rest)
+
+    monkeypatch.setattr(pickands, "_pwl", spy)
+    t = np.linspace(0.0, 1.0, 1001)
+    built = 0
+    for a, b in _edge_pairs():
+        try:
+            df = build(a, b)
+        except ParamOutOfRangeError:  # b past its range; the check is not under test
+            continue
+        built += 1
+        ((ts, vs),) = seen
+        seen.clear()
+        old_ts, old_vs = retired(*df.params.values())  # the checked floats, in argument order
+        assert _same_bits(ts, old_ts) and _same_bits(vs, old_vs), (a, b)
+        old = real(old_ts, old_vs, df.family, df.params, df.eval_fn)
+        assert df.split_points == old.split_points, (a, b)
+        for side in ("left", "right"):
+            assert _same_bits(df.deriv_fn(t, side), old.deriv_fn(t, side)), (a, b, side)
+    assert built > 600
+
+
+def test_knot_writer_matches_per_row_writer(tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    for df in [
+        gumbel_dependence(1.03),
+        mo_dependence(0.3, 0.7),
+        mo_dependence(1e-13, 0.2),
+        pareto_dependence(0.3, 0.2),
+        pareto_dependence(0.5, 0.5),
+        *dependence_corpus(50, 7),
+    ]:
+        write_knots_csv(new, df)
+        retired_write_knots_csv(old, df)
+        assert new.read_bytes() == old.read_bytes(), df
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-13, 0.2), (0.2, 1e-13)])
+def test_collapsed_mo_kink_stays_within_the_absolute_tolerance(alpha, beta):
+    # the kink lies within 1e-12 of an end, so it is no knot and no split point;
+    # tau_numeric misses its atom (tau is about 1e-13, so the relative error can
+    # reach 100%), which the absolute tolerance of the quadrature allows
+    df = mo_dependence(alpha, beta)
+    assert df.split_points == ()
+    assert abs(tau_numeric(df) - mo_closed_form(alpha, beta).tau) <= 1e-12

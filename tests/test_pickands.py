@@ -251,6 +251,20 @@ class TestPiecewiseLinear:
         with pytest.raises(InvalidDependenceFunctionError):
             piecewise_linear_dependence([(0, 1), (0.5, 0.8), (0.5, 0.9), (1, 1)])
 
+    @pytest.mark.parametrize(
+        "knots, violations",
+        [
+            ([(0, 1), (0.5, 0.75), (0.9, 1)], ((0.9, "domain", 1.0 - 0.9),)),
+            ([(0.2, 1), (0.5, 0.75), (1, 1)], ((0.2, "domain", 0.2),)),
+            ([(0.2, 1), (0.5, 0.75), (0.9, 1)], ((0.2, "domain", 0.2), (0.9, "domain", 1.0 - 0.9))),
+        ],
+    )
+    def test_domain_violation_names_the_end_that_is_off(self, knots, violations):
+        with pytest.raises(InvalidDependenceFunctionError) as err:
+            piecewise_linear_dependence(knots)
+        assert err.value.report.violations == violations
+        assert all(f"domain at t={t:g}" in str(err.value) for t, _, _ in violations)
+
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "knots.csv"
         path.write_text("t,A\n0,1\n0.5,0.75\n1,1\n")
@@ -377,6 +391,17 @@ class TestDomain:
             with pytest.raises(ParamOutOfRangeError):
                 df(t)
             with pytest.raises(ParamOutOfRangeError):
+                df.deriv(t)
+
+    @pytest.mark.parametrize(
+        "t", ["abc", "0.5", None, True, np.array([0.5, 0.5j]), [[0.5, 0.5], [0.5]]], ids=repr
+    )
+    def test_non_numbers_rejected(self, t):
+        # strings, bools, complex numbers and ragged lists are no t, as for u and v
+        for df in (gumbel_dependence(2.0), mo_dependence(0.3, 0.6)):
+            with pytest.raises(ParamOutOfRangeError, match="t must be real numbers"):
+                df(t)
+            with pytest.raises(ParamOutOfRangeError, match="t must be real numbers"):
                 df.deriv(t)
 
     def test_endpoints_accepted(self):
