@@ -30,6 +30,8 @@ from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
     _pwl_max,
+    _tangent,
+    _union,
     check_lambda,
     check_tangent,
     gumbel_dependence,
@@ -37,7 +39,6 @@ from .pickands import (
     mo_dependence,
     pareto_dependence,
     piecewise_linear_dependence,
-    tangent_at_half,
 )
 from .rng import make_rng
 
@@ -108,7 +109,7 @@ def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     grid = check_int(grid, "grid", 2)
     df = check_type(copula, EvCopula, "copula").dependence
     lam = lambda_upper(df)
-    a, b = tangent_at_half(df)
+    a, b = _tangent(df, lam)
     pts = np.linspace(0.0, 1.0, grid)
     uu = pts[:, None]
     vv = pts[None, :]
@@ -129,21 +130,22 @@ def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeChe
     With w = ln(uv) < 0 and t = ln v / w, C = exp(w A(t)); so C lies above
     the lower envelope iff ``A(t) <= 1 - lam min(t, 1-t)``, and below the
     upper one iff ``A(t) >= max(t, 1-t, (1-a)(1-t) + (1-b)t)``.  The gaps are
-    maximized over the grid and, as a second array, the kinks (split points
-    of A, kinks of both bounds), so for a piecewise-linear A the check is
-    exact.  ``np.maximum`` keeps NaN, so a NaN in A is a violation.
+    maximized over the grid followed by the kinks (split points of A, kinks
+    of both bounds), so for a piecewise-linear A the check is exact; a
+    maximum does not depend on the order of the points.  ``lam`` must be
+    ``lambda_upper(df)``.  ``np.maximum`` keeps NaN, so a NaN in A is a
+    violation.
     """
     grid = check_int(grid, "grid", 2)
-    a, b = tangent_at_half(df)
+    a, b = _tangent(df, lam)
     kinks = [0.5, *df.split_points]
     if a + b < 1.0:
         kinks += [a / (1.0 + a - b), (1.0 - a) / (1.0 - a + b)]
-    lower = upper = 0.0
-    for t in (np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), np.array(kinks)):
-        s, at = 1.0 - t, df.eval_fn(t)
-        lower = np.maximum(lower, (at - (1.0 - lam * np.minimum(t, s))).max())
-        top = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t)
-        upper = np.maximum(upper, (top - at).max())
+    t = np.concatenate((np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks))
+    s, at = 1.0 - t, df.eval_fn(t)
+    lower = np.maximum(0.0, (at - (1.0 - lam * np.minimum(t, s))).max())
+    top = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t)
+    upper = np.maximum(0.0, (top - at).max())
     return EnvelopeCheck(grid, float(lower), float(upper), (a, b))
 
 
@@ -183,10 +185,9 @@ def _random_convex_pwl(rng) -> DependenceFunction:
     # so A(1) = 1, then clipped into the band by taking the max with the
     # envelope max(t, 1 - t); the result is convex with slopes in [-1, 1].
     k = int(rng.integers(2, 9))
-    ts = np.sort(0.02 + 0.96 * rng.random(k))
-    grid = np.concatenate([[0.0], np.unique(ts), [1.0]])
+    grid = _union((0.0, 1.0), 0.02 + 0.96 * rng.random(k))
     slopes = np.sort(rng.uniform(-1.0, 1.0, grid.size - 1))
-    vals = 1.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(grid))])
+    vals = 1.0 + np.concatenate([[0.0], np.cumsum(slopes * (grid[1:] - grid[:-1]))])
     vals -= (vals[-1] - 1.0) * grid
     vals[0] = 1.0
     vals[-1] = 1.0

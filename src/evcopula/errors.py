@@ -18,14 +18,17 @@ def check_real(x, name: str, lo: float, hi: float) -> float:
 
     NaN, strings, None and +-inf (unless that bound is infinite) raise ParamOutOfRangeError.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not lo <= x <= hi:
-        raise ParamOutOfRangeError(f"{name}={x!r} must be a real number in [{lo:g}, {hi:g}]")
-    return float(x)
+    if type(x) is float:  # the common case, before the slower ABC check
+        if lo <= x <= hi:
+            return x
+    elif not isinstance(x, bool) and isinstance(x, numbers.Real) and lo <= x <= hi:
+        return float(x)
+    raise ParamOutOfRangeError(f"{name}={x!r} must be a real number in [{lo:g}, {hi:g}]")
 
 
 def check_int(x, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``x`` as an int if it is an int or numpy integer (not a bool or float) in [lo, hi]."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
         raise ParamOutOfRangeError(f"{name} must be an integer, got {x!r}")
     if lo is not None and x < lo:
         raise ParamOutOfRangeError(f"{name} must be >= {lo}, got {x}")
@@ -55,6 +58,23 @@ def check_unit_interval(x, name: str) -> np.ndarray:
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ParamOutOfRangeError(f"{name} must lie in [0, 1]")
     return arr
+
+
+def check_split_points(points) -> np.ndarray:
+    """``[0, *points, 1]`` as a float array if ``points`` are real numbers increasing in (0, 1).
+
+    numpy must read the points as one float array, so strings, NaN, ragged
+    rows and objects such as ``Fraction`` raise ParamOutOfRangeError.
+    """
+    try:
+        edges = np.array([0.0, *points, 1.0])
+    except (TypeError, ValueError):  # not iterable, or ragged: fails the ndim test
+        edges = np.empty((0, 0))
+    if edges.dtype.kind != "f" or edges.ndim != 1 or not (edges[:-1] < edges[1:]).all():
+        raise ParamOutOfRangeError(
+            f"split points must be real numbers increasing strictly inside (0, 1), got {points!r}"
+        )
+    return edges.astype(float, copy=False)
 
 
 class NonConvergentError(EvCopulaError, ArithmeticError):

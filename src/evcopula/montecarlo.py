@@ -30,6 +30,7 @@ import numpy as np
 
 from .copula import EvCopula
 from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int, check_real, check_type
+from .numerics import _run_starts
 from .pickands import check_mo
 from .rng import make_rng
 
@@ -148,10 +149,9 @@ def _phi_table(df) -> tuple:
     there is a zero-width cell.
     """
     edges = np.array([0.0, *df.split_points, 1.0])
-    panels = [np.linspace(lo, hi, _PANEL_NODES) for lo, hi in zip(edges[:-1], edges[1:])]
-    t = np.concatenate(panels)
+    t = np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1).ravel()
     da = df.deriv_fn(t, "left")
-    starts = np.cumsum([len(p) for p in panels[:-1]], dtype=np.intp)  # second copies of split points
+    starts = np.arange(_PANEL_NODES, len(t), _PANEL_NODES)  # second copies of split points
     da[starts] = df.deriv_fn(t[starts], "right")
     q = np.append(t[:-1] / (1.0 - t[:-1]), np.inf)
     psi, m = _psi_m(df.eval_fn(t), da, t, q)
@@ -249,14 +249,6 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
-
-
-def _run_starts(xs: np.ndarray) -> np.ndarray:
-    """Mask of the first item of each run of equal values in ``xs``."""
-    starts = np.empty(len(xs), dtype=bool)
-    starts[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
-    return starts
 
 
 def _run_lengths(starts: np.ndarray) -> np.ndarray:

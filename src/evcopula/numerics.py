@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergentError, NonFiniteError, ParamOutOfRangeError, check_real
+from .errors import NonConvergentError, NonFiniteError, ParamOutOfRangeError, check_split_points
 
 # Gauss-Kronrod 7-15 abscissae and weights on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -40,6 +40,14 @@ _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_DEPTH = 60
 _MAX_PANELS = 2**16
+
+
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """Mask of the first item of each run of equal values in ``xs``, which is not empty."""
+    starts = np.empty(len(xs), dtype=bool)
+    starts[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+    return starts
 
 
 def _gk15(f, a: np.ndarray, b: np.ndarray):
@@ -72,18 +80,15 @@ def integrate(f, split_points=()) -> float:
     :class:`NonConvergentError` names the worst panel when it would need
     bisecting at depth 60, or when the next level would hold more than
     ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
-    :class:`NonFiniteError` naming its t.  Split points must be a sequence
-    of real numbers, strictly increasing and inside (0, 1), else
-    :class:`ParamOutOfRangeError`, as is an ``f`` that is not callable.
+    :class:`NonFiniteError` naming its t.  Split points must be real
+    numbers, strictly increasing and inside (0, 1), else
+    :class:`ParamOutOfRangeError` (see :func:`errors.check_split_points`),
+    as is an ``f`` that is not callable.
     """
     if not callable(f):
         raise ParamOutOfRangeError(f"integrand must be callable, got {type(f).__name__}")
-    if not np.iterable(split_points):
-        raise ParamOutOfRangeError(f"split points must be a sequence, got {split_points!r}")
-    edges = np.array([0.0, *(check_real(p, "split point", 0.0, 1.0) for p in split_points), 1.0])
+    edges = check_split_points(split_points)
     a, b = edges[:-1], edges[1:]
-    if not (a < b).all():
-        raise ParamOutOfRangeError("split points must increase strictly inside (0, 1)")
     done = done_err = 0.0
     for depth in range(_MAX_DEPTH + 1):
         val, err = _gk15(f, a, b)

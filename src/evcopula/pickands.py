@@ -20,9 +20,11 @@ from .errors import (
     InvalidDependenceFunctionError,
     ParamOutOfRangeError,
     check_real,
+    check_split_points,
     check_type,
     check_unit_interval,
 )
+from .numerics import _run_starts
 
 _CHECK_TOL = 1e-9
 
@@ -48,9 +50,12 @@ class DependenceFunction:
     at t = 1/2 and, for theta < 2, the points ``4^-k`` and ``1 - 4^-k``
     graded toward both ends, where the slope of A' is unbounded.  A is
     defined on [0, 1] only: calling the function or :meth:`deriv` with t
-    outside [0, 1] or NaN raises :class:`ParamOutOfRangeError`.
-    ``second_fn`` is always None and nothing reads it.  Instances are
-    immutable and safe to share across threads.
+    outside [0, 1] or NaN raises :class:`ParamOutOfRangeError`, and so does
+    building one whose ``eval_fn`` or ``deriv_fn`` is not callable, or whose
+    split points break the rule of :func:`errors.check_split_points`; they
+    are stored as a tuple of floats.  ``second_fn`` is always None and
+    nothing reads it.  Instances are immutable and safe to share across
+    threads.
     """
 
     family: str
@@ -60,6 +65,14 @@ class DependenceFunction:
     deriv_fn: object = field(repr=False, compare=False)
     # unused; kept only because perfbench/tracer.py passes it to dataclasses.replace
     second_fn: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("eval_fn", "deriv_fn"):
+            if not callable(getattr(self, name)):
+                kind = type(getattr(self, name)).__name__
+                raise ParamOutOfRangeError(f"{name} must be callable, got {kind}")
+        points = tuple(check_split_points(self.split_points)[1:-1].tolist())
+        object.__setattr__(self, "split_points", points)
 
     def __call__(self, t):
         arr = check_unit_interval(t, "t")
@@ -115,11 +128,11 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     the interior knots whose :func:`_bulge` is below -1e-15, a few ulps of 1.
     A is ``np.interp`` over the knots unless ``eval_fn`` gives a closed form.
     """
-    slopes = np.diff(vs) / np.diff(ts)
+    slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
     inner = ts[1:-1]
 
     def deriv_fn(t, side):
-        return slopes[np.searchsorted(inner, t, side=side)]
+        return slopes[inner.searchsorted(t, side=side)]
 
     return DependenceFunction(
         family=family,
@@ -152,12 +165,12 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
         if abs(v - 1.0) > _CHECK_TOL
     ]
     # linear pieces make knots (plus the envelope kink at 1/2) sufficient
-    t = np.union1d(ts, [0.5])
+    t = _union(ts, (0.5,))
     a = np.interp(t, ts, vs)
     low = np.maximum(t, 1.0 - t) - a
     below = np.flatnonzero(low > _CHECK_TOL)[:50]
     above = np.flatnonzero(a - 1.0 > _CHECK_TOL)[:50]
-    for i in np.union1d(below, above):
+    for i in sorted({*below.tolist(), *above.tolist()}):
         kind, gap = ("envelope", low[i]) if low[i] > _CHECK_TOL else ("upper_bound", a[i] - 1.0)
         bad.append((float(t[i]), kind, float(gap)))
     bulge = _bulge(ts, vs)
@@ -168,17 +181,24 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
 
 def _distinct(ts: np.ndarray, vs: np.ndarray) -> tuple:
     """``(ts, vs)`` less each knot within 1e-12 of the one before it or of the last, which stays."""
-    keep = (np.diff(ts, prepend=-np.inf) > 1e-12) & (ts < ts[-1] - 1e-12)
+    keep = ts < ts[-1] - 1e-12
+    keep[1:] &= ts[1:] - ts[:-1] > 1e-12
     keep[-1] = True
     return ts[keep], vs[keep]
 
 
+def _union(*arrays) -> np.ndarray:
+    """The sorted distinct values of the arrays, which are not all empty, as ``np.union1d``."""
+    t = np.sort(np.concatenate(arrays))
+    return t[_run_starts(t)]
+
+
 def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> tuple:
     """Knots ``(t, A)`` of the pointwise maximum of two piecewise-linear functions."""
-    ts = np.union1d(ta, tb)
+    ts = _union(ta, tb)
     d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
     i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    t = np.union1d(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
+    t = _union(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
     return _distinct(t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb)))
 
 
@@ -235,8 +255,9 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
 
     def _parts(t):
         t = np.asarray(t, dtype=float)
-        big = np.maximum(t, 1.0 - t)
-        r = np.minimum(t, 1.0 - t) / big
+        s = 1.0 - t
+        big = np.maximum(t, s)
+        r = np.minimum(t, s) / big
         return t, big, r
 
     def eval_fn(t):
@@ -293,7 +314,7 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     is raised carrying the validation report.
     """
     try:
-        pts = np.array(list(knots), dtype=float)
+        pts = np.array(knots if isinstance(knots, np.ndarray) else list(knots), dtype=float)
     except (TypeError, ValueError):  # ragged rows or non-numbers
         pts = np.empty(0)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -305,7 +326,7 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     if not finite.all():
         i = int(np.argmin(finite))
         raise _invalid(f"knot {i} is not finite: ({ts[i]}, {vs[i]})", ts[i], "non_finite", math.inf)
-    if np.any(np.diff(ts) <= 0.0):
+    if (ts[1:] - ts[:-1] <= 0.0).any():
         raise _invalid("knot abscissae must be strictly increasing", ts.min(), "domain", 0.0)
     report = _structural_report(ts, vs)
     if not report.valid:
@@ -367,8 +388,12 @@ def tangent_at_half(df: DependenceFunction) -> tuple:
     ``a + b = lambda_upper(df)`` and the line never exceeds A.  A' is read
     through ``df.deriv_fn``: t = 1/2 needs no check.
     """
+    return _tangent(df, lambda_upper(df))
+
+
+def _tangent(df: DependenceFunction, lam: float) -> tuple:
+    """:func:`tangent_at_half` given ``lam``, which must be ``lambda_upper(df)``."""
     half = np.asarray(0.5)
-    lam = lambda_upper(df)
     slope = 0.5 * float(df.deriv_fn(half, "left") + df.deriv_fn(half, "right"))
     slope = min(max(slope, -lam), lam)
     a = max(0.5 * (lam + slope), 0.0)

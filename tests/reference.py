@@ -9,6 +9,13 @@ only piecewise-linear knots, exactly.  The survival transform, the
 diagonal exponent, the classical rho-tau region and the Blomqvist <->
 lambda conversion are closed forms of the copula literature, tested here
 against known values.
+
+The ``retired_*`` functions are package paths as they were before they
+were cut down, kept so that ``test_oracles`` can hold the new paths to
+their bits: the split-point check that ran ``check_real`` on each point,
+the knot builders that ran ``np.union1d``, ``np.unique`` and
+``np.diff(prepend=...)``, and the sampler table that built one
+``np.linspace`` per panel.
 """
 
 import math
@@ -18,7 +25,9 @@ import numpy as np
 from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
 from evcopula.copula import _uv
 from evcopula.errors import check_int, check_real, check_unit_interval
-from evcopula.pickands import check_lambda
+from evcopula.montecarlo import _PANEL_NODES, _psi_m
+from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
+from evcopula.pickands import _bulge, check_lambda
 
 _CHECK_TOL = 1e-9
 
@@ -146,3 +155,80 @@ def validate(fn, grid_size: int = 2048) -> ValidationReport:
         bad.append((worst[1], "convexity", worst[0]))
 
     return ValidationReport(valid=not bad, violations=tuple(bad))
+
+
+def retired_split_edges(points) -> np.ndarray:
+    """The split-point check of ``integrate`` as it was: ``check_real`` on each point in turn."""
+    if not np.iterable(points):
+        raise ParamOutOfRangeError(f"split points must be a sequence, got {points!r}")
+    edges = np.array([0.0, *(check_real(p, "split point", 0.0, 1.0) for p in points), 1.0])
+    if not (edges[:-1] < edges[1:]).all():
+        raise ParamOutOfRangeError("split points must increase strictly inside (0, 1)")
+    return edges
+
+
+def retired_distinct(ts, vs) -> tuple:
+    """The distinct-knot rule as it was, through ``np.diff(prepend=-inf)``."""
+    keep = (np.diff(ts, prepend=-np.inf) > 1e-12) & (ts < ts[-1] - 1e-12)
+    keep[-1] = True
+    return ts[keep], vs[keep]
+
+
+def retired_pwl_max(ta, va, tb, vb) -> tuple:
+    """The knots of the maximum of two piecewise-linear functions as they were, through ``np.union1d``."""
+    ts = np.union1d(ta, tb)
+    d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    t = np.union1d(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
+    return retired_distinct(t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb)))
+
+
+def retired_random_convex_knots(rng) -> np.ndarray:
+    """The ``(k, 2)`` knots ``bounds._random_convex_pwl`` drew as it was, through ``np.unique``."""
+    k = int(rng.integers(2, 9))
+    ts = np.sort(0.02 + 0.96 * rng.random(k))
+    grid = np.concatenate([[0.0], np.unique(ts), [1.0]])
+    slopes = np.sort(rng.uniform(-1.0, 1.0, grid.size - 1))
+    vals = 1.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(grid))])
+    vals -= (vals[-1] - 1.0) * grid
+    vals[0] = 1.0
+    vals[-1] = 1.0
+    envelope = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 1.0])
+    return np.column_stack(retired_pwl_max(grid, vals, *envelope))
+
+
+def retired_union_structural_report(ts, vs) -> ValidationReport:
+    """The knot check as it was, with ``np.union1d`` for the probe points and the band violations."""
+    ends = ((float(ts[0]), 0.0), (float(ts[-1]), 1.0))
+    bad = [(t, "domain", abs(t - end)) for t, end in ends if abs(t - end) > _KNOT_TOL]
+    bad += [
+        (end, "endpoint", abs(float(v) - 1.0))
+        for end, v in ((0.0, vs[0]), (1.0, vs[-1]))
+        if abs(v - 1.0) > _KNOT_TOL
+    ]
+    t = np.union1d(ts, [0.5])
+    a = np.interp(t, ts, vs)
+    low = np.maximum(t, 1.0 - t) - a
+    below = np.flatnonzero(low > _KNOT_TOL)[:50]
+    above = np.flatnonzero(a - 1.0 > _KNOT_TOL)[:50]
+    for i in np.union1d(below, above):
+        kind, gap = ("envelope", low[i]) if low[i] > _KNOT_TOL else ("upper_bound", a[i] - 1.0)
+        bad.append((float(t[i]), kind, float(gap)))
+    bulge = _bulge(ts, vs)
+    for i in np.flatnonzero(bulge > _KNOT_TOL):
+        bad.append((float(ts[i + 1]), "convexity", float(bulge[i])))
+    return ValidationReport(valid=not bad, violations=tuple(bad))
+
+
+def retired_phi_table(df) -> tuple:
+    """The sampler's inversion table as it was: one ``np.linspace`` per panel, then a concatenation."""
+    edges = np.array([0.0, *df.split_points, 1.0])
+    panels = [np.linspace(lo, hi, _PANEL_NODES) for lo, hi in zip(edges[:-1], edges[1:])]
+    t = np.concatenate(panels)
+    da = df.deriv_fn(t, "left")
+    starts = np.cumsum([len(p) for p in panels[:-1]], dtype=np.intp)
+    da[starts] = df.deriv_fn(t[starts], "right")
+    q = np.append(t[:-1] / (1.0 - t[:-1]), np.inf)
+    psi, m = _psi_m(df.eval_fn(t), da, t, q)
+    pad = (1 << (len(q) - 1).bit_length()) - len(q)
+    return tuple(np.append(arr, np.full(pad, arr[-1])) for arr in (q, psi, m))

@@ -149,6 +149,18 @@ _REJECTED = {
     'write_knots_csv(df="abc")': lambda: write_knots_csv(os.devnull, "abc"),
     'write_batch_csv("abc")': lambda: write_batch_csv("abc", io.StringIO()),
     'random_dependence_function("abc")': lambda: random_dependence_function("abc"),
+    # a dependence function built with no A, or with split points that are not
+    # real numbers increasing inside (0, 1): each was built without complaint
+    "DependenceFunction(eval_fn=None)": lambda: DependenceFunction("x", {}, (), None, None),
+    "DependenceFunction(split_points=0.5)": lambda: DependenceFunction(
+        "x", {}, 0.5, _MO.eval_fn, _MO.deriv_fn
+    ),
+    'DependenceFunction(split_points=("a",))': lambda: DependenceFunction(
+        "x", {}, ("a",), _MO.eval_fn, _MO.deriv_fn
+    ),
+    "DependenceFunction(split_points=(0.6, 0.4))": lambda: DependenceFunction(
+        "x", {}, (0.6, 0.4), _MO.eval_fn, _MO.deriv_fn
+    ),
 }
 
 

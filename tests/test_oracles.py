@@ -24,12 +24,19 @@ reported through the band check it shared with the grid ``validate``,
 except that an end of the domain that is off is named at its own t.  The
 Marshall-Olkin and tangent knots, built through the one distinct-knot rule,
 must equal bit for bit those of the guards each family kept before, and the
-knot writer must write the bytes of the retired per-row writer.
+knot writer must write the bytes of the retired per-row writer.  The
+split-point check on one array must accept and reject what the per-point
+``check_real`` did, except for ``Fraction`` (now rejected) and 0-d arrays
+(now accepted); the knot builders without ``np.union1d`` must give the
+knots and reports of those with it, and the sampler table built in one
+``np.linspace`` the bits of the one built panel by panel.
 """
 
 import heapq
 import io
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +76,7 @@ from evcopula.bounds import (
     check_envelope,
 )
 from evcopula.coefficients import lambda_upper
+from evcopula.errors import check_split_points
 from evcopula.pickands import _pwl, tangent_at_half
 from evcopula.rng import make_rng
 
@@ -1093,3 +1101,125 @@ def test_collapsed_mo_kink_stays_within_the_absolute_tolerance(alpha, beta):
     df = mo_dependence(alpha, beta)
     assert df.split_points == ()
     assert abs(tau_numeric(df) - mo_closed_form(alpha, beta).tau) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# split points as one array, knot builds without union1d, sampler table nodes
+# in one linspace: each against the path it replaced
+# ---------------------------------------------------------------------------
+
+# (points, accepted by the per-point check, accepted now); the two differ only
+# on objects that are real numbers to ``numbers.Real`` but not to numpy
+# (Fraction), and on 0-d arrays, which numpy reads as numbers
+_SPLIT_POINTS = {
+    "empty": ((), True, True),
+    "tuple": ((0.25, 0.75), True, True),
+    "list": ([0.5], True, True),
+    "array": (np.array([0.2, 0.4, 0.9]), True, True),
+    "generator": ((0.3, 0.6), True, True),  # passed as a fresh iterator to each check
+    "numpy scalars": ((np.float32(0.25), np.float64(0.5), np.longdouble(0.75)), True, True),
+    "gumbel(1.5)": (gumbel_dependence(1.5).split_points, True, True),
+    "True": ((True,), False, False),
+    "False": ((False,), False, False),
+    "np.True_": ((np.True_,), False, False),
+    "string point": (("0.5",), False, False),
+    "letter": (("a",), False, False),
+    "string": ("ab", False, False),
+    "None point": ((None,), False, False),
+    "None": (None, False, False),
+    "scalar": (0.5, False, False),
+    "NaN": ((np.nan,), False, False),
+    "numpy NaN": ((np.float64("nan"),), False, False),
+    "inf": ((np.inf,), False, False),
+    "-inf": ((-np.inf,), False, False),
+    "zero": ((0.0,), False, False),
+    "one": ((1,), False, False),
+    "above one": ((1.5,), False, False),
+    "complex": ((0.5 + 0j,), False, False),
+    "Decimal": ((Decimal("0.5"),), False, False),
+    "ragged": ([[0.2, 0.3]], False, False),
+    "column": (np.array([[0.2], [0.3]]), False, False),
+    "out of order": ((0.6, 0.4), False, False),
+    "repeated": ((0.3, 0.3), False, False),
+    "Fraction": ((Fraction(1, 2),), True, False),
+    "0-d array": ((np.array(0.5),), False, True),
+}
+
+
+def _accepts(check, points):
+    try:
+        return check(points)
+    except ParamOutOfRangeError:
+        return None
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_POINTS))
+def test_split_point_check_matches_per_point_check(name):
+    points, retired_accepts, accepts = _SPLIT_POINTS[name]
+    given = (lambda: iter(points)) if name == "generator" else (lambda: points)
+    old = _accepts(reference.retired_split_edges, given())
+    new = _accepts(check_split_points, given())
+    assert (old is not None, new is not None) == (retired_accepts, accepts)
+    if old is not None and new is not None:
+        assert new.dtype == np.float64 and _same_bits(new, old)
+
+
+def _clustered_knots(rng, k):
+    """k nondecreasing t from 0 to 1, often 1e-12 or less from a neighbour or from 1.
+
+    Near 0 the gaps are exact, so some knot sits exactly 1e-12 past the one
+    before it; 1 - 1e-12 is exactly 1e-12 below the last knot.
+    """
+    gaps = rng.choice([0.0, 1e-13, 1e-12, 2e-12, 1e-3, 0.1, 0.3], k - 1)
+    ts = np.minimum(np.concatenate([[0.0], np.cumsum(gaps)]), 1.0)
+    ts[-1] = 1.0
+    if rng.random() < 0.5:
+        ts[-2] = 1.0 - rng.choice([0.0, 1e-13, 1e-12, 2e-12])
+    return np.sort(ts)
+
+
+def test_knot_builds_match_union1d_paths():
+    band_loops = 0
+    for i in range(1000):
+        # the corpus draw, whose knots _pwl_max builds against the envelope
+        df = _random_convex_pwl(make_rng(61, i))
+        old = piecewise_linear_dependence(reference.retired_random_convex_knots(make_rng(61, i)))
+        assert _same_bits(np.array(df.params["knots"]), np.array(old.params["knots"])), i
+        assert df.split_points == old.split_points, i
+
+        # two functions with shared knots and crossings
+        rng = make_rng(67, i)
+        shared = rng.random(int(rng.integers(0, 4)))
+        ta = np.unique(np.concatenate([[0.0, 1.0], shared, rng.random(int(rng.integers(0, 6)))]))
+        tb = np.unique(np.concatenate([[0.0, 1.0], shared, rng.random(int(rng.integers(0, 6)))]))
+        va, vb = rng.random(len(ta)), rng.random(len(tb))
+        new = pickands._pwl_max(ta, va, tb, vb)
+        old = reference.retired_pwl_max(ta, va, tb, vb)
+        assert all(_same_bits(x, y) for x, y in zip(new, old)), i
+
+        ts = _clustered_knots(rng, int(rng.integers(2, 12)))
+        vs = rng.random(len(ts))
+        new, old = pickands._distinct(ts, vs), reference.retired_distinct(ts, vs)
+        assert all(_same_bits(x, y) for x, y in zip(new, old)), i
+
+        # knots in and out of the band, as in the shared band check's test
+        k = int(rng.choice([2, 3, 5, 9, 120]))
+        ts = np.sort(rng.choice(np.concatenate([rng.random(2 * k), [0.5]]), k, replace=False))
+        if rng.random() < 0.7:
+            ts[0], ts[-1] = 0.0, 1.0
+        vs = np.maximum(ts, 1.0 - ts) + rng.uniform(-0.1, 0.6, k) * rng.random()
+        if rng.random() < 0.5:
+            vs[0], vs[-1] = 1.0, 1.0
+        report = pickands._structural_report(ts, vs)
+        assert report == reference.retired_union_structural_report(ts, vs), i
+        kinds = {kind for _, kind, _ in report.violations}
+        band_loops += bool(kinds & {"envelope", "upper_bound"})
+    assert band_loops > 300
+
+
+def test_phi_table_matches_per_panel_linspace():
+    # theta < 2 has 42 panels between its graded split points
+    for df in [*dependence_corpus(300, 11), *map(gumbel_dependence, (1.03, 1.5, 2.0))]:
+        with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
+            new, old = montecarlo._phi_table(df), reference.retired_phi_table(df)
+        assert all(_same_bits(x, y) for x, y in zip(new, old)), df
