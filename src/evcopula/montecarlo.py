@@ -6,10 +6,12 @@ independent exponentials E1, E2, E12 at rates (1-alpha)/alpha,
 (min(E1, E12), min(E2, E12)) are uniform and jointly follow the MO copula.
 Any other EV copula is sampled by inverting its conditional distribution
 v -> dC/du(u, v) in q = ln v / ln u: a per-copula table of that CDF at
-exact nodes between the split points of A brackets each draw, and secant
-steps on the exact CDF narrow the bracket.  A kink of A is a zero-width
-table cell, so the singular mass of kinked families lands exactly on its
-jump curve.
+exact nodes between the split points of A brackets each draw.  On a
+linear piece of A the CDF is exp(-phi) with phi linear in q, so such a
+piece is one table cell, inverted in one division; in a curved cell,
+secant steps on the exact CDF narrow the bracket.  A kink of A is still a
+zero-width table cell, so the singular mass of kinked families lands
+exactly on its jump curve.
 
 The rank estimators sort each coordinate once and take every statistic
 from the runs of ties of those sorts; Kendall's discordant pairs are
@@ -119,6 +121,8 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
 _PANEL_NODES = 64  # equispaced table nodes per panel between split points, ends included
 _BLOCK = 16384  # pairs inverted at once, so temporaries do not grow with n
 _V_RESOLUTION = 2.0**-47  # accuracy of v, that of the retired 47-pass bisection
+_LINEAR_TOL = 1e-15  # largest rise of A' over a linear panel, and gap of A from its chord
+_PANEL_FRACTIONS = np.linspace(0.0, 1.0, _PANEL_NODES)  # where the nodes lie in their panel
 
 
 def _psi_m(a, da, t, q):
@@ -139,14 +143,22 @@ def _phi(df, x, q):
 
 
 def _phi_table(df) -> tuple:
-    """Nodes ``q`` of the inversion table and ``psi``, ``m`` with phi(q_j) = x psi_j + m_j.
+    """Nodes ``q`` of the inversion table, ``psi`` and ``m`` with phi(q_j) = x psi_j + m_j, and ``slope``.
 
     Each panel between split points gets ``_PANEL_NODES`` equispaced t
     nodes; q = t / (1 - t) is inf at t = 1, and that node is repeated up to
     a power-of-two length.  A and A' are read at the exact t, and a split
     point is stored twice, at the same q: with A'(t-) as the end of one
     panel, then with A'(t+) as the start of the next, so a jump of phi
-    there is a zero-width cell.
+    there is a zero-width cell.  A panel is linear if its A'(b-) exceeds
+    its A'(a+) by at most ``_LINEAR_TOL``, which for a convex A bounds its
+    gap from the chord, and if A at its nodes is that near the chord too
+    (``eval_fn`` may keep a kink within 1e-12 of an end or of another kink,
+    which the split points and ``deriv_fn`` drop).  Then phi is linear on
+    it: the panel keeps only its two end nodes, one cell, whose ``slope``
+    is dpsi/dq = A + (1 - t) A' at its first node.  ``slope`` is inf on the
+    zero-width cells and on a linear panel where A = t, whose m is inf, and
+    NaN on curved cells; it is None when no panel is linear.
     """
     edges = np.array([0.0, *df.split_points, 1.0])
     t = np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1).ravel()
@@ -154,26 +166,47 @@ def _phi_table(df) -> tuple:
     starts = np.arange(_PANEL_NODES, len(t), _PANEL_NODES)  # second copies of split points
     da[starts] = df.deriv_fn(t[starts], "right")
     q = np.append(t[:-1] / (1.0 - t[:-1]), np.inf)
-    psi, m = _psi_m(df.eval_fn(t), da, t, q)
-    pad = (1 << (len(q) - 1).bit_length()) - len(q)
-    return tuple(np.append(arr, np.full(pad, arr[-1])) for arr in (q, psi, m))
+    a = df.eval_fn(t)
+    table = (q, *_psi_m(a, da, t, q))
+    panels = da.reshape(-1, _PANEL_NODES)
+    linear = panels[:, -1] - panels[:, 0] <= _LINEAR_TOL
+    if linear.any():
+        ap = a.reshape(-1, _PANEL_NODES)
+        gap = ap - ap[:, :1] - (ap[:, -1:] - ap[:, :1]) * _PANEL_FRACTIONS
+        linear &= np.abs(gap).max(axis=1) <= _LINEAR_TOL
+    keep = np.ones(panels.shape, dtype=bool)
+    keep[linear, 1:-1] = False
+    rows = np.flatnonzero(keep)  # then the node at q = inf, up to a power-of-two length
+    rows = np.append(rows, np.full((1 << (len(rows) - 1).bit_length()) - len(rows), rows[-1]))
+    if not linear.any():
+        return (*(arr[rows] for arr in table), None)
+    slope = np.full(len(t), np.nan)
+    slope[_PANEL_NODES - 1 :: _PANEL_NODES] = np.inf  # the last node of each panel
+    first = np.flatnonzero(linear) * _PANEL_NODES
+    dpsi = np.maximum(a[first] + (1.0 - t[first]) * da[first], 0.0)
+    # on a piece A = t, phi is inf past a first node that rounding may leave finite: a jump
+    slope[first] = np.where(np.isinf(table[2][first + _PANEL_NODES - 1]), np.inf, dpsi)
+    return tuple(arr[rows] for arr in (*table, slope))
 
 
 def _invert(df, table, x, e):
     """q* = sup{q : phi(q) <= e} for each pair (e finite), from its table cell and secant steps.
 
-    A binary search finds the last node j with ``x psi_j + m_j <= e``.  If
-    node j + 1 has the same q, the cell has zero width: phi jumps over e
-    there, an atom, and q* is that node.  Otherwise secant steps through
-    the last two iterates shrink the cell [a, b] until v = u**q varies by
-    at most ``_V_RESOLUTION`` over it, and q* is its lower end a.  A step
-    that leaves the bracket, or has an infinite phi, is a midpoint instead,
-    as is every fourth step where the bracket has not halved since the last
-    such check, so the loop ends; steps keep half a tolerance from a and b,
-    so the bracket closes once an iterate is that near the root.  The last
-    cell, which reaches q = inf, ends at 1 + e/x instead: phi(q) >= x (q - 1).
+    A binary search finds the last node j with ``x psi_j + m_j <= e``.  In
+    a linear cell, q* is where the line through phi(a) with slope
+    x dpsi/dq meets e, clamped to the cell [a, b]: one division, also in
+    the last cell, which reaches q = inf.  If node j + 1 has the same q,
+    the cell has zero width: phi jumps over e there, an atom, and q* is
+    that node.  In a curved cell, secant steps through the last two
+    iterates shrink [a, b] until v = u**q varies by at most
+    ``_V_RESOLUTION`` over it, and q* is its lower end a.  A step that
+    leaves the bracket, or has an infinite phi, is a midpoint instead, as
+    is every fourth step where the bracket has not halved since the last
+    such check, so the loop ends; steps keep half a tolerance from a and
+    b, so the bracket closes once an iterate is that near the root.  The
+    last cell ends at 1 + e/x instead of inf: phi(q) >= x (q - 1).
     """
-    q, psi, m = table
+    q, psi, m, slope = table
     j = np.zeros(len(x), dtype=np.intp)
     step = len(q) // 2
     while step:
@@ -182,11 +215,20 @@ def _invert(df, table, x, e):
         step //= 2
     a, b = q[j], q[j + 1]
     fa = x * psi[j] + m[j] - e
+    if slope is None:
+        out = a.copy()
+    else:
+        s = slope[j]
+        with np.errstate(divide="ignore", invalid="ignore"):  # fa / 0 on a flat piece of phi
+            out = np.fmin(np.fmax(a - fa / (x * s), a), b)  # a where s is NaN or inf
+        curved = np.isnan(s)
+        if not curved.any():
+            return out
+        b = np.where(curved, b, a)  # only a curved cell keeps a bracket
     fb = x * psi[j + 1] + m[j + 1] - e
     last = np.flatnonzero(np.isinf(b))
     b[last] = 1.0 + e[last] / x[last]
     fb[last] = _phi(df, x[last], b[last]) - e[last]
-    out = a.copy()
     tol = _V_RESOLUTION / np.maximum(x * np.exp(-x * a), 1e-300)  # |dv/dq| <= x u**a on [a, b]
     idx = np.flatnonzero(b - a > tol)
     # the last two iterates start as the cell ends, so the first step is regula falsi
@@ -222,12 +264,15 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     ``inf{v : dC/du(u, v) >= p}``.  With x = -ln u, e = -ln p and
     q = ln v / ln u, ``dC/du = exp(-phi(q))`` for the non-decreasing
     phi of :func:`_phi`, so v = u**q* with q* = sup{q : phi(q) <= e}.  A
-    per-copula table of phi at exact t nodes brackets q*, and safeguarded
-    secant steps on phi narrow the bracket until v is within 2**-47 (see
-    :func:`_invert`); p = 0 gives v = 0.  A kink of A makes phi jump at a
-    split point, which the table stores as a zero-width cell, so its atom
-    of v lands exactly on the jump curve.  Pairs are inverted in blocks of
-    ``_BLOCK``, so memory beyond the output stays bounded.
+    per-copula table of phi at exact t nodes brackets q* (see
+    :func:`_phi_table`).  On a linear piece of A, phi is linear and the
+    piece is one cell, where q* takes one division; in a curved cell,
+    safeguarded secant steps on phi narrow the bracket until v is within
+    2**-47 (see :func:`_invert`); p = 0 gives v = 0.  A kink of A makes phi
+    jump at a split point, which the table still stores as a zero-width
+    cell, so its atom of v lands exactly on the jump curve.  Pairs are
+    inverted in blocks of ``_BLOCK``, so memory beyond the output stays
+    bounded.
     """
     df = check_type(copula, EvCopula, "copula").dependence
     n = check_int(n, "n", 1)

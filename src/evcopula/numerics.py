@@ -87,7 +87,11 @@ def integrate(f, split_points=()) -> float:
     """
     if not callable(f):
         raise ParamOutOfRangeError(f"integrand must be callable, got {type(f).__name__}")
-    edges = check_split_points(split_points)
+    return _integrate(f, check_split_points(split_points))
+
+
+def _integrate(f, edges: np.ndarray) -> float:
+    """:func:`integrate` of ``f`` over the panels between the checked ``edges``, ``[0, *split_points, 1]``."""
     a, b = edges[:-1], edges[1:]
     done = done_err = 0.0
     for depth in range(_MAX_DEPTH + 1):

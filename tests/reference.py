@@ -14,8 +14,9 @@ The ``retired_*`` functions are package paths as they were before they
 were cut down, kept so that ``test_oracles`` can hold the new paths to
 their bits: the split-point check that ran ``check_real`` on each point,
 the knot builders that ran ``np.union1d``, ``np.unique`` and
-``np.diff(prepend=...)``, and the sampler table that built one
-``np.linspace`` per panel.
+``np.diff(prepend=...)``, the sampler table that built one
+``np.linspace`` per panel, and the inversion that ran secant steps in
+every cell, linear or not.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
 from evcopula.copula import _uv
 from evcopula.errors import check_int, check_real, check_unit_interval
-from evcopula.montecarlo import _PANEL_NODES, _psi_m
+from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
 from evcopula.pickands import _bulge, check_lambda
 
@@ -232,3 +233,46 @@ def retired_phi_table(df) -> tuple:
     psi, m = _psi_m(df.eval_fn(t), da, t, q)
     pad = (1 << (len(q) - 1).bit_length()) - len(q)
     return tuple(np.append(arr, np.full(pad, arr[-1])) for arr in (q, psi, m))
+
+
+def retired_invert(df, table, x, e):
+    """The sampler's inversion as it was: secant steps in every cell of a ``retired_phi_table``."""
+    q, psi, m = table
+    j = np.zeros(len(x), dtype=np.intp)
+    step = len(q) // 2
+    while step:
+        k = j + step
+        j += step * (x * psi[k] + m[k] <= e)
+        step //= 2
+    a, b = q[j], q[j + 1]
+    fa = x * psi[j] + m[j] - e
+    fb = x * psi[j + 1] + m[j + 1] - e
+    last = np.flatnonzero(np.isinf(b))
+    b[last] = 1.0 + e[last] / x[last]
+    fb[last] = _phi(df, x[last], b[last]) - e[last]
+    out = a.copy()
+    tol = _V_RESOLUTION / np.maximum(x * np.exp(-x * a), 1e-300)
+    idx = np.flatnonzero(b - a > tol)
+    a, b, c0, f0, c1, f1, x, e, tol = (arr[idx] for arr in (a, b, b, fb, a, fa, x, e, tol))
+    mark = b - a
+    steps = 0
+    while idx.size:
+        steps += 1
+        with np.errstate(invalid="ignore"):
+            c = c1 - f1 * (c1 - c0) / (f1 - f0)
+        secant = (a <= c) & (c <= b) & np.isfinite(f0)
+        if steps % 4 == 0:
+            secant &= b - a <= 0.5 * mark
+            mark = b - a
+        c = np.where(secant, c, 0.5 * (a + b))
+        c = np.minimum(np.maximum(c, a + 0.5 * tol), b - 0.5 * tol)
+        fc = _phi(df, x, c) - e
+        up = fc > 0.0
+        a, b = np.where(up, a, c), np.where(up, c, b)
+        c0, f0, c1, f1 = c1, f1, c, fc
+        out[idx] = a
+        keep = np.flatnonzero(b - a > tol)
+        idx, a, b, c0, f0, c1, f1, x, e, tol, mark = (
+            arr[keep] for arr in (idx, a, b, c0, f0, c1, f1, x, e, tol, mark)
+        )
+    return out

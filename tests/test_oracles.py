@@ -28,8 +28,11 @@ knot writer must write the bytes of the retired per-row writer.  The
 split-point check on one array must accept and reject what the per-point
 ``check_real`` did, except for ``Fraction`` (now rejected) and 0-d arrays
 (now accepted); the knot builders without ``np.union1d`` must give the
-knots and reports of those with it, and the sampler table built in one
-``np.linspace`` the bits of the one built panel by panel.
+knots and reports of those with it.  The sampler table must keep the bits
+of the one built panel by panel in every curved panel and at both ends of
+each linear one, phi must follow the line of each linear cell, and Gumbel
+draws must keep the bits of the retired inversion, which ran secant steps
+in every cell.
 """
 
 import heapq
@@ -75,6 +78,7 @@ from evcopula.bounds import (
     _random_convex_pwl,
     check_envelope,
 )
+from evcopula.cli import main
 from evcopula.coefficients import lambda_upper
 from evcopula.errors import check_split_points
 from evcopula.pickands import _pwl, tangent_at_half
@@ -367,6 +371,15 @@ COPULAS = {
     "gumbel(1e12)": lambda: gumbel_dependence(1e12),
     "corpus_pwl": lambda: _corpus_member("piecewise_linear"),
     "corpus_mixture": lambda: _corpus_member("mixture"),
+    # a kink within 1e-12 of t = 0, so no split point: A is 1e-13 off the chord of its one panel
+    "mo(1e-13,0.5)": lambda: mo_dependence(1e-13, 0.5),
+    # A - t A' = 1e-13 right of the kink: phi = x psi + 29.9 there, nearly a jump to inf
+    "mo(1-1e-13,0.5)": lambda: mo_dependence(1.0 - 1e-13, 0.5),
+    # a + b = 1 - 1e-13: the middle piece has dpsi/dq ~ 1e-13, a nearly flat phi
+    "tangent(0.6,0.4-1e-13)": lambda: pareto_dependence(0.6, 0.4 - 1e-13),
+    "mix(corpus_pwl,mo(0.3,0.8))": lambda: mix(_corpus_member("piecewise_linear"), mo_dependence(0.3, 0.8), 0.4),
+    # A is linear outside 1/2 +- 0.064: five linear panels around the curved middle
+    "mix(gumbel(1e3),mo(0.3,0.8))": lambda: mix(gumbel_dependence(1e3), mo_dependence(0.3, 0.8), 0.5),
 }
 
 # The table-bracketed inversion and the bisection both resolve v to 2**-47,
@@ -701,7 +714,8 @@ def test_integrate_matches_heap_on_corpus(monkeypatch):
     cases = dependence_corpus(600, 3)
     assert {df.family for df in cases} == set(FAMILIES)
     levels = [(rho_numeric(df), tau_numeric(df)) for df in cases]
-    monkeypatch.setattr(coefficients, "integrate", heap_integrate)
+    # rho_numeric and tau_numeric integrate over [0, *split_points, 1], checked when df was built
+    monkeypatch.setattr(coefficients, "integrate", lambda f, edges: heap_integrate(f, edges[1:-1]))
     for df, (rho, tau) in zip(cases, levels):
         heap_rho, heap_tau = rho_numeric(df), tau_numeric(df)
         # rho = 12 I - 3, so I differs by a twelfth of rho's difference
@@ -1217,9 +1231,141 @@ def test_knot_builds_match_union1d_paths():
     assert band_loops > 300
 
 
-def test_phi_table_matches_per_panel_linspace():
-    # theta < 2 has 42 panels between its graded split points
-    for df in [*dependence_corpus(300, 11), *map(gumbel_dependence, (1.03, 1.5, 2.0))]:
+def test_phi_table_keeps_curved_panels_and_the_ends_of_linear_ones():
+    # theta < 2 has 42 panels between its graded split points, none of them linear
+    nodes = montecarlo._PANEL_NODES
+    gumbels = [gumbel_dependence(theta) for theta in (1.03, 1.5, 2.0)]
+    for df in [*dependence_corpus(300, 11), *gumbels]:
         with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
-            new, old = montecarlo._phi_table(df), reference.retired_phi_table(df)
-        assert all(_same_bits(x, y) for x, y in zip(new, old)), df
+            q, psi, m, slope = montecarlo._phi_table(df)
+            old = reference.retired_phi_table(df)
+        k = linear = 0  # k: the first node of panel p in the new table
+        for p in range(len(df.split_points) + 1):
+            rows = np.arange(p * nodes, (p + 1) * nodes)
+            if slope is not None and not np.isnan(slope[k]):
+                rows, linear = rows[[0, -1]], linear + 1
+            elif slope is not None:  # a curved panel: secant steps in each of its cells
+                assert np.isnan(slope[k : k + nodes - 1]).all(), (df, p)
+            for new, ref in zip((q, psi, m), old):
+                assert _same_bits(new[k : k + len(rows)], ref[rows]), (df, p)
+            k += len(rows)
+            if slope is not None:  # the zero-width cell to the next panel, or the node at q = inf
+                assert slope[k - 1] == np.inf, (df, p)
+        assert len(q) == 1 << (k - 1).bit_length(), df  # then the node at q = inf, repeated
+        for new in (q, psi, m):
+            assert _same_bits(new[k:], np.full(len(q) - k, new[k - 1])), df
+        if df.family in ("marshall_olkin", "pareto"):
+            assert linear == len(df.split_points) + 1, df
+        if any(df is g for g in gumbels):
+            assert slope is None, df
+
+
+LINEAR_CASES = ("mo(1e-13,0.5)", "mo(1-1e-13,0.5)", "tangent(0.6,0.4-1e-13)", "mix(corpus_pwl,mo(0.3,0.8))")
+
+
+def test_phi_is_the_line_of_each_linear_table_cell():
+    # phi is summed from x (A - 1 + A q) and -ln(A - t A'), so it rounds to about eps times
+    # x (1 + q) + (A + t |A'|) / (A - t A'); x psi alone cancels to 0 on a piece A = 1 - t.
+    # The worst seen is 22 of those ulps, in a panel with a knot less than 1e-15 off its chord
+    eps = np.finfo(float).eps
+    cells = 0
+    for df in [*dependence_corpus(300, 11), *(COPULAS[name]() for name in LINEAR_CASES)]:
+        with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
+            q, psi, m, slope = montecarlo._phi_table(df)
+        if slope is None:
+            continue
+        for j in np.flatnonzero(~np.isnan(slope[:-1])):
+            a, b = q[j], q[j + 1]
+            if a == b or np.isinf(m[j]):  # a jump, or phi = inf on the cell: no pair lands in it
+                continue
+            if np.isinf(b):
+                qs = a + (1.0 + a) * np.array([0.5, 4.0, 1e3])
+            else:
+                qs = a + (b - a) * np.array([0.25, 0.5, 0.75])
+            t = qs / (1.0 + qs)
+            A, dA = df.eval_fn(t), df.deriv_fn(t, "left")
+            if np.isinf(slope[j]):  # a piece A = t: phi jumps to inf past a
+                with np.errstate(divide="ignore"):
+                    assert np.all(A - t * dA <= 0.0) and np.isinf(m[j + 1]), (df, j)
+                continue
+            for x in (1e-3, 0.7, 30.0):
+                phi = montecarlo._phi(df, x, qs)
+                assert np.isfinite(phi).all(), (df, j, x)
+                fa = x * psi[j] + m[j]
+                lines = [fa + x * slope[j] * (qs - a)]  # the line _invert solves
+                if np.isfinite(b):
+                    fb = x * psi[j + 1] + m[j + 1]
+                    lines.append(fa + (fb - fa) * (qs - a) / (b - a))
+                ulp = eps * (x * (1.0 + qs) + (A + t * np.abs(dA)) / (A - t * dA))
+                for line in lines:
+                    assert np.all(np.abs(phi - line) <= 32.0 * ulp), (df, j, x, phi - line)
+            cells += 1
+    assert cells > 700
+
+
+@pytest.mark.parametrize(
+    "name", ["mix(gumbel(1e3),mo(0.3,0.8))", "mo(0.3,0.8)", "tangent(0.3,0.2)", *LINEAR_CASES[1:]]
+)
+def test_linear_cells_take_no_secant_step(name, monkeypatch):
+    # the Gumbel mixture has linear panels around its curved middle.  A kink that no split point
+    # declares, within 1e-12 of an end or of another kink, leaves A off its chord by 1e-13:
+    # mo(1e-13,0.5) has no linear panel, and tangent(0.6,0.4-1e-13) one of its two
+    assert montecarlo._phi_table(COPULAS["mo(1e-13,0.5)"]())[3] is None
+    df = COPULAS[name]()
+    with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
+        q, _, _, slope = montecarlo._phi_table(df)
+    cells = np.flatnonzero(np.isfinite(slope[:-1]) & (q[1:] > q[:-1]))
+    assert cells.size
+    steps = []
+    phi = montecarlo._phi
+
+    def counted(df, x, c):
+        steps.append(np.asarray(c, dtype=float))
+        return phi(df, x, c)
+
+    monkeypatch.setattr(montecarlo, "_phi", counted)
+    sample_generic(copula_from_pickands(df), 20000, 0)
+    c = np.concatenate([np.empty(0), *steps])
+    assert not ((q[cells] < c[:, None]) & (c[:, None] < q[cells + 1])).any()
+    if not np.isnan(slope).any():
+        assert not steps
+
+
+def test_linear_cell_root_is_clamped_to_its_cell():
+    # phi = 0 at q = 0 and 1e-15 at q = 1 by rounding, on a cell of slope 0: the root is past
+    # q = 1, and a division alone would put it at inf.  The curved cell after it is narrower
+    # than the v tolerance, so its root is its lower end with no secant step and no read of
+    # phi; the last cell has slope 1
+    b = 1.0 + 1e-14
+    q = np.array([0.0, 1.0, b, np.inf])
+    psi = np.array([0.0, 0.0, 0.0, np.inf])
+    m = np.array([0.0, 1e-15, 1.0, np.inf])
+    slope = np.array([0.0, np.nan, 1.0, np.inf])
+    x, e = np.full(3, 0.5), np.array([1e-16, 0.5, 2.0])
+    out = montecarlo._invert(mo_dependence(0.3, 0.8), (q, psi, m, slope), x, e)
+    assert out[0] == 1.0
+    assert out[1] == 1.0
+    assert out[2] == b - (1.0 - 2.0) / 0.5
+
+
+@pytest.mark.parametrize("theta", (1.0001, 1.03, 1.5, 2.0, 5.0, 50.0))
+def test_curved_cells_keep_the_bits_of_the_retired_inversion(theta, monkeypatch):
+    # theta = 50's end panels test linear, A being 1 - t and t there to the last bit: phi is
+    # flat on the first and inf past the start of the last, so no pair lands in either
+    cop = copula_from_pickands(gumbel_dependence(theta))
+    new = [sample_generic(cop, 20000, seed) for seed in (0, 1)]
+    monkeypatch.setattr(montecarlo, "_phi_table", reference.retired_phi_table)
+    monkeypatch.setattr(montecarlo, "_invert", reference.retired_invert)
+    for seed, batch in zip((0, 1), new):
+        old = sample_generic(cop, 20000, seed)
+        assert _same_bits(batch.u, old.u) and _same_bits(batch.v, old.v), seed
+
+
+def test_cli_gumbel_sample_keeps_the_bytes_of_the_retired_inversion(monkeypatch, capsys):
+    argv = ["sample", "--family", "gumbel", "--theta", "2", "-n", "20000", "--seed", "1"]
+    assert main(argv) == 0
+    new = capsys.readouterr().out
+    monkeypatch.setattr(montecarlo, "_phi_table", reference.retired_phi_table)
+    monkeypatch.setattr(montecarlo, "_invert", reference.retired_invert)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == new
