@@ -227,8 +227,9 @@ def _invert(df, table, x, e):
         b = np.where(curved, b, a)  # only a curved cell keeps a bracket
     fb = x * psi[j + 1] + m[j + 1] - e
     last = np.flatnonzero(np.isinf(b))
-    b[last] = 1.0 + e[last] / x[last]
-    fb[last] = _phi(df, x[last], b[last]) - e[last]
+    if last.size:  # most blocks of a few thousand pairs have none in the last cell
+        b[last] = 1.0 + e[last] / x[last]
+        fb[last] = _phi(df, x[last], b[last]) - e[last]
     tol = _V_RESOLUTION / np.maximum(x * np.exp(-x * a), 1e-300)  # |dv/dq| <= x u**a on [a, b]
     idx = np.flatnonzero(b - a > tol)
     # the last two iterates start as the cell ends, so the first step is regula falsi
@@ -296,34 +297,50 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _run_lengths(starts: np.ndarray) -> np.ndarray:
-    """Lengths of the runs whose first items the mask ``starts`` marks."""
-    return np.diff(np.flatnonzero(starts), append=len(starts))
+def _tied_pairs(first: np.ndarray, n: int) -> int:
+    """Pairs within the runs of ties of ``n`` sorted items, whose runs start at the positions ``first``."""
+    counts = np.diff(first)  # the lengths of all runs but the last
+    last = n - int(first[-1])
+    return (int(counts @ counts) + last * last - n) // 2  # sum of c (c - 1) / 2 over run lengths c
 
 
-def _tied_pairs(counts: np.ndarray) -> int:
-    """Pairs within runs of the given lengths."""
-    return int((counts * (counts - 1) // 2).sum())
+def _median(xs: np.ndarray) -> float:
+    """Median of the sorted ``xs``, the same float as ``np.median``."""
+    h = len(xs) // 2
+    return xs[h] if len(xs) % 2 else (xs[h - 1] + xs[h]) / 2.0
 
 
 def _ties(x: np.ndarray) -> tuple:
-    """One sort of ``x``: its sorted values, each item's run of ties, and the run lengths.
+    """One sort of ``x``: its median, each item's run of ties, its rank over n + 1, and the tied pairs.
 
-    Runs are numbered 0, 1, ... in sorted order, and the run numbers are
-    returned in the order of ``x``; -0.0 ties with 0.0.  ``x`` has no NaN.
+    Runs are numbered 0, 1, ... in sorted order.  The run numbers (int32
+    below 2**31 items) and the 1-based ranks, tied items sharing their
+    mean, are in the order of ``x``; -0.0 ties with 0.0.  ``x`` has no NaN.
+    The sort order, the sorted copy and the run starts are freed as soon as
+    they are used, so the call holds at most about 2.5 arrays of n doubles
+    beyond a contiguous ``x``.
     """
+    n = len(x)
     order = np.argsort(x)
     xs = x[order]
+    median = _median(xs)
     starts = _run_starts(xs)
-    run = np.empty(len(x), dtype=np.intp)
-    run[order] = np.cumsum(starts) - 1
-    return xs, run, _run_lengths(starts)
-
-
-def _mean_ranks(run: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied items sharing their mean, from the runs of :func:`_ties`."""
-    starts = np.cumsum(counts) - counts
-    return ((2 * starts + counts + 1) / 2.0)[run]
+    del xs
+    sorted_run = np.cumsum(starts, dtype=np.int32 if n < 2**31 else np.int64)
+    sorted_run -= 1
+    run = np.empty_like(sorted_run)
+    run[order] = sorted_run
+    del order, sorted_run
+    first = np.flatnonzero(starts)
+    tied = _tied_pairs(first, n)
+    # the run from first s to next first e holds ranks s + 1 .. e, whose mean is (s + e + 1) / 2;
+    # s + e + 1 is an exact float, so one division by 2 (n + 1) rounds as (s + e + 1) / 2 / (n + 1)
+    rank = first + 1.0
+    rank[:-1] += first[1:]
+    rank[-1] += n
+    del first
+    rank /= 2 * (n + 1)
+    return median, run, rank[run], tied
 
 
 _INV_BLOCK = 8  # pairs inside blocks this wide are compared directly
@@ -333,8 +350,9 @@ def _inversions(w: np.ndarray) -> int:
     """Number of pairs i < j with w[i] > w[j], for integers 0 <= w < len(w).
 
     Knight's (1966) merge count, one merge level at a time; the dtype of
-    ``w`` must hold 2 len(w) + 1.  ``w`` is padded to a power-of-two length
-    (at least ``_INV_BLOCK``) with len(w), which adds no inversion.  Pairs
+    ``w`` must hold 2 len(w) + 1.  ``w`` is copied into a power-of-two
+    length (at least ``_INV_BLOCK``), padded with len(w), which adds no
+    inversion, and every later step works in place in that copy.  Pairs
     inside each block of ``_INV_BLOCK`` are compared one offset at a time.
     Then each level pairs all sorted halves of ``width`` at once: keys are
     2 w plus a tag bit that is 1 in right halves, so a right item sorts
@@ -344,50 +362,48 @@ def _inversions(w: np.ndarray) -> int:
     """
     n = len(w)
     size = max(_INV_BLOCK, 1 << (n - 1).bit_length())
-    x = np.full(size, n, dtype=w.dtype)
-    x[:n] = w
-    rows = x.reshape(-1, _INV_BLOCK)
+    keys = np.full(size, n, dtype=w.dtype)
+    keys[:n] = w
+    rows = keys.reshape(-1, _INV_BLOCK)
     inv = sum(int(np.count_nonzero(rows[:, :-d] > rows[:, d:])) for d in range(1, _INV_BLOCK))
-    keys = np.sort(rows, axis=1) * 2
+    rows.sort(axis=1)
+    keys *= 2
     width = _INV_BLOCK
     while width < size:
-        keys = keys.reshape(-1, 2 * width)
+        rows = keys.reshape(-1, 2 * width)
         keys &= -2
-        keys[:, width:] |= 1
-        keys.sort(axis=1)
-        positions = int(((keys & 1) @ np.arange(2 * width)).sum())
-        inv += len(keys) * (width * width + width * (width - 1) // 2) - positions
+        rows[:, width:] |= 1
+        rows.sort(axis=1)
+        tags = np.bitwise_and(rows, 1, dtype=np.int64)  # int64: the matmul then makes no cast copy
+        positions = int((tags @ np.arange(2 * width)).sum())
+        inv += len(rows) * (width * width + width * (width - 1) // 2) - positions
         width *= 2
     return inv
 
 
-def _tau_a(u_ties: tuple, v_ties: tuple) -> float:
-    """Kendall's tau-a from the :func:`_ties` of u and of v (two or more pairs).
+def _tau_a(run_u: np.ndarray, run_v: np.ndarray, tied: int) -> float:
+    """Kendall's tau-a from the run numbers of :func:`_ties` (two or more pairs).
 
-    Sorting the integer keys ``run_u * k + run_v`` (k runs of v) puts the
-    pairs in (u, v) order; the discordant pairs are the strict inversions of
-    ``run_v`` in that order (:func:`_inversions`).  Tied pairs, which count
-    as neither concordant nor discordant, come from the runs of u, of v and
-    of equal keys.
+    ``tied`` is the tied pairs of u plus those of v.  Sorting the integer
+    keys ``run_u * n + run_v`` puts the pairs in (u, v) order; the
+    discordant pairs are the strict inversions of ``run_v`` in that order
+    (:func:`_inversions`).  Tied pairs, which count as neither concordant
+    nor discordant, are those of u, of v, less those of equal keys.  The
+    keys are one int64 array, sorted and then reduced to ``run_v`` in place.
     """
-    _, run_u, counts_u = u_ties
-    _, run_v, counts_v = v_ties
     n = len(run_u)
-    k = len(counts_v)
-    keys = np.sort(run_u * k + run_v)
-    w = keys % k
+    keys = run_u.astype(np.int64)
+    keys *= n
+    keys += run_v
+    keys.sort()
+    ties_uv = _tied_pairs(np.flatnonzero(_run_starts(keys)), n)
+    keys %= n
     # int32 keys (2 n + 1 < 2**31) sort about twice as fast as int64 ones
-    discordant = _inversions(w.astype(np.int32) if n < 2**30 else w)
+    w = keys.astype(np.int32) if n < 2**30 else keys
+    del keys
+    discordant = _inversions(w)
     n0 = n * (n - 1) // 2
-    ties_uv = _tied_pairs(_run_lengths(_run_starts(keys)))
-    ties = _tied_pairs(counts_u) + _tied_pairs(counts_v) - ties_uv
-    return (n0 - ties - 2 * discordant) / n0
-
-
-def _median(xs: np.ndarray) -> float:
-    """Median of the sorted ``xs``, the same float as ``np.median``."""
-    h = len(xs) // 2
-    return xs[h] if len(xs) % 2 else (xs[h - 1] + xs[h]) / 2.0
+    return (n0 - (tied - ties_uv) - 2 * discordant) / n0
 
 
 def _reject_nan(u: np.ndarray, v: np.ndarray) -> None:
@@ -401,15 +417,18 @@ def kendall_tau_stat(u, v) -> float:
     O(n log n): one sort of each coordinate gives its runs of ties, a sort
     of integer keys the (u, v) order, and a merge count the discordant
     pairs (see :func:`_tau_a`); ties count as neither concordant nor
-    discordant, and -0.0 ties with 0.0.  ``u`` and ``v`` are checked like
-    the coordinates of a :class:`SampleBatch`; fewer than two pairs or a
-    NaN raise :class:`DegenerateSampleError`.
+    discordant, and -0.0 ties with 0.0.  The working memory is at most 8
+    arrays of n doubles beyond ``u`` and ``v``.  ``u`` and ``v`` are
+    checked like the coordinates of a :class:`SampleBatch`; fewer than two
+    pairs or a NaN raise :class:`DegenerateSampleError`.
     """
     u, v = _check_pairs(u, v)
     if len(u) < 2:
         raise DegenerateSampleError(f"need two or more (u, v) pairs, got {len(u)}")
     _reject_nan(u, v)
-    return _tau_a(_ties(u), _ties(v))
+    _, run_u, _, tied_u = _ties(u)
+    _, run_v, _, tied_v = _ties(v)
+    return _tau_a(run_u, run_v, tied_u + tied_v)
 
 
 def ks_statistic_uniform(x: np.ndarray) -> float:
@@ -441,10 +460,12 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
 
     One sort of each coordinate (:func:`_ties`) serves every statistic: the
     average ranks for rho and the tail estimates, the medians for beta, and
-    the runs of ties and run numbers from which :func:`_tau_a` counts tau.
+    the run numbers and tied pairs from which :func:`_tau_a` counts tau.
     The tail estimate uses the diagonal law of EV copulas:
     ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with the empirical copula
-    C_n on normalized ranks, summarized at the largest threshold.
+    C_n on normalized ranks, summarized at the largest threshold.  The
+    working memory is at most 8 arrays of n doubles beyond the batch: the
+    ranks are freed before Kendall's keys are built.
     """
     u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
@@ -455,17 +476,21 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     thresholds = check_thresholds(lambda_thresholds)
     _reject_nan(u, v)
 
-    u_ties, v_ties = _ties(u), _ties(v)
-    pu, pv = (_mean_ranks(run, counts) / (n + 1) for _, run, counts in (u_ties, v_ties))
-    rho_hat = 12.0 * float(np.mean(pu * pv)) - 3.0
-    tau_hat = _tau_a(u_ties, v_ties)
-    beta_hat = float(np.mean(np.sign((u - _median(u_ties[0])) * (v - _median(v_ties[0])))))
-
+    median_u, run_u, pu, tied_u = _ties(u)
+    median_v, run_v, pv, tied_v = _ties(v)
     lams = []
     for t in sorted(thresholds):
         cn = float(np.mean((pu <= t) & (pv <= t)))
         est = 0.0 if cn <= 0.0 else 2.0 - np.log(cn) / np.log(t)
         lams.append((t, float(np.clip(est, 0.0, 1.0))))
+    pu *= pv
+    rho_hat = 12.0 * float(np.mean(pu)) - 3.0
+    del pu, pv  # the ranks are done with: free them before Kendall's keys
+    sign = u - median_u
+    sign *= v - median_v
+    beta_hat = float(np.mean(np.sign(sign, out=sign)))
+    del sign
+    tau_hat = _tau_a(run_u, run_v, tied_u + tied_v)
     return EmpiricalCoefficients(
         rho_hat=rho_hat,
         tau_hat=tau_hat,

@@ -8,10 +8,12 @@ writer, the ``loadtxt`` reader against the line-split reader, Kendall's tau
 against ``np.unique`` tie counts and an O(n^2) sign count, and
 ``empirical_coefficients`` against the estimator that sorted each
 coordinate for its ranks, lexsorted (u, v) and merge-counted block by
-block.  The by-parts Kendall tau integral of piecewise-linear dependence
-functions must match the retired sum of Stieltjes atoms at their kinks.
-The t-space envelope check of ``verify_case`` must agree with the (u, v)-grid
-``check_envelope`` it replaced.  The level-by-level quadrature must agree
+block; on 2e5 pairs, both rank estimators must hold at most 8 arrays of
+n doubles beyond their input.  The by-parts Kendall tau integral of
+piecewise-linear dependence functions must match the retired sum of
+Stieltjes atoms at their kinks.  The t-space envelope check of
+``verify_case`` must agree with the (u, v)-grid ``check_envelope`` it
+replaced.  The level-by-level quadrature must agree
 with the retired heap integrator, which bisected the worst panel one call
 of the integrand at a time, to twice the stated tolerance.  The envelope
 check on two arrays must equal the retired check on their ``union1d``; the
@@ -38,6 +40,7 @@ in every cell.
 import heapq
 import io
 import itertools
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -600,9 +603,38 @@ def test_inversion_count_matches_retired_in_both_key_dtypes(dtype):
         assert montecarlo._inversions(w.astype(dtype)) == count_strict_inversions(w), n
 
 
-def test_empirical_matches_retired_on_large_gumbel_sample():
-    batch = sample_generic(copula_from_pickands(gumbel_dependence(2.0)), 200000, seed=0)
-    assert empirical_coefficients(batch) == retired_empirical(batch)
+@pytest.fixture(scope="module")
+def large_gumbel_batch():
+    return sample_generic(copula_from_pickands(gumbel_dependence(2.0)), 200000, seed=0)
+
+
+def test_empirical_matches_retired_on_large_gumbel_sample(large_gumbel_batch):
+    assert empirical_coefficients(large_gumbel_batch) == retired_empirical(large_gumbel_batch)
+
+
+def test_empirical_matches_retired_on_large_sample_with_long_runs_of_ties(large_gumbel_batch):
+    # 3 decimals leave about 1,000 runs of some 200 pairs per coordinate
+    u, v = np.round(large_gumbel_batch.u, 3), np.round(large_gumbel_batch.v, 3)
+    assert kendall_tau_stat(u, v) == retired_tau(u, v)
+    _assert_matches_retired(u, v)
+
+
+@pytest.mark.parametrize("estimator", ["empirical_coefficients", "kendall_tau_stat"])
+def test_rank_estimators_hold_at_most_eight_arrays_of_n_doubles(large_gumbel_batch, estimator):
+    batch = large_gumbel_batch
+    call = {
+        "empirical_coefficients": lambda: empirical_coefficients(batch),
+        "kendall_tau_stat": lambda: kendall_tau_stat(batch.u, batch.v),
+    }[estimator]
+    call()  # a first call, so that lazy set-up inside numpy is not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * batch.n, f"{estimator} peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
