@@ -58,7 +58,6 @@ from .montecarlo import (
     sample_mo,
     write_batch_csv,
 )
-from .numerics import integrate
 from .pickands import (
     DependenceFunction,
     ValidationReport,
@@ -68,7 +67,6 @@ from .pickands import (
     pareto_dependence,
     piecewise_linear_dependence,
     read_knots_csv,
-    tangent_at_half,
     write_knots_csv,
 )
 

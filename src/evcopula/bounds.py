@@ -31,6 +31,7 @@ from .pickands import (
     DependenceFunction,
     _pwl_max,
     _tangent,
+    _tangent_kinks,
     _union,
     check_lambda,
     check_tangent,
@@ -140,7 +141,7 @@ def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeChe
     a, b = _tangent(df, lam)
     kinks = [0.5, *df.split_points]
     if a + b < 1.0:
-        kinks += [a / (1.0 + a - b), (1.0 - a) / (1.0 - a + b)]
+        kinks += _tangent_kinks(a, b)
     t = np.concatenate((np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks))
     s, at = 1.0 - t, df.eval_fn(t)
     lower = np.maximum(0.0, (at - (1.0 - lam * np.minimum(t, s))).max())

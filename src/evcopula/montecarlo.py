@@ -121,8 +121,7 @@ def sample_mo(alpha: float, beta: float, n: int, seed: int) -> SampleBatch:
 _PANEL_NODES = 64  # equispaced table nodes per panel between split points, ends included
 _BLOCK = 16384  # pairs inverted at once, so temporaries do not grow with n
 _V_RESOLUTION = 2.0**-47  # accuracy of v, that of the retired 47-pass bisection
-_LINEAR_TOL = 1e-15  # largest rise of A' over a linear panel, and gap of A from its chord
-_PANEL_FRACTIONS = np.linspace(0.0, 1.0, _PANEL_NODES)  # where the nodes lie in their panel
+_LINEAR_TOL = 1e-15  # largest rise of A' over a linear panel
 
 
 def _psi_m(a, da, t, q):
@@ -151,14 +150,13 @@ def _phi_table(df) -> tuple:
     point is stored twice, at the same q: with A'(t-) as the end of one
     panel, then with A'(t+) as the start of the next, so a jump of phi
     there is a zero-width cell.  A panel is linear if its A'(b-) exceeds
-    its A'(a+) by at most ``_LINEAR_TOL``, which for a convex A bounds its
-    gap from the chord, and if A at its nodes is that near the chord too
-    (``eval_fn`` may keep a kink within 1e-12 of an end or of another kink,
-    which the split points and ``deriv_fn`` drop).  Then phi is linear on
-    it: the panel keeps only its two end nodes, one cell, whose ``slope``
-    is dpsi/dq = A + (1 - t) A' at its first node.  ``slope`` is inf on the
-    zero-width cells and on a linear panel where A = t, whose m is inf, and
-    NaN on curved cells; it is None when no panel is linear.
+    its A'(a+) by at most ``_LINEAR_TOL``: each kink of A is one of
+    ``deriv_fn``, so for a convex A that bounds its gap from the chord.
+    Then phi is linear on it: the panel keeps only its two end nodes, one
+    cell, whose ``slope`` is dpsi/dq = A + (1 - t) A' at its first node.
+    ``slope`` is inf on the zero-width cells and on a linear panel where
+    A = t, whose m is inf, and NaN on curved cells; it is None when no
+    panel is linear.
     """
     edges = np.array([0.0, *df.split_points, 1.0])
     t = np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1).ravel()
@@ -170,10 +168,6 @@ def _phi_table(df) -> tuple:
     table = (q, *_psi_m(a, da, t, q))
     panels = da.reshape(-1, _PANEL_NODES)
     linear = panels[:, -1] - panels[:, 0] <= _LINEAR_TOL
-    if linear.any():
-        ap = a.reshape(-1, _PANEL_NODES)
-        gap = ap - ap[:, :1] - (ap[:, -1:] - ap[:, :1]) * _PANEL_FRACTIONS
-        linear &= np.abs(gap).max(axis=1) <= _LINEAR_TOL
     keep = np.ones(panels.shape, dtype=bool)
     keep[linear, 1:-1] = False
     rows = np.flatnonzero(keep)  # then the node at q = inf, up to a power-of-two length
@@ -265,15 +259,10 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     ``inf{v : dC/du(u, v) >= p}``.  With x = -ln u, e = -ln p and
     q = ln v / ln u, ``dC/du = exp(-phi(q))`` for the non-decreasing
     phi of :func:`_phi`, so v = u**q* with q* = sup{q : phi(q) <= e}.  A
-    per-copula table of phi at exact t nodes brackets q* (see
-    :func:`_phi_table`).  On a linear piece of A, phi is linear and the
-    piece is one cell, where q* takes one division; in a curved cell,
-    safeguarded secant steps on phi narrow the bracket until v is within
-    2**-47 (see :func:`_invert`); p = 0 gives v = 0.  A kink of A makes phi
-    jump at a split point, which the table still stores as a zero-width
-    cell, so its atom of v lands exactly on the jump curve.  Pairs are
-    inverted in blocks of ``_BLOCK``, so memory beyond the output stays
-    bounded.
+    per-copula table of phi at exact t nodes brackets q*
+    (:func:`_phi_table`), and :func:`_invert` finds it to within 2**-47 in
+    v; p = 0 gives v = 0.  Pairs are inverted in blocks of ``_BLOCK``, so
+    memory beyond the output stays bounded.
     """
     df = check_type(copula, EvCopula, "copula").dependence
     n = check_int(n, "n", 1)
@@ -316,9 +305,7 @@ def _ties(x: np.ndarray) -> tuple:
     Runs are numbered 0, 1, ... in sorted order.  The run numbers (int32
     below 2**31 items) and the 1-based ranks, tied items sharing their
     mean, are in the order of ``x``; -0.0 ties with 0.0.  ``x`` has no NaN.
-    The sort order, the sorted copy and the run starts are freed as soon as
-    they are used, so the call holds at most about 2.5 arrays of n doubles
-    beyond a contiguous ``x``.
+    The sort order, the sorted copy and the run starts are freed once used.
     """
     n = len(x)
     order = np.argsort(x)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergentError, NonFiniteError, ParamOutOfRangeError, check_split_points
+from .errors import NonConvergentError, NonFiniteError
 
 # Gauss-Kronrod 7-15 abscissae and weights on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -67,31 +67,14 @@ def _gk15(f, a: np.ndarray, b: np.ndarray):
     return kron, np.abs(kron - gauss)
 
 
-def integrate(f, split_points=()) -> float:
-    """Integrate ``f`` over [0, 1] adaptively to ``1e-12 + 1e-10 * |I|``.
-
-    The first level holds the panels between consecutive ``split_points``.
-    Each level evaluates all its panels in one call of ``f``.  If the
-    accepted errors plus the level's errors meet the tolerance, the sum of
-    the accepted values and the level's values is returned.  Otherwise the
-    panels with the smallest error estimates are accepted while their
-    errors sum to at most half of what the tolerance leaves after the
-    errors accepted so far, and the rest are bisected into the next level.
-    :class:`NonConvergentError` names the worst panel when it would need
-    bisecting at depth 60, or when the next level would hold more than
-    ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
-    :class:`NonFiniteError` naming its t.  Split points must be real
-    numbers, strictly increasing and inside (0, 1), else
-    :class:`ParamOutOfRangeError` (see :func:`errors.check_split_points`),
-    as is an ``f`` that is not callable.
-    """
-    if not callable(f):
-        raise ParamOutOfRangeError(f"integrand must be callable, got {type(f).__name__}")
-    return _integrate(f, check_split_points(split_points))
-
-
 def _integrate(f, edges: np.ndarray) -> float:
-    """:func:`integrate` of ``f`` over the panels between the checked ``edges``, ``[0, *split_points, 1]``."""
+    """Integrate ``f`` over [0, 1] to ``1e-12 + 1e-10 * |I|``, starting from the panels between ``edges``.
+
+    ``edges`` is ``[0, *split_points, 1]``, checked by :func:`errors.check_split_points`.
+    :class:`NonConvergentError` names the worst panel when it would need bisecting at
+    depth 60, or when the next level would hold more than ``_MAX_PANELS`` (2**16)
+    panels.  A non-finite value of ``f`` raises :class:`NonFiniteError` naming its t.
+    """
     a, b = edges[:-1], edges[1:]
     done = done_err = 0.0
     for depth in range(_MAX_DEPTH + 1):

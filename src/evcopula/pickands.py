@@ -44,18 +44,17 @@ class DependenceFunction:
     """A validated Pickands dependence function: A, A' and split points.
 
     ``split_points`` lists, in increasing order, the points strictly inside
-    (0, 1) where a quadrature panel must end: every jump of A' (for
-    piecewise-linear A, each knot more than 1e-15 below the chord of its
-    neighbours) and, for Gumbel, the edges of its narrow curvature spike
-    at t = 1/2 and, for theta < 2, the points ``4^-k`` and ``1 - 4^-k``
-    graded toward both ends, where the slope of A' is unbounded.  A is
-    defined on [0, 1] only: calling the function or :meth:`deriv` with t
-    outside [0, 1] or NaN raises :class:`ParamOutOfRangeError`, and so does
-    building one whose ``eval_fn`` or ``deriv_fn`` is not callable, or whose
-    split points break the rule of :func:`errors.check_split_points`; they
-    are stored as a tuple of floats.  ``second_fn`` is always None and
-    nothing reads it.  Instances are immutable and safe to share across
-    threads.
+    (0, 1) where a quadrature panel must end: every jump of A' (each kink of
+    ``eval_fn`` is one of ``deriv_fn``; for piecewise-linear A, each knot
+    more than 1e-15 below the chord of its neighbours) and, for Gumbel, the
+    edges of its narrow curvature spike at t = 1/2 and, for theta < 2, the
+    points ``4^-k`` and ``1 - 4^-k`` graded toward both ends, where the
+    slope of A' is unbounded.  A is defined on [0, 1] only: calling the
+    function or :meth:`deriv` with t outside [0, 1] or NaN raises
+    :class:`ParamOutOfRangeError`, and so does building one whose
+    ``eval_fn`` or ``deriv_fn`` is not callable, or whose split points break
+    the rule of :func:`errors.check_split_points`; they are stored as a
+    tuple of floats.  Instances are immutable and thread-safe.
     """
 
     family: str
@@ -180,10 +179,18 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
 
 
 def _distinct(ts: np.ndarray, vs: np.ndarray) -> tuple:
-    """``(ts, vs)`` less each knot within 1e-12 of the one before it or of the last, which stays."""
-    keep = ts < ts[-1] - 1e-12
-    keep[1:] &= ts[1:] - ts[:-1] > 1e-12
+    """``(ts, vs)`` less each knot at or before the t of the one before it, or at or past the last, which stays.
+
+    Then a knot where the slope falls goes.  An MO or tangent kink bends A' up, so only
+    rounding at a kink ulps from its neighbour makes it fall, as in the tangent ``(1e-300, 0.5)``.
+    """
+    keep = ts < ts[-1]
+    keep[1:] &= ts[1:] > ts[:-1]
     keep[-1] = True
+    ts, vs = ts[keep], vs[keep]
+    slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
+    keep = np.ones(len(ts), dtype=bool)
+    keep[1:-1] = slopes[:-1] <= slopes[1:]
     return ts[keep], vs[keep]
 
 
@@ -199,7 +206,7 @@ def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> 
     d = np.interp(ts, ta, va) - np.interp(ts, tb, vb)
     i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
     t = _union(ts, ts[i] + (ts[i + 1] - ts[i]) * d[i] / (d[i] - d[i + 1]))
-    return _distinct(t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb)))
+    return t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb))
 
 
 def _invalid(message: str, t: float, kind: str, gap: float) -> InvalidDependenceFunctionError:
@@ -218,9 +225,6 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
 
     Piecewise linear with a single kink at ``alpha / (alpha + beta)``;
     either parameter equal to zero collapses to independence (A == 1).
-    A kink that :func:`_distinct` drops, one too near t = 0 or 1 as at
-    ``(1e-13, 0.2)``, stays in A but is no split point, so ``tau_numeric``
-    misses its atom: within its absolute tolerance, up to 100% relative.
     """
     alpha, beta = check_mo(alpha, beta)
 
@@ -281,13 +285,17 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     )
 
 
+def _tangent_kinks(a: float, b: float) -> tuple:
+    """``(t_P, t_Q)``, where the line ``(1-a)(1-t) + (1-b)t`` meets ``1 - t`` and ``t``; needs a + b < 1."""
+    return a / (1.0 + (a - b)), (1.0 - a) / (1.0 - (a - b))
+
+
 def pareto_dependence(a: float, b: float) -> DependenceFunction:
     """Tangent-family dependence function ``max(1-t, t, (1-a)(1-t) + (1-b)t)``.
 
-    Requires ``a, b >= 0`` and ``a + b <= 1``.  Kinks sit at
-    ``t_P = a / (1 + a - b)`` and ``t_Q = (1 - a) / (1 - a + b)`` when those
-    fall strictly inside (0, 1); ``a + b == 1`` collapses to the comonotone
-    envelope.
+    Requires ``a, b >= 0`` and ``a + b <= 1``.  Kinks sit where the line
+    meets ``1 - t`` and ``t`` (:func:`_tangent_kinks`); ``a + b == 1``
+    collapses to the comonotone envelope.
     """
     a, b = check_tangent(a, b)
 
@@ -298,8 +306,8 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
 
     if a + b >= 1.0:
         knots = ENVELOPE_KNOTS
-    else:  # a + b -> 1 collapses tq onto tp, and _distinct drops it
-        tp, tq = a / (1.0 + (a - b)), (1.0 - a) / (1.0 - (a - b))
+    else:
+        tp, tq = _tangent_kinks(a, b)
         knots = [(0.0, 1.0), (tp, 1.0 - tp), (tq, tq), (1.0, 1.0)]
     return _pwl(*_distinct(*np.transpose(knots)), "pareto", {"a": a, "b": b}, eval_fn)
 
@@ -379,20 +387,15 @@ def lambda_upper(df: DependenceFunction) -> float:
     return min(max(2.0 * (1.0 - float(a_half)), 0.0), 1.0)
 
 
-def tangent_at_half(df: DependenceFunction) -> tuple:
-    """Parameters (a, b) of a supporting tangent line at t = 1/2.
+def _tangent(df: DependenceFunction, lam: float) -> tuple:
+    """Parameters (a, b) of a supporting tangent line at t = 1/2; ``lam`` must be ``lambda_upper(df)``.
 
     The line ``(1-a)(1-t) + (1-b)t`` touches the graph at
     ``(1/2, A(1/2))`` with slope taken as the midpoint of the
-    subdifferential there, clipped so that a, b >= 0.  Then
-    ``a + b = lambda_upper(df)`` and the line never exceeds A.  A' is read
-    through ``df.deriv_fn``: t = 1/2 needs no check.
+    subdifferential there, clipped so that a, b >= 0.  Then ``a + b = lam``
+    and the line never exceeds A.  A' is read through ``df.deriv_fn``:
+    t = 1/2 needs no check.
     """
-    return _tangent(df, lambda_upper(df))
-
-
-def _tangent(df: DependenceFunction, lam: float) -> tuple:
-    """:func:`tangent_at_half` given ``lam``, which must be ``lambda_upper(df)``."""
     half = np.asarray(0.5)
     slope = 0.5 * float(df.deriv_fn(half, "left") + df.deriv_fn(half, "right"))
     slope = min(max(slope, -lam), lam)

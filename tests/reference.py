@@ -2,6 +2,9 @@
 
 ``partial_u`` is the conditional distribution dC/du of a copula, the
 oracle of the generic sampler, which inverts its own form of it.
+``integrate`` and ``tangent_at_half`` are the quadrature over checked
+split points and the supporting tangent at t = 1/2, through the private
+engines that ``rho_numeric``, ``tau_numeric`` and the bounds call.
 ``validate`` checks any callable A on a uniform grid: the band, the
 endpoints and midpoint convexity over all grid pairs.  It is the grid
 oracle for the family and property tests; the package itself validates
@@ -25,10 +28,11 @@ import numpy as np
 
 from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
 from evcopula.copula import _uv
-from evcopula.errors import check_int, check_real, check_unit_interval
+from evcopula.errors import check_int, check_real, check_split_points, check_unit_interval
 from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
+from evcopula.numerics import _integrate
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
-from evcopula.pickands import _bulge, check_lambda
+from evcopula.pickands import _bulge, _tangent, check_lambda, lambda_upper
 
 _CHECK_TOL = 1e-9
 
@@ -36,6 +40,16 @@ _CHECK_TOL = 1e-9
 def diag_exponent(copula) -> float:
     """Exponent in the diagonal law ``C(u, u) = u**diag_exponent``."""
     return 2.0 * copula.dependence(0.5)
+
+
+def integrate(f, split_points=()) -> float:
+    """Integral of ``f`` over [0, 1] to ``1e-12 + 1e-10 |I|``; split points checked by ``check_split_points``."""
+    return _integrate(f, check_split_points(split_points))
+
+
+def tangent_at_half(df) -> tuple:
+    """Parameters (a, b) of the supporting tangent line of ``df`` at t = 1/2."""
+    return _tangent(df, lambda_upper(df))
 
 
 def partial_u(copula, u, v):

@@ -149,14 +149,16 @@ class TestCoefficientIntervals:
         assert (tau_bounds(1.0).lo, tau_bounds(1.0).hi) == (1.0, 1.0)
 
     def test_attainment(self):
-        for lam in np.linspace(0.1, 0.9, 9):
+        # MO (lam, lam) and the tangent family (lam/2, lam/2) sit on the bounds to a few
+        # ulps, also where a kink lies within 1e-12 of an end or of the other kink
+        for lam in [*np.linspace(0.0, 1.0, 201), 1e-13, 2e-12, 1.0 - 1e-13]:
             ri, ti = rho_bounds(lam), tau_bounds(lam)
             mo = mo_dependence(lam, lam)
             pa = pareto_dependence(lam / 2.0, lam / 2.0)
-            assert rho_numeric(mo) == pytest.approx(ri.lo, abs=1e-8)
-            assert rho_numeric(pa) == pytest.approx(ri.hi, abs=1e-8)
-            assert tau_numeric(mo) == pytest.approx(ti.lo, abs=1e-8)
-            assert tau_numeric(pa) == pytest.approx(ti.hi, abs=1e-8)
+            assert rho_numeric(mo) == pytest.approx(ri.lo, abs=2e-15), lam
+            assert rho_numeric(pa) == pytest.approx(ri.hi, abs=2e-15), lam
+            assert tau_numeric(mo) == pytest.approx(ti.lo, abs=2e-15), lam
+            assert tau_numeric(pa) == pytest.approx(ti.hi, abs=2e-15), lam
 
     def test_interval_endpoints_satisfy_inequalities(self):
         for lam in np.linspace(0.0, 1.0, 21):

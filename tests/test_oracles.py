@@ -24,8 +24,11 @@ equal those of the retired rule on slope differences; and
 formulas read through the checked ``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
 reported through the band check it shared with the grid ``validate``,
 except that an end of the domain that is off is named at its own t.  The
-Marshall-Olkin and tangent knots, built through the one distinct-knot rule,
-must equal bit for bit those of the guards each family kept before, and the
+Marshall-Olkin and tangent knots, built through the one exact distinct-knot
+rule, must equal bit for bit those of the guards each family kept before,
+except for a kink the guards dropped within 1e-12 of an end or of the other
+kink, which is now a knot at its exact t; rho and tau of each build must lie
+within 4e-15 of the closed forms.  The
 knot writer must write the bytes of the retired per-row writer.  The
 split-point check on one array must accept and reject what the per-point
 ``check_real`` did, except for ``Fraction`` (now rejected) and 0-d arrays
@@ -62,6 +65,7 @@ from evcopula import (
     mix,
     mo_closed_form,
     mo_dependence,
+    pareto_closed_form,
     pareto_dependence,
     piecewise_linear_dependence,
     read_knots_csv,
@@ -84,7 +88,7 @@ from evcopula.bounds import (
 from evcopula.cli import main
 from evcopula.coefficients import lambda_upper
 from evcopula.errors import check_split_points
-from evcopula.pickands import _pwl, tangent_at_half
+from evcopula.pickands import _pwl
 from evcopula.rng import make_rng
 
 import reference
@@ -374,12 +378,18 @@ COPULAS = {
     "gumbel(1e12)": lambda: gumbel_dependence(1e12),
     "corpus_pwl": lambda: _corpus_member("piecewise_linear"),
     "corpus_mixture": lambda: _corpus_member("mixture"),
-    # a kink within 1e-12 of t = 0, so no split point: A is 1e-13 off the chord of its one panel
+    # a kink 2e-13 from t = 0, a knot and a split point: both of its panels are linear
     "mo(1e-13,0.5)": lambda: mo_dependence(1e-13, 0.5),
+    "mo(0.5,1e-13)": lambda: mo_dependence(0.5, 1e-13),
     # A - t A' = 1e-13 right of the kink: phi = x psi + 29.9 there, nearly a jump to inf
     "mo(1-1e-13,0.5)": lambda: mo_dependence(1.0 - 1e-13, 0.5),
     # a + b = 1 - 1e-13: the middle piece has dpsi/dq ~ 1e-13, a nearly flat phi
     "tangent(0.6,0.4-1e-13)": lambda: pareto_dependence(0.6, 0.4 - 1e-13),
+    # both kinks 5e-14 from an end
+    "tangent(5e-14,5e-14)": lambda: pareto_dependence(5e-14, 5e-14),
+    # A at the kink 1e-299 from t = 0 rounds to 1, so the slope before it would be 0, not -1:
+    # that knot goes, or A' would fall from 0 to -0.9 over the first panel
+    "tangent(1e-300,0.9)": lambda: pareto_dependence(1e-300, 0.9),
     "mix(corpus_pwl,mo(0.3,0.8))": lambda: mix(_corpus_member("piecewise_linear"), mo_dependence(0.3, 0.8), 0.4),
     # A is linear outside 1/2 +- 0.064: five linear panels around the curved middle
     "mix(gumbel(1e3),mo(0.3,0.8))": lambda: mix(gumbel_dependence(1e3), mo_dependence(0.3, 0.8), 0.5),
@@ -395,19 +405,20 @@ V_TOL = 1e-12
 def assert_matches_bisection(cop, n, seed):
     """u bit-equal to the bisection sampler's, and v within ``V_TOL``; returns the batch.
 
-    A pair the bisection put on the jump curve v = u**q_k of a kink t_k,
-    q_k = t_k / (1 - t_k), is an atom: its v must lie on that curve exactly.
+    A pair the bisection put within 2**-46 of the jump curves v = u**q_k of
+    one or more kinks t_k, q_k = t_k / (1 - t_k), is an atom: its v must lie
+    exactly on one of those curves (two kinks may be 1e-13 apart).
     """
     batch = sample_generic(cop, n, seed)
     u, v = bisection_sample(cop, n, seed)
     assert np.array_equal(batch.u, u), (seed, n)
     assert np.abs(batch.v - v).max() <= V_TOL, (seed, n, np.abs(batch.v - v).max())
     df = cop.dependence
-    for tk in df.split_points:
-        if df.deriv(tk, "left") < df.deriv(tk, "right"):
-            curve = u ** (tk / (1.0 - tk))
-            atoms = np.abs(v - curve) <= 2.0**-46
-            assert np.array_equal(batch.v[atoms], curve[atoms]), (seed, n, tk)
+    kinks = [tk for tk in df.split_points if df.deriv(tk, "left") < df.deriv(tk, "right")]
+    curves = np.array([u ** (tk / (1.0 - tk)) for tk in kinks]).reshape(len(kinks), n)
+    near = np.abs(v - curves) <= 2.0**-46
+    on = ((batch.v == curves) & near).any(axis=0)
+    assert on[near.any(axis=0)].all(), (seed, n)
     return batch
 
 
@@ -772,7 +783,7 @@ def test_gumbel_tau_matches_closed_form(theta):
 )
 def test_integrate_matches_heap_on_hard_integrands(f, split_points):
     heap = heap_integrate(f, split_points)
-    assert abs(numerics.integrate(f, split_points) - heap) <= _quad_tol(heap)
+    assert abs(reference.integrate(f, split_points) - heap) <= _quad_tol(heap)
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +1000,7 @@ def test_reads_at_half_match_checked_reads():
     ]
     for df in dependence_corpus(600, 3) + mixes + invalid:
         lam = lambda_upper(df)
-        a, b = tangent_at_half(df)
+        a, b = reference.tangent_at_half(df)
         assert type(lam) is float and type(a) is float and type(b) is float
         assert _bits(lam) == _bits(retired_lambda_upper(df)), df
         assert _bits(a, b) == _bits(*retired_tangent_at_half(df)), df
@@ -1086,6 +1097,19 @@ def _edge_pairs():
     return pairs + [(a, 1.0 - a - d) for a in firsts for d in gaps]
 
 
+def _exact_kinks(df):
+    """Each kink t of an MO or tangent function mapped to A(t), by the closed forms of the kink."""
+    if df.family == "marshall_olkin":
+        alpha, beta = df.params["alpha"], df.params["beta"]
+        s = alpha + beta or 1.0
+        return {alpha / s: 1.0 - alpha * beta / s}
+    a, b = df.params["a"], df.params["b"]
+    if a + b >= 1.0:
+        return {0.5: 0.5}
+    tp, tq = a / (1.0 + (a - b)), (1.0 - a) / (1.0 - (a - b))
+    return {tp: 1.0 - tp, tq: tq}
+
+
 def _same_bits(x, y):
     x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -1106,7 +1130,7 @@ def test_family_knots_match_retired_guards(build, retired, monkeypatch):
 
     monkeypatch.setattr(pickands, "_pwl", spy)
     t = np.linspace(0.0, 1.0, 1001)
-    built = 0
+    built = dropped = 0
     for a, b in _edge_pairs():
         try:
             df = build(a, b)
@@ -1116,12 +1140,27 @@ def test_family_knots_match_retired_guards(build, retired, monkeypatch):
         ((ts, vs),) = seen
         seen.clear()
         old_ts, old_vs = retired(*df.params.values())  # the checked floats, in argument order
-        assert _same_bits(ts, old_ts) and _same_bits(vs, old_vs), (a, b)
-        old = real(old_ts, old_vs, df.family, df.params, df.eval_fn)
-        assert df.split_points == old.split_points, (a, b)
-        for side in ("left", "right"):
-            assert _same_bits(df.deriv_fn(t, side), old.deriv_fn(t, side)), (a, b, side)
-    assert built > 600
+        if len(ts) == len(old_ts):  # the guards kept every knot
+            assert _same_bits(ts, old_ts) and _same_bits(vs, old_vs), (a, b)
+            old = real(old_ts, old_vs, df.family, df.params, df.eval_fn)
+            assert df.split_points == old.split_points, (a, b)
+            for side in ("left", "right"):
+                assert _same_bits(df.deriv_fn(t, side), old.deriv_fn(t, side)), (a, b, side)
+        else:  # they dropped a kink within 1e-12 of an end or of the other kink: a knot at its exact t
+            dropped += 1
+            new = ~np.isin(ts, old_ts)
+            assert _same_bits(ts[~new], old_ts) and _same_bits(vs[~new], old_vs), (a, b)
+            kinks = _exact_kinks(df)
+            assert new.any() and all(kinks.get(k) == v for k, v in zip(ts[new], vs[new])), (a, b)
+        # A' never falls, so a panel whose ends agree in A' is linear
+        slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
+        assert np.all(slopes[:-1] <= slopes[1:]), (a, b)
+        # every kink declared: rho and tau within a few ulps of the closed form
+        closed = mo_closed_form(*df.params.values()) if df.family == "marshall_olkin" else None
+        rho, tau = (closed.rho, closed.tau) if closed else pareto_closed_form(*df.params.values())
+        assert abs(rho_numeric(df) - rho) <= 4e-15, (a, b, rho_numeric(df) - rho)
+        assert abs(tau_numeric(df) - tau) <= 4e-15, (a, b, tau_numeric(df) - tau)
+    assert built > 600 and dropped > 50
 
 
 def test_knot_writer_matches_per_row_writer(tmp_path):
@@ -1141,12 +1180,11 @@ def test_knot_writer_matches_per_row_writer(tmp_path):
 
 @pytest.mark.parametrize("alpha, beta", [(1e-13, 0.2), (0.2, 1e-13)])
 def test_collapsed_mo_kink_stays_within_the_absolute_tolerance(alpha, beta):
-    # the kink lies within 1e-12 of an end, so it is no knot and no split point;
-    # tau_numeric misses its atom (tau is about 1e-13, so the relative error can
-    # reach 100%), which the absolute tolerance of the quadrature allows
+    # the kink lies within 1e-12 of an end, yet it is a knot and a split point, so
+    # tau_numeric takes its atom: tau is about 1e-13, and it lands within 1e-15 of it
     df = mo_dependence(alpha, beta)
-    assert df.split_points == ()
-    assert abs(tau_numeric(df) - mo_closed_form(alpha, beta).tau) <= 1e-12
+    assert df.split_points == (alpha / (alpha + beta),)
+    assert abs(tau_numeric(df) - mo_closed_form(alpha, beta).tau) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -1224,6 +1262,21 @@ def _clustered_knots(rng, k):
     return np.sort(ts)
 
 
+def exact_distinct(ts, vs) -> tuple:
+    """The distinct-knot rule, knot by knot, with no tolerance.
+
+    A knot stays if it is the last, or past the t before it and before the
+    last t; then an interior knot stays if the slope into it is at most the
+    slope out of it.
+    """
+    last = len(ts) - 1
+    keep = [i for i in range(last + 1) if i == last or (ts[i] < ts[last] and (i == 0 or ts[i] > ts[i - 1]))]
+    t, v = ts[keep], vs[keep]
+    slope = [(v[i + 1] - v[i]) / (t[i + 1] - t[i]) for i in range(len(t) - 1)]
+    bend = [i for i in range(len(t)) if i in (0, len(t) - 1) or slope[i - 1] <= slope[i]]
+    return t[bend], v[bend]
+
+
 def test_knot_builds_match_union1d_paths():
     band_loops = 0
     for i in range(1000):
@@ -1245,7 +1298,7 @@ def test_knot_builds_match_union1d_paths():
 
         ts = _clustered_knots(rng, int(rng.integers(2, 12)))
         vs = rng.random(len(ts))
-        new, old = pickands._distinct(ts, vs), reference.retired_distinct(ts, vs)
+        new, old = pickands._distinct(ts, vs), exact_distinct(ts, vs)
         assert all(_same_bits(x, y) for x, y in zip(new, old)), i
 
         # knots in and out of the band, as in the shared band check's test
@@ -1336,13 +1389,13 @@ def test_phi_is_the_line_of_each_linear_table_cell():
 
 
 @pytest.mark.parametrize(
-    "name", ["mix(gumbel(1e3),mo(0.3,0.8))", "mo(0.3,0.8)", "tangent(0.3,0.2)", *LINEAR_CASES[1:]]
+    "name", ["mix(gumbel(1e3),mo(0.3,0.8))", "mo(0.3,0.8)", "tangent(0.3,0.2)", *LINEAR_CASES]
 )
 def test_linear_cells_take_no_secant_step(name, monkeypatch):
-    # the Gumbel mixture has linear panels around its curved middle.  A kink that no split point
-    # declares, within 1e-12 of an end or of another kink, leaves A off its chord by 1e-13:
-    # mo(1e-13,0.5) has no linear panel, and tangent(0.6,0.4-1e-13) one of its two
-    assert montecarlo._phi_table(COPULAS["mo(1e-13,0.5)"]())[3] is None
+    # the Gumbel mixture has linear panels around its curved middle.  A kink within 1e-12 of an
+    # end or of another kink is a split point too, so every panel of mo(1e-13,0.5) is linear
+    slope = montecarlo._phi_table(COPULAS["mo(1e-13,0.5)"]())[3]
+    assert slope is not None and not np.isnan(slope).any()
     df = COPULAS[name]()
     with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
         q, _, _, slope = montecarlo._phi_table(df)
@@ -1361,6 +1414,21 @@ def test_linear_cells_take_no_secant_step(name, monkeypatch):
     assert not ((q[cells] < c[:, None]) & (c[:, None] < q[cells + 1])).any()
     if not np.isnan(slope).any():
         assert not steps
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("mo(1e-13,0.5)", 4), ("mo(0.5,1e-13)", 4), ("tangent(0.6,0.4-1e-13)", 8), ("tangent(5e-14,5e-14)", 8)],
+)
+def test_kinks_near_the_edges_are_split_points(name, size):
+    # every kink of A is a split point, however near an end or the other kink, so each
+    # panel is linear: two table nodes a panel, padded to a power of two, and no curved cell
+    df = COPULAS[name]()
+    knots = sorted(k for k in _exact_kinks(df) if 0.0 < k < 1.0)
+    assert df.split_points == tuple(knots)
+    with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
+        q, _, _, slope = montecarlo._phi_table(df)
+    assert len(q) == size and not np.isnan(slope).any()
 
 
 def test_linear_cell_root_is_clamped_to_its_cell():

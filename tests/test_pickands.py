@@ -16,13 +16,13 @@ from evcopula import (
     pareto_dependence,
     piecewise_linear_dependence,
     read_knots_csv,
-    tangent_at_half,
     verify_case,
     write_knots_csv,
 )
+from evcopula import pickands
 from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
 from evcopula.rng import make_rng
-from reference import validate
+from reference import tangent_at_half, validate
 
 GRID = np.linspace(0.0, 1.0, 401)
 
@@ -161,14 +161,26 @@ class TestParetoTangentFamily:
         with pytest.raises(ParamOutOfRangeError):
             pareto_dependence(-0.1, 0.3)
 
-    def test_near_collapsing_kinks(self):
-        # as a + b -> 1 the two kinks merge at 1/2; construction must not
-        # emit zero-width segments (regression for a hypothesis find)
-        for a, b in [(0.3, 0.7), (0.3, 0.7 - 1e-14), (1e-15, 0.5), (0.5, 1e-15)]:
+    def test_near_collapsing_kinks(self, monkeypatch):
+        # as a + b -> 1 the two kinks merge at 1/2, and as a or b -> 0 one nears
+        # an end; construction must not emit zero-width segments (regression for
+        # a hypothesis find): the knots increase strictly from (0, 1) to (1, 1)
+        seen = []
+        real = pickands._pwl
+
+        def spy(ts, vs, *rest):
+            seen.append((ts, vs))
+            return real(ts, vs, *rest)
+
+        monkeypatch.setattr(pickands, "_pwl", spy)
+        for a, b in [(0.3, 0.7), (0.3, 0.7 - 1e-14), (0.6, 0.4 - 1e-13), (1e-15, 0.5), (0.5, 1e-15)]:
             df = pareto_dependence(a, b)
-            pos = np.asarray(df.split_points)
-            assert np.all(np.diff(pos) > 1e-12)
-            assert np.all((pos > 1e-13) & (pos < 1.0 - 1e-13))
+            ((ts, vs),) = seen
+            seen.clear()
+            assert (ts[0], vs[0], ts[-1], vs[-1]) == (0.0, 1.0, 1.0, 1.0)
+            assert np.all(np.diff(ts) > 0.0)
+            assert np.isfinite(np.diff(vs) / np.diff(ts)).all()
+            assert set(df.split_points) <= set(ts[1:-1].tolist())
             assert validate(df, grid_size=256).valid
 
 
@@ -229,7 +241,8 @@ class TestPiecewiseLinear:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_pwl_max_keeps_t_one(self, swap):
-        # the line meets max(t, 1 - t) 5e-13 below t = 1; that crossing yields to t = 1
+        # the line meets max(t, 1 - t) 5e-13 below t = 1: that crossing is a knot
+        # of its own, and t = 1 stays the last
         line = (np.array([0.0, 1.0]), np.array([1.0, 1.0 - 5e-13]))
         pieces = [np.transpose(ENVELOPE_KNOTS), line]
         if swap:
@@ -237,7 +250,9 @@ class TestPiecewiseLinear:
         t, a = _pwl_max(*pieces[0], *pieces[1])
         assert (t[0], t[-1]) == (0.0, 1.0)
         assert (a[0], a[-1]) == (1.0, 1.0)
-        assert np.all(np.diff(t) > 1e-12)
+        assert np.all(np.diff(t) > 0.0)
+        assert np.isfinite(np.diff(a) / np.diff(t)).all()
+        assert validate(piecewise_linear_dependence(np.column_stack((t, a))), grid_size=256).valid
 
     @pytest.mark.parametrize(
         "knots",
