@@ -151,12 +151,14 @@ def _phi_table(df) -> tuple:
     panel, then with A'(t+) as the start of the next, so a jump of phi
     there is a zero-width cell.  A panel is linear if its A'(b-) exceeds
     its A'(a+) by at most ``_LINEAR_TOL``: each kink of A is one of
-    ``deriv_fn``, so for a convex A that bounds its gap from the chord.
-    Then phi is linear on it: the panel keeps only its two end nodes, one
-    cell, whose ``slope`` is dpsi/dq = A + (1 - t) A' at its first node.
-    ``slope`` is inf on the zero-width cells and on a linear panel where
-    A = t, whose m is inf, and NaN on curved cells; it is None when no
-    panel is linear.
+    ``deriv_fn``, and each knot more than 1e-15 off the chord of its
+    neighbours ends a panel, also one that bulges up within the tolerance
+    of :func:`piecewise_linear_dependence`, so that bounds its gap from the
+    chord.  Then phi is linear on it: the panel keeps only its two end
+    nodes, one cell, whose ``slope`` is dpsi/dq = A + (1 - t) A' at its
+    first node.  ``slope`` is inf on the zero-width cells and on a linear
+    panel where A = t, whose m is inf, and NaN on curved cells; it is None
+    when no panel is linear.
     """
     edges = np.array([0.0, *df.split_points, 1.0])
     t = np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1).ravel()
@@ -259,10 +261,15 @@ def sample_generic(copula: EvCopula, n: int, seed: int) -> SampleBatch:
     ``inf{v : dC/du(u, v) >= p}``.  With x = -ln u, e = -ln p and
     q = ln v / ln u, ``dC/du = exp(-phi(q))`` for the non-decreasing
     phi of :func:`_phi`, so v = u**q* with q* = sup{q : phi(q) <= e}.  A
-    per-copula table of phi at exact t nodes brackets q*
-    (:func:`_phi_table`), and :func:`_invert` finds it to within 2**-47 in
-    v; p = 0 gives v = 0.  Pairs are inverted in blocks of ``_BLOCK``, so
-    memory beyond the output stays bounded.
+    per-copula table of phi at exact t nodes brackets q* (see
+    :func:`_phi_table`).  On a linear piece of A, phi is linear and the
+    piece is one cell, where q* takes one division; in a curved cell,
+    safeguarded secant steps on phi narrow the bracket until v is within
+    2**-47 (see :func:`_invert`); p = 0 gives v = 0.  A kink of A makes phi
+    jump at a split point, which the table still stores as a zero-width
+    cell, so its atom of v lands exactly on the jump curve.  Pairs are
+    inverted in blocks of ``_BLOCK``, so memory beyond the output stays
+    bounded.
     """
     df = check_type(copula, EvCopula, "copula").dependence
     n = check_int(n, "n", 1)
@@ -305,7 +312,9 @@ def _ties(x: np.ndarray) -> tuple:
     Runs are numbered 0, 1, ... in sorted order.  The run numbers (int32
     below 2**31 items) and the 1-based ranks, tied items sharing their
     mean, are in the order of ``x``; -0.0 ties with 0.0.  ``x`` has no NaN.
-    The sort order, the sorted copy and the run starts are freed once used.
+    The sort order, the sorted copy and the run starts are freed as soon as
+    they are used, so the call holds at most about 2.5 arrays of n doubles
+    beyond a contiguous ``x``.
     """
     n = len(x)
     order = np.argsort(x)

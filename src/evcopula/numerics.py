@@ -68,12 +68,20 @@ def _gk15(f, a: np.ndarray, b: np.ndarray):
 
 
 def _integrate(f, edges: np.ndarray) -> float:
-    """Integrate ``f`` over [0, 1] to ``1e-12 + 1e-10 * |I|``, starting from the panels between ``edges``.
+    """Integrate ``f`` over [0, 1] adaptively to ``1e-12 + 1e-10 * |I|``.
 
-    ``edges`` is ``[0, *split_points, 1]``, checked by :func:`errors.check_split_points`.
-    :class:`NonConvergentError` names the worst panel when it would need bisecting at
-    depth 60, or when the next level would hold more than ``_MAX_PANELS`` (2**16)
-    panels.  A non-finite value of ``f`` raises :class:`NonFiniteError` naming its t.
+    The first level holds the panels between the ``edges``
+    ``[0, *split_points, 1]``, checked by :func:`errors.check_split_points`.
+    Each level evaluates all its panels in one call of ``f``.  If the
+    accepted errors plus the level's errors meet the tolerance, the sum of
+    the accepted values and the level's values is returned.  Otherwise the
+    panels with the smallest error estimates are accepted while their
+    errors sum to at most half of what the tolerance leaves after the
+    errors accepted so far, and the rest are bisected into the next level.
+    :class:`NonConvergentError` names the worst panel when it would need
+    bisecting at depth 60, or when the next level would hold more than
+    ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f`` raises
+    :class:`NonFiniteError` naming its t.
     """
     a, b = edges[:-1], edges[1:]
     done = done_err = 0.0

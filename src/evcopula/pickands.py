@@ -46,7 +46,7 @@ class DependenceFunction:
     ``split_points`` lists, in increasing order, the points strictly inside
     (0, 1) where a quadrature panel must end: every jump of A' (each kink of
     ``eval_fn`` is one of ``deriv_fn``; for piecewise-linear A, each knot
-    more than 1e-15 below the chord of its neighbours) and, for Gumbel, the
+    more than 1e-15 off the chord of its neighbours) and, for Gumbel, the
     edges of its narrow curvature spike at t = 1/2 and, for theta < 2, the
     points ``4^-k`` and ``1 - 4^-k`` graded toward both ends, where the
     slope of A' is unbounded.  A is defined on [0, 1] only: calling the
@@ -54,7 +54,8 @@ class DependenceFunction:
     :class:`ParamOutOfRangeError`, and so does building one whose
     ``eval_fn`` or ``deriv_fn`` is not callable, or whose split points break
     the rule of :func:`errors.check_split_points`; they are stored as a
-    tuple of floats.  Instances are immutable and thread-safe.
+    tuple of floats.  ``second_fn`` is always None and nothing reads it.
+    Instances are immutable and safe to share across threads.
     """
 
     family: str
@@ -124,7 +125,8 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     A' is the slope of the piece to the left or right of t, indexed by the
     count of interior knots below t (at or below it for ``side='right'``);
     NaN and t at or past either end take an end piece.  Split points are
-    the interior knots whose :func:`_bulge` is below -1e-15, a few ulps of 1.
+    the interior knots whose :func:`_bulge` is more than 1e-15 from 0, a few
+    ulps of 1: a kink, or a knot that bulges up within ``_CHECK_TOL``.
     A is ``np.interp`` over the knots unless ``eval_fn`` gives a closed form.
     """
     slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
@@ -136,7 +138,7 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     return DependenceFunction(
         family=family,
         params=params,
-        split_points=tuple(inner[_bulge(ts, vs) < -1e-15].tolist()),
+        split_points=tuple(inner[np.abs(_bulge(ts, vs)) > 1e-15].tolist()),
         eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
         deriv_fn=deriv_fn,
     )

@@ -390,6 +390,11 @@ COPULAS = {
     # A at the kink 1e-299 from t = 0 rounds to 1, so the slope before it would be 0, not -1:
     # that knot goes, or A' would fall from 0 to -0.9 over the first panel
     "tangent(1e-300,0.9)": lambda: pareto_dependence(1e-300, 0.9),
+    # the knot at 0.35 bulges 5e-10 above its chord, within the convexity tolerance: A' falls
+    # there, so it must end a panel, or the panel's A' would not rise and it would pass as linear
+    "pwl(bulge 5e-10)": lambda: piecewise_linear_dependence(
+        [(0.0, 1.0), (0.2, 0.85), (0.35, 0.775 + 5e-10), (0.5, 0.7), (0.7, 0.72), (1.0, 1.0)]
+    ),
     "mix(corpus_pwl,mo(0.3,0.8))": lambda: mix(_corpus_member("piecewise_linear"), mo_dependence(0.3, 0.8), 0.4),
     # A is linear outside 1/2 +- 0.064: five linear panels around the curved middle
     "mix(gumbel(1e3),mo(0.3,0.8))": lambda: mix(gumbel_dependence(1e3), mo_dependence(0.3, 0.8), 0.5),
