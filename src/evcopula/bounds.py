@@ -19,6 +19,7 @@ sweeps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .rng import make_rng
 
 _CONTAINMENT_SLACK = 1e-7
 _ENVELOPE_TOL = 1e-9
+_ENVELOPE_T, _ENVELOPE_A = np.transpose(ENVELOPE_KNOTS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,14 @@ def check_envelope(copula: EvCopula, grid: int = 200) -> EnvelopeCheck:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _t_grid(grid: int) -> np.ndarray:
+    """The read-only ``16 (grid - 1) + 1`` equispaced t in [0, 1], built once per ``grid``."""
+    t = np.linspace(0.0, 1.0, 16 * (grid - 1) + 1)
+    t.flags.writeable = False
+    return t
+
+
 def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeCheck:
     """Both envelope gaps in A units, on a t-grid of ``16 (grid - 1) + 1`` points plus kinks.
 
@@ -142,7 +152,7 @@ def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeChe
     kinks = [0.5, *df.split_points]
     if a + b < 1.0:
         kinks += _tangent_kinks(a, b)
-    t = np.concatenate((np.linspace(0.0, 1.0, 16 * (grid - 1) + 1), kinks))
+    t = np.concatenate((_t_grid(grid), kinks))
     s, at = 1.0 - t, df.eval_fn(t)
     lower = np.maximum(0.0, (at - (1.0 - lam * np.minimum(t, s))).max())
     top = np.maximum(np.maximum(t, s), (1.0 - a) * s + (1.0 - b) * t)
@@ -193,7 +203,7 @@ def _random_convex_pwl(rng) -> DependenceFunction:
     vals[0] = 1.0
     vals[-1] = 1.0
     return piecewise_linear_dependence(
-        np.column_stack(_pwl_max(grid, vals, *np.transpose(ENVELOPE_KNOTS)))
+        np.column_stack(_pwl_max(grid, vals, _ENVELOPE_T, _ENVELOPE_A))
     )
 
 

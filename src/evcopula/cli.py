@@ -2,19 +2,22 @@
 
 Subcommands: ``coeffs``, ``gumbel-table``, ``bounds-curve``, ``verify``,
 ``sample``, ``estimate``; each is declared once, with its handler, in
-``_build_parser``.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error, or out of memory.  Tables are CSV (TSV with
-``--format tsv``) with headers; ``verify`` writes plain text lines.  Every
-output has LF line endings and goes to ``--out`` or stdout; ``estimate``
-reads ``--in`` or stdin.  ``sample``, ``verify`` and ``estimate`` open
-``--out`` after checking their flags and before the work (``estimate``
-before it opens ``--in``).  Randomness is controlled only by ``--seed``.
+``_build_parser``.  The parser is built once per process, on the first
+:func:`main` call, and every later call reuses it.  Exit codes: 0
+success, 1 verification failure, 2 usage or input error, or out of
+memory.  Tables are CSV (TSV with ``--format tsv``) with headers;
+``verify`` writes plain text lines.  Every output has LF line endings and
+goes to ``--out`` or stdout; ``estimate`` reads ``--in`` or stdin.
+``sample``, ``verify`` and ``estimate`` open ``--out`` after checking
+their flags and before the work (``estimate`` before it opens ``--in``).
+Randomness is controlled only by ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -57,6 +60,7 @@ def _thresholds(text: str) -> tuple:
     return mc_mod.check_thresholds([float(t) for t in text.split(",") if t.strip()])
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evcopula",

@@ -160,8 +160,7 @@ def _phi_table(df) -> tuple:
     panel where A = t, whose m is inf, and NaN on curved cells; it is None
     when no panel is linear.
     """
-    edges = np.array([0.0, *df.split_points, 1.0])
-    t = np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1).ravel()
+    t = np.linspace(df.edges[:-1], df.edges[1:], _PANEL_NODES, axis=-1).ravel()
     da = df.deriv_fn(t, "left")
     starts = np.arange(_PANEL_NODES, len(t), _PANEL_NODES)  # second copies of split points
     da[starts] = df.deriv_fn(t[starts], "right")
@@ -340,6 +339,7 @@ def _ties(x: np.ndarray) -> tuple:
 
 
 _INV_BLOCK = 8  # pairs inside blocks this wide are compared directly
+_TAG_BLOCK = 1 << 15  # keys whose right-item positions are summed at once
 
 
 def _inversions(w: np.ndarray) -> int:
@@ -354,7 +354,9 @@ def _inversions(w: np.ndarray) -> int:
     2 w plus a tag bit that is 1 in right halves, so a right item sorts
     after the left items equal to it; the rows of 2 ``width`` keys are
     sorted, and a right item at position p in its row, with k right items
-    before it, is below ``width - (p - k)`` left items.
+    before it, is below ``width - (p - k)`` left items.  The positions are
+    summed over blocks of at most ``_TAG_BLOCK`` keys, whole rows or part
+    of one, so no level makes an array as long as a row of the top one.
     """
     n = len(w)
     size = max(_INV_BLOCK, 1 << (n - 1).bit_length())
@@ -365,14 +367,21 @@ def _inversions(w: np.ndarray) -> int:
     rows.sort(axis=1)
     keys *= 2
     width = _INV_BLOCK
+    block = min(size, _TAG_BLOCK)
+    offsets = np.arange(block)
     while width < size:
         rows = keys.reshape(-1, 2 * width)
         keys &= -2
         rows[:, width:] |= 1
         rows.sort(axis=1)
-        tags = np.bitwise_and(rows, 1, dtype=np.int64)  # int64: the matmul then makes no cast copy
-        positions = int((tags @ np.arange(2 * width)).sum())
-        inv += len(rows) * (width * width + width * (width - 1) // 2) - positions
+        inv += len(rows) * (width * width + width * (width - 1) // 2)
+        span = min(2 * width, block)  # a block holds whole rows, or part of one
+        for s in range(0, size, block):
+            # int64: the matmul then makes no cast copy
+            tags = np.bitwise_and(keys[s : s + block].reshape(-1, span), 1, dtype=np.int64)
+            inv -= int((tags @ offsets[:span]).sum())
+            if s % (2 * width):  # part of a row that began in an earlier block
+                inv -= s % (2 * width) * int(tags.sum())
         width *= 2
     return inv
 

@@ -45,17 +45,20 @@ class DependenceFunction:
 
     ``split_points`` lists, in increasing order, the points strictly inside
     (0, 1) where a quadrature panel must end: every jump of A' (each kink of
-    ``eval_fn`` is one of ``deriv_fn``; for piecewise-linear A, each knot
-    more than 1e-15 off the chord of its neighbours) and, for Gumbel, the
-    edges of its narrow curvature spike at t = 1/2 and, for theta < 2, the
-    points ``4^-k`` and ``1 - 4^-k`` graded toward both ends, where the
-    slope of A' is unbounded.  A is defined on [0, 1] only: calling the
-    function or :meth:`deriv` with t outside [0, 1] or NaN raises
-    :class:`ParamOutOfRangeError`, and so does building one whose
+    ``eval_fn`` is one of ``deriv_fn``; every MO and tangent knot, and each
+    other knot more than 1e-15 off the chord of its neighbours) and, for
+    Gumbel, the edges of its narrow curvature spike at t = 1/2 and, for
+    theta < 2, the points ``4^-k`` and ``1 - 4^-k`` graded toward both ends,
+    where the slope of A' is unbounded.  A is defined on [0, 1] only:
+    calling the function or :meth:`deriv` with t outside [0, 1] or NaN
+    raises :class:`ParamOutOfRangeError`, and so does building one whose
     ``eval_fn`` or ``deriv_fn`` is not callable, or whose split points break
     the rule of :func:`errors.check_split_points`; they are stored as a
-    tuple of floats.  ``second_fn`` is always None and nothing reads it.
-    Instances are immutable and safe to share across threads.
+    tuple of floats, and ``edges`` holds the read-only array
+    ``[0, *split_points, 1]`` that the check returns, the panel ends of
+    quadrature and of the sampler's table.  ``second_fn`` is always None
+    and nothing reads it.  Instances are immutable and safe to share
+    across threads.
     """
 
     family: str
@@ -65,14 +68,17 @@ class DependenceFunction:
     deriv_fn: object = field(repr=False, compare=False)
     # unused; kept only because perfbench/tracer.py passes it to dataclasses.replace
     second_fn: object = field(default=None, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("eval_fn", "deriv_fn"):
             if not callable(getattr(self, name)):
                 kind = type(getattr(self, name)).__name__
                 raise ParamOutOfRangeError(f"{name} must be callable, got {kind}")
-        points = tuple(check_split_points(self.split_points)[1:-1].tolist())
-        object.__setattr__(self, "split_points", points)
+        edges = check_split_points(self.split_points)
+        edges.flags.writeable = False
+        object.__setattr__(self, "split_points", tuple(edges[1:-1].tolist()))
+        object.__setattr__(self, "edges", edges)
 
     def __call__(self, t):
         arr = check_unit_interval(t, "t")
@@ -124,13 +130,16 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
 
     A' is the slope of the piece to the left or right of t, indexed by the
     count of interior knots below t (at or below it for ``side='right'``);
-    NaN and t at or past either end take an end piece.  Split points are
-    the interior knots whose :func:`_bulge` is more than 1e-15 from 0, a few
-    ulps of 1: a kink, or a knot that bulges up within ``_CHECK_TOL``.
-    A is ``np.interp`` over the knots unless ``eval_fn`` gives a closed form.
+    NaN and t at or past either end take an end piece.  With ``eval_fn``, a
+    closed form whose every interior knot is a kink (MO, tangent), each of
+    them is a split point, however little it bends A.  Otherwise A is
+    ``np.interp`` over the knots, and the split points are the interior
+    knots whose :func:`_bulge` is more than 1e-15 from 0, a few ulps of 1:
+    a kink, or a knot that bulges up within ``_CHECK_TOL``.
     """
     slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
     inner = ts[1:-1]
+    points = inner if eval_fn is not None else inner[np.abs(_bulge(ts, vs)) > 1e-15]
 
     def deriv_fn(t, side):
         return slopes[inner.searchsorted(t, side=side)]
@@ -138,7 +147,7 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     return DependenceFunction(
         family=family,
         params=params,
-        split_points=tuple(inner[np.abs(_bulge(ts, vs)) > 1e-15].tolist()),
+        split_points=tuple(points.tolist()),
         eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
         deriv_fn=deriv_fn,
     )

@@ -25,6 +25,7 @@ from evcopula import (
     tau_numeric,
     verify_case,
 )
+from evcopula import bounds
 from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist
 
 
@@ -215,6 +216,14 @@ class TestBlomqvistConversion:
             assert lambda_from_blomqvist(blomqvist_from_lambda(lam)) == pytest.approx(
                 lam, abs=1e-15
             )
+
+
+def test_envelope_t_grid_is_built_once_and_read_only():
+    t = bounds._t_grid(200)
+    assert bounds._t_grid(200) is t
+    assert t.tobytes() == np.linspace(0.0, 1.0, 16 * 199 + 1).tobytes()
+    with pytest.raises(ValueError):
+        t[0] = 0.5
 
 
 class TestRandomizedCorpus:

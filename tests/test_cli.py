@@ -438,3 +438,38 @@ class TestOutOfMemory:
         assert code == 2
         assert out == ""
         assert err == "error: out of memory\n"
+
+
+class TestParserBuiltOnce:
+    """One parser per process: every call gives the bytes and exit code of a first call."""
+
+    def test_build_parser_returns_one_object(self):
+        import evcopula.cli as cli_mod
+
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+
+    def test_calls_in_one_process_match_first_calls(self, capsys, tmp_path):
+        import evcopula.bounds as bounds_mod
+        import evcopula.cli as cli_mod
+
+        pairs = tmp_path / "pairs.csv"
+        sample = ["sample", "--family", "gumbel", "--theta", "2", "-n", "300",
+                  "--method", "generic", "--seed", "4"]
+        assert run(sample + ["--out", str(pairs)], capsys)[0] == 0
+        commands = {
+            "verify": ["verify", "--n-random", "20", "--seed", "3",
+                       "--dump-knots", str(tmp_path / "offender.csv")],
+            "usage": ["verify", "--grid", "1"],
+            "estimate": ["estimate", "--in", str(pairs)],
+            "sample": sample,
+        }
+        first = {}
+        for name, argv in commands.items():  # each the first call of a process: no cache filled
+            cli_mod._build_parser.cache_clear()
+            bounds_mod._t_grid.cache_clear()
+            first[name] = run(argv, capsys)
+        assert first["usage"][0] == 2 and first["verify"][0] == 0
+        parser = cli_mod._build_parser()
+        for name in ("verify", "usage", "estimate", "sample", "verify"):
+            assert run(commands[name], capsys) == first[name], name
+        assert cli_mod._build_parser() is parser

@@ -614,9 +614,23 @@ def test_empirical_matches_retired_at_block_and_level_edges(ties):
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_inversion_count_matches_retired_in_both_key_dtypes(dtype):
     # Kendall counts on int32 keys below 2**30 pairs and on int64 keys above
-    for i, n in enumerate((2, 7, 8, 9, 100, 4097)):
+    # 65537 keys pad to 2**17: the top rows span several blocks of _TAG_BLOCK keys
+    for i, n in enumerate((2, 7, 8, 9, 100, 4097, 65537)):
         w = make_rng(46, i).integers(0, n, n)
         assert montecarlo._inversions(w.astype(dtype)) == count_strict_inversions(w), n
+
+
+def test_inversion_count_holds_its_copy_and_two_blocks():
+    # the right-item positions are summed a block of _TAG_BLOCK keys at a time, so the
+    # top merge levels hold no int64 array as long as the padded keys
+    w = make_rng(47, 0).permutation(200000).astype(np.int32)
+    tracemalloc.start()
+    try:
+        montecarlo._inversions(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**18 + 4 * 8 * montecarlo._TAG_BLOCK, peak
 
 
 @pytest.fixture(scope="module")
@@ -1181,6 +1195,26 @@ def test_knot_writer_matches_per_row_writer(tmp_path):
         write_knots_csv(new, df)
         retired_write_knots_csv(old, df)
         assert new.read_bytes() == old.read_bytes(), df
+
+
+@pytest.mark.parametrize("build", [mo_dependence, pareto_dependence], ids=["mo", "tangent"])
+def test_kinks_that_bend_a_by_under_1e_15_put_their_atoms_on_jump_curves(build):
+    # at a + b = 1 - 1e-15 the tangent kink t_P bends A by about 7e-16, less than the bulge
+    # that makes a knot file's knot a split point; as an MO or tangent knot it is one, so the
+    # sampler's atom lands exactly on its jump curve (9 tangent builds here missed it by up
+    # to 7.6e-15 when it was only a knot)
+    built = 0
+    for a, b in _edge_pairs():
+        if b != 1.0 - a - 1e-15:
+            continue
+        try:
+            df = build(a, b)
+        except ParamOutOfRangeError:  # b past its range; the check is not under test
+            continue
+        built += 1
+        assert set(df.split_points) <= set(_exact_kinks(df)), (a, b)
+        assert_matches_bisection(copula_from_pickands(df), 300, 1)
+    assert built >= 35
 
 
 @pytest.mark.parametrize("alpha, beta", [(1e-13, 0.2), (0.2, 1e-13)])

@@ -1,5 +1,6 @@
 """Dependence-function families, validation, and tangent geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from evcopula import (
     write_knots_csv,
 )
 from evcopula import pickands
+from evcopula.errors import check_split_points
 from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
 from evcopula.rng import make_rng
 from reference import tangent_at_half, validate
@@ -182,6 +184,30 @@ class TestParetoTangentFamily:
             assert np.isfinite(np.diff(vs) / np.diff(ts)).all()
             assert set(df.split_points) <= set(ts[1:-1].tolist())
             assert validate(df, grid_size=256).valid
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mo_dependence(0.3, 0.8),
+        lambda: gumbel_dependence(1.5),
+        lambda: pareto_dependence(0.2, 0.3),
+        lambda: piecewise_linear_dependence([(0, 1), (0.4, 0.7), (1, 1)]),
+        lambda: mix(gumbel_dependence(3.0), mo_dependence(0.2, 0.9), 0.5),
+    ],
+    ids=["mo", "gumbel", "tangent", "knots", "mixture"],
+)
+def test_edges_are_the_checked_split_points_read_only_and_rebuilt_by_replace(build):
+    df = build()
+    assert df.edges.tobytes() == check_split_points(df.split_points).tobytes()
+    with pytest.raises(ValueError):
+        df.edges[1] = 0.5
+    # perfbench's tracer copies a function through dataclasses.replace
+    copy = dataclasses.replace(df, eval_fn=df.eval_fn, deriv_fn=df.deriv_fn, second_fn=None)
+    assert copy.edges is not df.edges and copy.edges.tobytes() == df.edges.tobytes()
+    assert copy == df
+    moved = dataclasses.replace(df, split_points=(0.25,))
+    assert moved.edges.tolist() == [0.0, 0.25, 1.0] and not moved.edges.flags.writeable
 
 
 class TestPiecewiseLinear:
