@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
-from .errors import ParamOutOfRangeError, check_int, check_real, check_type, check_unit_interval
+from .errors import check_int, check_pair, check_real, check_type, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -83,27 +83,17 @@ class InequalityReport:
     trutschnig_margin: float
 
 
-def _unit_pair(u, v) -> tuple:
-    """u and v as float arrays in [0, 1] whose shapes broadcast together."""
-    u, v = check_unit_interval(u, "u"), check_unit_interval(v, "v")
-    try:
-        np.broadcast_shapes(u.shape, v.shape)
-    except ValueError:
-        raise ParamOutOfRangeError(f"u {u.shape} and v {v.shape} do not broadcast") from None
-    return u, v
-
-
 def pointwise_lower(lam: float, u, v):
     """Lower envelope: the Marshall-Olkin copula with alpha = beta = lam; u, v in [0, 1]."""
     lam = check_lambda(lam)
-    u, v = _unit_pair(u, v)
+    u, v = check_pair(check_unit_interval(u, "u"), check_unit_interval(v, "v"))
     return np.minimum(u ** (1.0 - lam) * v, u * v ** (1.0 - lam))
 
 
 def pointwise_upper(a: float, b: float, u, v):
     """Upper envelope member ``min(u, v, u**(1-a) * v**(1-b))``; u, v in [0, 1]."""
     a, b = check_tangent(a, b)
-    u, v = _unit_pair(u, v)
+    u, v = check_pair(check_unit_interval(u, "u"), check_unit_interval(v, "v"))
     return np.minimum(np.minimum(u, v), u ** (1.0 - a) * v ** (1.0 - b))
 
 

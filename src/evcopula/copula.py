@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError, check_type
+from .errors import check_pair, check_type
 from .pickands import DependenceFunction
 from .rng import make_rng
 
@@ -29,7 +29,7 @@ class EvCopula:
 
     def __call__(self, u, v):
         """``C(u, v)``; u and v outside [0, 1] are clamped, NaN raises."""
-        u, v, scalar = _uv(u, v)
+        u, v = np.broadcast_arrays(*check_pair(u, v))
         out = np.minimum(u, v, out=np.empty(u.shape))
         np.clip(out, 0.0, 1.0, out=out)  # C off the open unit square; interior overwritten
         interior = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
@@ -38,28 +38,7 @@ class EvCopula:
         w = lu + lv
         t = np.clip(lv / w, 0.0, 1.0)
         out[interior] = np.exp(w * self.dependence.eval_fn(t))
-        return float(out) if scalar else out
-
-
-def _uv(u, v) -> tuple:
-    """u and v as broadcast float arrays, and whether both were scalars.
-
-    Bools, strings, NaN and shapes that do not broadcast raise ParamOutOfRangeError.
-    """
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.asarray(u), np.asarray(v)
-    if u.dtype.kind not in "iuf" or v.dtype.kind not in "iuf":
-        raise ParamOutOfRangeError(f"copula requires real u and v, got {u.dtype} and {v.dtype}")
-    u, v = u.astype(float, copy=False), v.astype(float, copy=False)
-    if np.isnan(u).any() or np.isnan(v).any():
-        raise ParamOutOfRangeError("copula requires u and v to be numbers, got NaN")
-    try:
-        u, v = np.broadcast_arrays(u, v)
-    except ValueError:
-        raise ParamOutOfRangeError(
-            f"u and v must broadcast together, got shapes {u.shape} and {v.shape}"
-        ) from None
-    return u, v, scalar
+        return float(out) if out.ndim == 0 else out
 
 
 def copula_from_pickands(df: DependenceFunction) -> EvCopula:

@@ -1,6 +1,12 @@
-"""Exception types shared across the package, and the scalar checks that raise them."""
+"""Exception types shared across the package, and the checks of outside input that raise them.
 
+Scalars, arrays (t, u, v, samples, knots), split points, file paths and
+streams are each checked here, once.
+"""
+
+import io
 import numbers
+import os
 
 import numpy as np
 
@@ -46,18 +52,65 @@ def check_type(x, cls: type, name: str):
     return x
 
 
-def check_unit_interval(x, name: str) -> np.ndarray:
-    """``x`` as a float array if it holds real numbers (not bools, strings or NaN) in [0, 1]."""
+def check_path(path, name: str):
+    """``path`` itself if it is a file name: a str or an ``os.PathLike``.
+
+    Anything else raises ParamOutOfRangeError before a file is opened; an
+    int would be read as an open file descriptor, and closed after use.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ParamOutOfRangeError(f"{name} must be a file path, got {type(path).__name__}")
+    return path
+
+
+def check_stream(stream, method: str):
+    """``stream`` itself if it is a text stream, not a binary one, with a callable ``method``."""
+    binary = isinstance(stream, (io.RawIOBase, io.BufferedIOBase))
+    if binary or not callable(getattr(stream, method, None)):
+        raise ParamOutOfRangeError(
+            f"stream must be a text stream with {method}(), got {type(stream).__name__}"
+        )
+    return stream
+
+
+def check_reals(x, name: str) -> np.ndarray:
+    """``x`` as a float array if numpy reads it as real numbers, of any shape.
+
+    Python and numpy numbers, 0-d arrays and (nested) lists of them pass;
+    bools, strings, complex numbers, objects such as ``None`` or
+    ``Fraction``, and ragged rows raise ParamOutOfRangeError.  A float
+    array is returned as it is, not copied.
+    """
     try:
         arr = np.asarray(x)
     except ValueError:  # a ragged nested sequence
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise ParamOutOfRangeError(f"{name} must be real numbers, got {type(x).__name__}")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(float, copy=False)
+
+
+def check_unit_interval(x, name: str) -> np.ndarray:
+    """``x`` as a float array if it holds real numbers (:func:`check_reals`) in [0, 1], NaN excluded."""
+    arr = check_reals(x, name)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ParamOutOfRangeError(f"{name} must lie in [0, 1]")
     return arr
+
+
+def check_pair(u, v) -> tuple:
+    """u and v as float arrays (:func:`check_reals`) whose shapes broadcast together.
+
+    NaN and shapes that do not broadcast raise ParamOutOfRangeError.
+    """
+    u, v = check_reals(u, "u"), check_reals(v, "v")
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise ParamOutOfRangeError("u and v must be numbers, got NaN")
+    try:
+        np.broadcast_shapes(u.shape, v.shape)
+    except ValueError:
+        raise ParamOutOfRangeError(f"u {u.shape} and v {v.shape} do not broadcast") from None
+    return u, v
 
 
 def check_split_points(points) -> np.ndarray:

@@ -31,27 +31,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import DegenerateSampleError, ParamOutOfRangeError, check_int, check_real, check_type
+from .errors import (
+    DegenerateSampleError,
+    ParamOutOfRangeError,
+    check_int,
+    check_real,
+    check_reals,
+    check_stream,
+    check_type,
+)
 from .numerics import _run_starts
 from .pickands import check_mo
 from .rng import make_rng
 
 
 def _real_1d(x, name: str) -> np.ndarray:
-    """``x`` as a 1-D float array.
-
-    Lists and integer arrays are accepted; any other dimension, and bool,
-    complex, object or string data, raise :class:`DegenerateSampleError`.
-    """
+    """``x`` as a 1-D float array (:func:`errors.check_reals`), else DegenerateSampleError."""
     try:
-        x = np.asarray(x)
-    except ValueError as exc:  # a ragged list
+        x = check_reals(x, name)
+    except ParamOutOfRangeError as exc:
         raise DegenerateSampleError(f"{name} must be a 1-D array of real numbers: {exc}") from None
-    if x.ndim != 1 or x.dtype.kind not in "iuf":
-        raise DegenerateSampleError(
-            f"{name} must be a 1-D array of real numbers, got {x.ndim}-D {x.dtype}"
-        )
-    return x.astype(float, copy=False)
+    if x.ndim != 1:
+        raise DegenerateSampleError(f"{name} must be a 1-D array of real numbers, got {x.ndim}-D")
+    return x
 
 
 def _check_pairs(u, v) -> tuple:
@@ -439,13 +441,16 @@ def kendall_tau_stat(u, v) -> float:
 def ks_statistic_uniform(x: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1].
 
-    Raises :class:`DegenerateSampleError` for anything but a 1-D array of
-    real numbers (see :func:`_real_1d`), for an empty sample and for NaN.
+    The uniform CDF is read as ``clip(x, 0, 1)``, so points outside
+    [0, 1], inf included, count as 0 or 1.  Raises
+    :class:`DegenerateSampleError` for anything but a 1-D array of real
+    numbers (see :func:`_real_1d`), for an empty sample and for NaN.
     """
     xs = np.sort(_real_1d(x, "x"))
     n = len(xs)
     if n == 0 or np.isnan(xs[-1]):  # sorting puts NaN last
         raise DegenerateSampleError("the KS distance needs a non-empty sample without NaN")
+    np.clip(xs, 0.0, 1.0, out=xs)  # the uniform CDF at xs
     i = np.arange(1, n + 1)
     return float(max((i / n - xs).max(), (xs - (i - 1) / n).max()))
 
@@ -470,13 +475,15 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with the empirical copula
     C_n on normalized ranks, summarized at the largest threshold.  The
     working memory is at most 8 arrays of n doubles beyond the batch: the
-    ranks are freed before Kendall's keys are built.
+    ranks are freed before Kendall's keys are built.  Coordinates may be
+    +-inf, which rank like any other value; a NaN raises
+    :class:`DegenerateSampleError`.
     """
     u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
     if n < 10:
         raise DegenerateSampleError(f"need at least 10 pairs, got {n}")
-    if np.ptp(u) == 0.0 or np.ptp(v) == 0.0:
+    if u.min() == u.max() or v.min() == v.max():  # np.ptp would read inf - inf = NaN
         raise DegenerateSampleError("all values identical in one coordinate")
     thresholds = check_thresholds(lambda_thresholds)
     _reject_nan(u, v)
@@ -491,9 +498,11 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     pu *= pv
     rho_hat = 12.0 * float(np.mean(pu)) - 3.0
     del pu, pv  # the ranks are done with: free them before Kendall's keys
-    sign = u - median_u
-    sign *= v - median_v
-    beta_hat = float(np.mean(np.sign(sign, out=sign)))
+    # the sign of (u - median_u)(v - median_v) by comparisons: the differences read
+    # inf - inf = NaN at an inf median, and their product can overflow or underflow to 0
+    sign = (u > median_u).view(np.int8) - (u < median_u).view(np.int8)
+    sign *= (v > median_v).view(np.int8) - (v < median_v).view(np.int8)
+    beta_hat = float(np.mean(sign))
     del sign
     tau_hat = _tau_a(run_u, run_v, tied_u + tied_v)
     return EmpiricalCoefficients(
@@ -514,26 +523,26 @@ _CSV_ROWS = 4096  # rows formatted and written at once
 
 
 def write_batch_csv(batch: SampleBatch, stream) -> None:
-    """Write ``u,v`` rows at 17 significant digits with LF line endings.
+    """Write ``u,v`` rows at 17 significant digits with LF line endings to a text stream.
 
     Each chunk of ``_CSV_ROWS`` rows is one ``%`` format of its interleaved
     u and v values, written to ``stream`` as soon as it is made, so the
     text of the whole batch never sits in memory.
     """
     check_type(batch, SampleBatch, "batch")
-    stream.write("u,v\n")
+    check_stream(stream, "write").write("u,v\n")
     for s in range(0, batch.n, _CSV_ROWS):
         uv = np.column_stack((batch.u[s : s + _CSV_ROWS], batch.v[s : s + _CSV_ROWS]))
         stream.write("%.17g,%.17g\n" * len(uv) % tuple(uv.ravel().tolist()))
 
 
 def read_pairs_csv(stream) -> SampleBatch:
-    """Read a ``u,v`` CSV (header required) back into a batch.
+    """Read a ``u,v`` CSV (header required) from a text stream back into a batch.
 
     Blank and whitespace-only lines are skipped and columns after the
     second are ignored; every coordinate must be a finite number in [0, 1].
     """
-    header = stream.readline().strip()
+    header = check_stream(stream, "readline").readline().strip()
     if [c.strip().lower() for c in header.split(",")[:2]] != ["u", "v"]:
         raise DegenerateSampleError("expected CSV header 'u,v'")
     rows = (line for line in stream if not line.isspace())

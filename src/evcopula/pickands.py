@@ -19,7 +19,9 @@ import numpy as np
 from .errors import (
     InvalidDependenceFunctionError,
     ParamOutOfRangeError,
+    check_path,
     check_real,
+    check_reals,
     check_split_points,
     check_type,
     check_unit_interval,
@@ -333,8 +335,8 @@ def piecewise_linear_dependence(knots) -> DependenceFunction:
     is raised carrying the validation report.
     """
     try:
-        pts = np.array(knots if isinstance(knots, np.ndarray) else list(knots), dtype=float)
-    except (TypeError, ValueError):  # ragged rows or non-numbers
+        pts = check_reals(knots if isinstance(knots, np.ndarray) else list(knots), "knots")
+    except (TypeError, ParamOutOfRangeError):  # not iterable, or not real numbers
         pts = np.empty(0)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise _invalid("knots must be (t, A) pairs", 0.0, "format", 1.0)
@@ -416,8 +418,8 @@ def _tangent(df: DependenceFunction, lam: float) -> tuple:
 
 
 def read_knots_csv(path) -> DependenceFunction:
-    """Load a piecewise-linear dependence function from a ``t,A`` CSV file."""
-    with open(path, newline="") as fh:
+    """Load a piecewise-linear dependence function from a ``t,A`` CSV file at ``path``."""
+    with open(check_path(path, "path"), newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["t", "a"]:
         raise _invalid(f"{path}: expected header 't,A'", 0.0, "header", 1.0)
@@ -435,7 +437,12 @@ def read_knots_csv(path) -> DependenceFunction:
 
 
 def write_knots_csv(path, df: DependenceFunction) -> None:
-    """Serialize a dependence function as a ``t,A`` CSV: 257 equispaced knots plus split points."""
+    """Serialize a dependence function as a ``t,A`` CSV: 257 equispaced knots plus split points.
+
+    ``path`` is a file path, or a text stream that ``np.savetxt`` writes to.
+    """
+    if not hasattr(path, "write"):
+        check_path(path, "path")
     t = np.union1d(np.linspace(0, 1, 257), check_type(df, DependenceFunction, "df").split_points)
     rows = np.column_stack((t, df(t)))
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,A", comments="")

@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
-from evcopula.copula import _uv
-from evcopula.errors import check_int, check_real, check_split_points, check_unit_interval
+from evcopula.errors import check_int, check_pair, check_real, check_split_points, check_unit_interval
 from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
 from evcopula.numerics import _integrate
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
@@ -60,7 +59,7 @@ def partial_u(copula, u, v):
     decreases in v, that corresponds to the left derivative of the
     dependence function.
     """
-    u, v, scalar = _uv(u, v)
+    u, v = np.broadcast_arrays(*check_pair(u, v))
     if not np.all((u > 0.0) & (u <= 1.0)):
         raise ParamOutOfRangeError("partial_u requires u in (0, 1]")
     out = np.where(v >= 1.0, 1.0, 0.0)
@@ -73,7 +72,7 @@ def partial_u(copula, u, v):
     da = copula.dependence.deriv_fn(t, "left")
     out[interior] = np.exp(w * a - lu) * (a - t * da)
     np.clip(out, 0.0, 1.0, out=out)
-    return float(out) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def survival(copula, u, v):

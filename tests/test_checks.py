@@ -1,23 +1,30 @@
-"""The shared scalar checks, every public entry point that takes a scalar, and the pair check.
+"""The shared checks of outside input, and a row for every public callable.
 
 ``check_real`` and ``check_int`` decide what a valid parameter, count or
 seed is.  The property test feeds hostile scalars to the public scalar
 entry points: each either returns a finite result or raises
 :class:`EvCopulaError`.  ``SampleBatch`` and ``kendall_tau_stat`` share
-one check of (u, v) arrays.
+one check of (u, v) arrays.  One table of hostile arrays runs against
+every public entry point that takes t, u, v, a sample or knots, and
+:func:`test_every_public_callable_has_a_row` fails when a public callable
+has a row in none of the tables.
 """
 
+import contextlib
 import dataclasses
 import io
 import math
 import numbers
 import os
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evcopula
 from evcopula import (
     DegenerateSampleError,
     DependenceFunction,
@@ -31,10 +38,13 @@ from evcopula import (
     check_two_increasing,
     compute_coefficients,
     copula_from_pickands,
+    dependence_corpus,
     empirical_coefficients,
     ev_inequalities,
     gumbel_closed_form,
     gumbel_dependence,
+    gumbel_tau_from_lambda,
+    gumbel_theta_from_lambda,
     lambda_upper,
     mix,
     mo_closed_form,
@@ -42,8 +52,13 @@ from evcopula import (
     pareto_closed_form,
     pareto_dependence,
     kendall_tau_stat,
+    ks_statistic_uniform,
+    piecewise_linear_dependence,
     pointwise_lower,
+    pointwise_upper,
     random_dependence_function,
+    read_knots_csv,
+    read_pairs_csv,
     rho_bounds,
     rho_numeric,
     sample_generic,
@@ -99,6 +114,16 @@ class TestCheckInt:
 
 _MO = mo_dependence(0.3, 0.6)
 _GUMBEL = copula_from_pickands(gumbel_dependence(2.0))
+
+
+def _read_knots_from_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)  # its own descriptor: open(fd) closes the one it reads
+    try:
+        read_knots_csv(fd)
+    finally:
+        with contextlib.suppress(OSError):  # closed already if read_knots_csv opened it
+            os.close(fd)
+
 
 # each call accepted a bool as a number, raised a bare TypeError or
 # ValueError, or truncated a float seed before the checks were shared
@@ -157,6 +182,22 @@ _REJECTED = {
     "DependenceFunction(split_points=(0.6, 0.4))": lambda: DependenceFunction(
         "x", {}, (0.6, 0.4), _MO.eval_fn, _MO.deriv_fn
     ),
+    # a file descriptor, None, a string or a binary stream where a file path or a
+    # text stream belongs: read_knots_csv read and closed the descriptor, the
+    # others raised a bare TypeError, ValueError or AttributeError
+    "read_knots_csv(descriptor)": _read_knots_from_descriptor,
+    "read_knots_csv(None)": lambda: read_knots_csv(None),
+    "write_knots_csv(None, df)": lambda: write_knots_csv(None, _MO),
+    'read_pairs_csv("abc")': lambda: read_pairs_csv("abc"),
+    'write_batch_csv(stream="abc")': lambda: write_batch_csv(sample_mo(0.3, 0.4, 10, 0), "abc"),
+    "read_pairs_csv(BytesIO)": lambda: read_pairs_csv(io.BytesIO(b"u,v\n0.1,0.2\n")),
+    "write_batch_csv(stream=BytesIO)": lambda: write_batch_csv(
+        sample_mo(0.3, 0.4, 10, 0), io.BytesIO()
+    ),
+    # bools where a count or a tail coefficient belongs
+    "dependence_corpus(n=True)": lambda: dependence_corpus(True, 0),
+    "gumbel_tau_from_lambda(True)": lambda: gumbel_tau_from_lambda(True),
+    "gumbel_theta_from_lambda(True)": lambda: gumbel_theta_from_lambda(True),
 }
 
 
@@ -289,3 +330,78 @@ def test_pairs_that_are_not_1d_real_arrays_rejected(name, entry):
             SampleBatch(u, v, 0, "manual")
         else:
             kendall_tau_stat(u, v)
+
+
+# ---------------------------------------------------------------------------
+# hostile arrays: every public entry point that takes t, u, v, a sample or knots
+# ---------------------------------------------------------------------------
+
+_KNOTS = [(0, 1), (0.5, 0.75), (1, 1)]
+# name: (as t, u, v or a sample; as (k, 2) knots)
+_HOSTILE_ARRAYS = {
+    "bool": (True, np.array([[False, True], [True, True]])),
+    "bool list": ([True, False], [(False, True), (True, True)]),
+    "complex": (np.array([0.5, 0.25j]), [(0, 1), (0.5, 0.75 + 0j), (1, 1)]),
+    "object": (np.array([0.5, 0.25], dtype=object), np.array(_KNOTS, dtype=object)),
+    "None in list": ([0.5, None], [(0, 1), (0.5, None), (1, 1)]),
+    "strings": (["0.5", "0.25"], [("0", "1"), ("1", "1")]),
+    "ragged list": ([[0.5, 0.25], [0.5]], [(0, 1), (0.5,), (1, 1)]),
+    "Fraction": (
+        [Fraction(1, 2), Fraction(1, 4)],
+        [(0, 1), (Fraction(1, 2), Fraction(3, 4)), (1, 1)],
+    ),
+}
+# name: call on one array x, or on knots k
+_ARRAY_ENTRY_POINTS = {
+    "EvCopula.__call__(u)": lambda x, k: _GUMBEL(x, 0.5),
+    "EvCopula.__call__(v)": lambda x, k: _GUMBEL(0.5, x),
+    "DependenceFunction.__call__": lambda x, k: _MO(x),
+    "DependenceFunction.deriv": lambda x, k: _MO.deriv(x),
+    "pointwise_lower(u)": lambda x, k: pointwise_lower(0.5, x, 0.5),
+    "pointwise_upper(v)": lambda x, k: pointwise_upper(0.2, 0.3, 0.5, x),
+    "SampleBatch": lambda x, k: SampleBatch(x, x, 0, "manual"),
+    "kendall_tau_stat": lambda x, k: kendall_tau_stat(x, x),
+    "ks_statistic_uniform": lambda x, k: ks_statistic_uniform(x),
+    "piecewise_linear_dependence": lambda x, k: piecewise_linear_dependence(k),
+}
+_POINTWISE = list(_ARRAY_ENTRY_POINTS)[:6]  # the entries that take t, u or v
+
+
+@pytest.mark.parametrize("entry", list(_ARRAY_ENTRY_POINTS))
+@pytest.mark.parametrize("name", list(_HOSTILE_ARRAYS))
+def test_hostile_array_rejected(name, entry):
+    with pytest.raises(EvCopulaError):
+        _ARRAY_ENTRY_POINTS[entry](*_HOSTILE_ARRAYS[name])
+
+
+@pytest.mark.parametrize(
+    "x", [np.float64(0.5), np.float32(0.25), np.int64(1), np.asarray(0.5)], ids=repr
+)
+@pytest.mark.parametrize("entry", _POINTWISE)
+def test_numpy_scalars_and_0d_arrays_pass(entry, x):
+    call = _ARRAY_ENTRY_POINTS[entry]
+    assert call(x, None) == call(float(x), None)
+
+
+# exempt by name: result dataclasses, which only the package builds
+_RESULT_TYPES = {
+    "BoundsInterval",
+    "CoefficientSet",
+    "EmpiricalCoefficients",
+    "EnvelopeCheck",
+    "InequalityReport",
+    "ValidationReport",
+}
+
+
+def test_every_public_callable_has_a_row():
+    tables = (*_REJECTED, *_ENTRY_POINTS, *_ARRAY_ENTRY_POINTS)
+    rows = {re.match(r"\w+", key).group() for key in tables}
+    public = {
+        name
+        for name in dir(evcopula)
+        if not name.startswith("_")
+        and callable(obj := getattr(evcopula, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert sorted(public - rows - _RESULT_TYPES) == []

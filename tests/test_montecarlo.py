@@ -163,6 +163,15 @@ class TestKsStatistic:
         with pytest.raises(DegenerateSampleError, match="1-D array of real numbers"):
             ks_statistic_uniform(x)
 
+    @pytest.mark.parametrize("x", [[0.1, 5.0], [-3.0, 0.5], [np.inf, -np.inf]])
+    def test_points_outside_unit_interval_sit_at_its_ends(self, x):
+        # the uniform CDF is 0 below 0 and 1 above 1, so a KS distance is at most 1
+        assert ks_statistic_uniform(x) == 0.5
+
+    def test_equals_distance_of_clipped_sample(self):
+        x = make_rng(33).uniform(-0.5, 1.5, 1000)
+        assert ks_statistic_uniform(x) == ks_statistic_uniform(np.clip(x, 0.0, 1.0))
+
 
 class TestSampleBatch:
     def test_length_mismatch_rejected(self):
@@ -205,6 +214,30 @@ class TestEmpiricalCoefficients:
         v = make_rng(30).random(100)
         with pytest.raises(DegenerateSampleError):
             empirical_coefficients(SampleBatch(u, v, 0, "manual"))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_degenerate_constant_infinity(self, value):
+        # np.ptp would read inf - inf = NaN, which is not 0
+        u = np.full(100, value)
+        v = make_rng(30).random(100)
+        with pytest.raises(DegenerateSampleError):
+            empirical_coefficients(SampleBatch(u, v, 0, "manual"))
+
+    def test_inf_median(self):
+        # more than half of u is inf, so its median is inf; inf ranks as 2.0 would
+        u, v = make_rng(31).random((2, 101))
+        u[:60] = np.inf
+        est = empirical_coefficients(SampleBatch(u, v, 0, "manual"))
+        assert est == empirical_coefficients(SampleBatch(np.minimum(u, 2.0), v, 0, "manual"))
+        assert math.isfinite(est.beta_hat)
+
+    @pytest.mark.parametrize("scale", [2.0**-560, 2.0**560], ids=["2**-560", "2**560"])
+    def test_exact_scaling_leaves_estimates_unchanged(self, scale):
+        # the products of the differences from the medians would underflow to 0 or overflow
+        u = make_rng(32).random(500)
+        v = 0.5 * (u + make_rng(33).random(500))
+        est = empirical_coefficients(SampleBatch(u, v, 0, "manual"))
+        assert empirical_coefficients(SampleBatch(u * scale, v * scale, 0, "manual")) == est
 
     def test_threshold_validation(self):
         batch = sample_mo(0.5, 0.5, 100, seed=1)
