@@ -8,8 +8,10 @@ success, 1 verification failure, 2 usage or input error, or out of
 memory.  Tables are CSV (TSV with ``--format tsv``) with headers;
 ``verify`` writes plain text lines.  Every output has LF line endings and
 goes to ``--out`` or stdout; ``estimate`` reads ``--in`` or stdin.
-``sample``, ``verify`` and ``estimate`` open ``--out`` after checking
-their flags and before the work (``estimate`` before it opens ``--in``).
+Every subcommand checks its flags, then opens ``--out``, then starts its
+work, so a bad flag or an unopenable ``--out`` costs no work; ``estimate``
+opens ``--out`` before ``--in``.  A family's flags are declared, checked
+and turned into a dependence function from one table, ``_FAMILIES``.
 Randomness is controlled only by ``--seed``.
 """
 
@@ -60,6 +62,17 @@ def _thresholds(text: str) -> tuple:
     return mc_mod.check_thresholds([float(t) for t in text.split(",") if t.strip()])
 
 
+# --family name: (the flags it needs, its builder from their values).  Each
+# builder looks its function up by name when called, so a patched
+# ``cli.gumbel_dependence`` is the one that runs.
+_FAMILIES = {
+    "mo": (("alpha", "beta"), lambda alpha, beta: mo_dependence(alpha, beta)),
+    "gumbel": (("theta",), lambda theta: gumbel_dependence(theta)),
+    "pareto": (("a", "b"), lambda a, b: pareto_dependence(a, b)),
+    "pwl": (("knots-file",), lambda path: read_knots_csv(path)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,80 +82,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    @contextlib.contextmanager
+    def command(name, run, help, table=False):
+        """Subcommand ``name``: the block's flags, then ``--out`` and, for a table, ``--format``."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        return p
+        yield p
+        p.add_argument("--out", help="output file (default: stdout)")
+        if table:
+            p.add_argument("--format", choices=["csv", "tsv"], default="csv")
 
     def add_family(p):
-        p.add_argument("--family", required=True, choices=["mo", "gumbel", "pareto", "pwl"])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
+        p.add_argument("--family", required=True, choices=_FAMILIES)
+        for flag in [f for flags, _ in _FAMILIES.values() for f in flags if f != "knots-file"]:
+            p.add_argument(f"--{flag}", type=float)
         p.add_argument("--knots-file", help="CSV with columns t,A")
 
-    def add_io(p):
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["csv", "tsv"], default="csv")
+    with command("coeffs", _cmd_coeffs, "rho, tau, lambda, beta of one copula", table=True) as p:
+        add_family(p)
+        p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
 
-    p = command("coeffs", _cmd_coeffs, "rho, tau, lambda, beta of one copula")
-    add_family(p)
-    p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
-    add_io(p)
+    with command("gumbel-table", _cmd_gumbel_table,
+                 "lambda/theta/rho table of the Gumbel family", table=True) as p:
+        p.add_argument("--precision", type=_int_flag("precision", 0, _MAX_PRECISION), default=3)
 
-    p = command("gumbel-table", _cmd_gumbel_table, "lambda/theta/rho table of the Gumbel family")
-    p.add_argument("--precision", type=_int_flag("precision", 0, _MAX_PRECISION), default=3)
-    add_io(p)
+    with command("bounds-curve", _cmd_bounds_curve, "coefficient bound curves over lambda", table=True) as p:
+        p.add_argument("--step", type=float, default=0.05)
 
-    p = command("bounds-curve", _cmd_bounds_curve, "coefficient bound curves over lambda")
-    p.add_argument("--step", type=float, default=0.05)
-    add_io(p)
+    with command("verify", _cmd_verify, "randomized sweep of all bounds") as p:
+        p.add_argument("--n-random", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--grid", type=_int_flag("grid", 2), default=200,
+                       help="envelope resolution: A is checked at 16 (grid - 1) + 1 equispaced t "
+                       "plus its kinks and those of both bounds (default: 200)")
+        p.add_argument("--knots-file", help="also verify this piecewise-linear A")
+        p.add_argument("--dump-knots", default="violating_dependence.csv",
+                       help="where to serialize an offending A on failure")
 
-    p = command("verify", _cmd_verify, "randomized sweep of all bounds")
-    p.add_argument("--n-random", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=_int_flag("grid", 2), default=200,
-                   help="envelope resolution: A is checked at 16 (grid - 1) + 1 equispaced t "
-                   "plus its kinks and those of both bounds (default: 200)")
-    p.add_argument("--knots-file", help="also verify this piecewise-linear A")
-    p.add_argument("--dump-knots", default="violating_dependence.csv",
-                   help="where to serialize an offending A on failure")
-    p.add_argument("--out", help="output file (default: stdout)")
+    with command("sample", _cmd_sample, "draw (u,v) pairs from one copula") as p:
+        add_family(p)
+        p.add_argument("-n", "--n", type=_int_flag("n", 1), required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--method", choices=["exact", "generic"], default="exact")
 
-    p = command("sample", _cmd_sample, "draw (u,v) pairs from one copula")
-    add_family(p)
-    p.add_argument("-n", "--n", type=_int_flag("n", 1), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["exact", "generic"], default="exact")
-    p.add_argument("--out", help="u,v CSV output file (default: stdout)")
-
-    p = command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV")
-    p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
-    p.add_argument("--lambda-thresholds", type=_flag(_thresholds), default="0.9,0.95,0.99",
-                   help="comma-separated tail thresholds in (0, 1) (default: 0.9,0.95,0.99)")
-    p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
-    add_io(p)
+    with command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV", table=True) as p:
+        p.add_argument("--in", dest="infile", help="input CSV (default: stdin)")
+        p.add_argument("--lambda-thresholds", type=_flag(_thresholds), default="0.9,0.95,0.99",
+                       help="comma-separated tail thresholds in (0, 1) (default: 0.9,0.95,0.99)")
+        p.add_argument("--precision", type=_int_flag("precision", 1, _MAX_PRECISION), default=16)
     return parser
 
 
 def _dependence_from_args(args):
-    if args.family == "mo":
-        if args.alpha is None or args.beta is None:
-            raise EvCopulaError("family 'mo' needs --alpha and --beta")
-        return mo_dependence(args.alpha, args.beta)
-    if args.family == "gumbel":
-        if args.theta is None:
-            raise EvCopulaError("family 'gumbel' needs --theta")
-        return gumbel_dependence(args.theta)
-    if args.family == "pareto":
-        if args.a is None or args.b is None:
-            raise EvCopulaError("family 'pareto' needs --a and --b")
-        return pareto_dependence(args.a, args.b)
-    if getattr(args, "knots_file", None) is None:
-        raise EvCopulaError("family 'pwl' needs --knots-file")
-    return read_knots_csv(args.knots_file)
+    flags, build = _FAMILIES[args.family]
+    values = [getattr(args, flag.replace("-", "_")) for flag in flags]
+    if None in values:
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise EvCopulaError(f"family '{args.family}' needs {needs}")
+    return build(*values)
 
 
 @contextlib.contextmanager
@@ -160,18 +157,14 @@ def _table(rows, args) -> str:
     return "\n".join(delim.join(str(c) for c in row) for row in rows) + "\n"
 
 
-def _emit(rows, args) -> None:
-    with _stream(args.out, "w") as fh:
-        fh.write(_table(rows, args))
-
-
 def _cmd_coeffs(args) -> int:
     df = _dependence_from_args(args)
-    cs = coef_mod.compute_coefficients(df)
-    prec = args.precision
-    rows = [("coefficient", "value", "method")]
-    rows += [(name, f"{value:.{prec}g}", method) for name, value, method in cs.as_rows()]
-    _emit(rows, args)
+    with _stream(args.out, "w") as fh:
+        cs = coef_mod.compute_coefficients(df)
+        prec = args.precision
+        rows = [("coefficient", "value", "method")]
+        rows += [(name, f"{value:.{prec}g}", method) for name, value, method in cs.as_rows()]
+        fh.write(_table(rows, args))
     return 0
 
 
@@ -184,36 +177,38 @@ def _gumbel_theta_rho(lam: float) -> tuple:
 
 
 def _cmd_gumbel_table(args) -> int:
-    prec = args.precision
-    rows = [("lambda", "theta", "rho")]
-    for i in range(11):
-        lam = i / 10.0
-        theta, rho = _gumbel_theta_rho(lam)
-        rows.append((f"{lam:.1f}", f"{theta:.{prec}f}", f"{rho:.{prec}f}"))
-    _emit(rows, args)
+    with _stream(args.out, "w") as fh:
+        prec = args.precision
+        rows = [("lambda", "theta", "rho")]
+        for i in range(11):
+            lam = i / 10.0
+            theta, rho = _gumbel_theta_rho(lam)
+            rows.append((f"{lam:.1f}", f"{theta:.{prec}f}", f"{rho:.{prec}f}"))
+        fh.write(_table(rows, args))
     return 0
 
 
 def _cmd_bounds_curve(args) -> int:
     if not 0.0 < args.step <= 0.1:
         raise EvCopulaError(f"--step must lie in (0, 0.1], got {args.step}")
-    n = int(round(1.0 / args.step))
-    lams = [min(i * args.step, 1.0) for i in range(n + 1)]
-    if lams[-1] < 1.0:
-        lams.append(1.0)
-    rows = [("lambda", "rho_lo", "rho_hi", "rho_gumbel", "tau_lo", "tau_hi", "tau_gumbel")]
-    for lam in lams:
-        ri = bounds_mod.rho_bounds(lam)
-        ti = bounds_mod.tau_bounds(lam)
-        _, rho_g = _gumbel_theta_rho(lam)
-        tau_g = coef_mod.gumbel_tau_from_lambda(lam)
-        rows.append(
-            tuple(
-                f"{x:.12g}"
-                for x in (lam, ri.lo, ri.hi, rho_g, ti.lo, ti.hi, tau_g)
+    with _stream(args.out, "w") as fh:
+        n = int(round(1.0 / args.step))
+        lams = [min(i * args.step, 1.0) for i in range(n + 1)]
+        if lams[-1] < 1.0:
+            lams.append(1.0)
+        rows = [("lambda", "rho_lo", "rho_hi", "rho_gumbel", "tau_lo", "tau_hi", "tau_gumbel")]
+        for lam in lams:
+            ri = bounds_mod.rho_bounds(lam)
+            ti = bounds_mod.tau_bounds(lam)
+            _, rho_g = _gumbel_theta_rho(lam)
+            tau_g = coef_mod.gumbel_tau_from_lambda(lam)
+            rows.append(
+                tuple(
+                    f"{x:.12g}"
+                    for x in (lam, ri.lo, ri.hi, rho_g, ti.lo, ti.hi, tau_g)
+                )
             )
-        )
-    _emit(rows, args)
+        fh.write(_table(rows, args))
     return 0
 
 

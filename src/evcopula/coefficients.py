@@ -88,18 +88,23 @@ def blomqvist(copula) -> float:
 
 
 def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
-    """All four coefficients, closed-form where the family provides one."""
+    """All four coefficients, closed-form where the family provides one.
+
+    ``family`` and ``params`` are trusted as the builders set them; a
+    parameter that is missing reaches the closed form as None, whose own
+    check rejects it.
+    """
     if check_type(df, DependenceFunction, "df").family == "marshall_olkin":
-        return mo_closed_form(df.params["alpha"], df.params["beta"])
+        return mo_closed_form(df.params.get("alpha"), df.params.get("beta"))
     lam = lambda_upper(df)
     beta = 2.0**lam - 1.0
     method = {"lambda": CLOSED_FORM, "beta": CLOSED_FORM}
     if df.family == "pareto":
-        rho, tau = pareto_closed_form(df.params["a"], df.params["b"])
+        rho, tau = pareto_closed_form(df.params.get("a"), df.params.get("b"))
         method.update(rho=CLOSED_FORM, tau=CLOSED_FORM)
         return CoefficientSet(rho, tau, lam, beta, method)
     if df.family == "gumbel":
-        tau, _ = gumbel_closed_form(df.params["theta"])
+        tau, _ = gumbel_closed_form(df.params.get("theta"))
         method.update(rho=QUADRATURE, tau=CLOSED_FORM)
         return CoefficientSet(rho_numeric(df), tau, lam, beta, method)
     method.update(rho=QUADRATURE, tau=QUADRATURE)

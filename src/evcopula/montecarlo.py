@@ -68,7 +68,8 @@ def _check_pairs(u, v) -> tuple:
 class SampleBatch:
     """Immutable batch of (u, v) pairs plus generation metadata; ``n = len(u) == len(v)``.
 
-    ``u`` and ``v`` are stored as 1-D float arrays (see :func:`_check_pairs`).
+    ``u`` and ``v`` are stored as 1-D float arrays (see :func:`_check_pairs`);
+    ``seed`` must be an integer and ``generator`` a str.
     """
 
     u: np.ndarray
@@ -77,6 +78,8 @@ class SampleBatch:
     generator: str
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        check_type(self.generator, str, "generator")
         u, v = _check_pairs(self.u, self.v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

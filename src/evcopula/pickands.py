@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     InvalidDependenceFunctionError,
+    NonFiniteError,
     ParamOutOfRangeError,
     check_path,
     check_real,
@@ -54,6 +55,7 @@ class DependenceFunction:
     where the slope of A' is unbounded.  A is defined on [0, 1] only:
     calling the function or :meth:`deriv` with t outside [0, 1] or NaN
     raises :class:`ParamOutOfRangeError`, and so does building one whose
+    ``family`` is not a str, whose ``params`` is not a dict, whose
     ``eval_fn`` or ``deriv_fn`` is not callable, or whose split points break
     the rule of :func:`errors.check_split_points`; they are stored as a
     tuple of floats, and ``edges`` holds the read-only array
@@ -73,6 +75,8 @@ class DependenceFunction:
     edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_type(self.family, str, "family")
+        check_type(self.params, dict, "params")
         for name in ("eval_fn", "deriv_fn"):
             if not callable(getattr(self, name)):
                 kind = type(getattr(self, name)).__name__
@@ -395,9 +399,14 @@ def mix(first: DependenceFunction, second: DependenceFunction, weight: float) ->
 
 
 def lambda_upper(df: DependenceFunction) -> float:
-    """Upper tail coefficient ``2 (1 - A(1/2))`` in [0, 1]; A is read through ``df.eval_fn``."""
-    a_half = check_type(df, DependenceFunction, "df").eval_fn(np.asarray(0.5))
-    return min(max(2.0 * (1.0 - float(a_half)), 0.0), 1.0)
+    """Upper tail coefficient ``2 (1 - A(1/2))`` in [0, 1]; A is read through ``df.eval_fn``.
+
+    A non-finite A(1/2) raises :class:`NonFiniteError` naming t = 1/2.
+    """
+    a_half = float(check_type(df, DependenceFunction, "df").eval_fn(np.asarray(0.5)))
+    if not math.isfinite(a_half):
+        raise NonFiniteError(f"A returned a non-finite value at t=0.5: {a_half!r}")
+    return min(max(2.0 * (1.0 - a_half), 0.0), 1.0)
 
 
 def _tangent(df: DependenceFunction, lam: float) -> tuple:

@@ -125,6 +125,11 @@ def _read_knots_from_descriptor():
             os.close(fd)
 
 
+def _with_mo_a(family, params):
+    """A dependence function with ``family`` and ``params`` over the A and A' of ``_MO``."""
+    return DependenceFunction(family, params, (), _MO.eval_fn, _MO.deriv_fn)
+
+
 # each call accepted a bool as a number, raised a bare TypeError or
 # ValueError, or truncated a float seed before the checks were shared
 _REJECTED = {
@@ -182,6 +187,22 @@ _REJECTED = {
     "DependenceFunction(split_points=(0.6, 0.4))": lambda: DependenceFunction(
         "x", {}, (0.6, 0.4), _MO.eval_fn, _MO.deriv_fn
     ),
+    # a family that is not a str or params that are not a dict were built without
+    # complaint; params that miss a closed form's parameter raised a bare KeyError
+    "DependenceFunction(family=None)": lambda: _with_mo_a(None, {}),
+    "DependenceFunction(params=None)": lambda: _with_mo_a("pareto", None),
+    "DependenceFunction(params=((alpha, .3),))": lambda: _with_mo_a("marshall_olkin", (("alpha", 0.3),)),
+    'compute_coefficients(marshall_olkin, {"alpha": .3})': lambda: compute_coefficients(
+        _with_mo_a("marshall_olkin", {"alpha": 0.3})
+    ),
+    'compute_coefficients(pareto, {"a": .3})': lambda: compute_coefficients(
+        _with_mo_a("pareto", {"a": 0.3})
+    ),
+    "compute_coefficients(gumbel, {})": lambda: compute_coefficients(_with_mo_a("gumbel", {})),
+    # a seed that is not an integer, or a generator that is not a str, made a batch
+    "SampleBatch(seed=2.5)": lambda: SampleBatch([0.1, 0.2], [0.3, 0.4], 2.5, "manual"),
+    "SampleBatch(seed=True)": lambda: SampleBatch([0.1, 0.2], [0.3, 0.4], True, "manual"),
+    "SampleBatch(generator=None)": lambda: SampleBatch([0.1, 0.2], [0.3, 0.4], 0, None),
     # a file descriptor, None, a string or a binary stream where a file path or a
     # text stream belongs: read_knots_csv read and closed the descriptor, the
     # others raised a bare TypeError, ValueError or AttributeError

@@ -347,6 +347,9 @@ class TestArgumentsBeforeWork:
             (["sample", "--family", "gumbel", "--theta", "2", "-n", "200000",
               "--method", "generic"], "mc_mod.sample_generic"),
             (["estimate", "--in", os.devnull], "mc_mod.read_pairs_csv"),
+            (["coeffs", "--family", "gumbel", "--theta", "2"], "coef_mod.compute_coefficients"),
+            (["gumbel-table"], "coef_mod.gumbel_theta_from_lambda"),
+            (["bounds-curve"], "bounds_mod.rho_bounds"),
         ],
     )
     def test_unopenable_out_fails_before_work(self, argv, target, capsys, monkeypatch, tmp_path):
@@ -416,6 +419,43 @@ class TestArgumentsBeforeWork:
         assert code == 2
         assert "grid must be >= 2" in err
         assert not out_path.exists()
+
+
+class TestFamilyTable:
+    """``--family`` and the flags each family needs come from one table in ``cli``."""
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (["mo", "--alpha", "0.5"], "family 'mo' needs --alpha and --beta"),
+            (["gumbel"], "family 'gumbel' needs --theta"),
+            (["pareto", "--b", "0.2"], "family 'pareto' needs --a and --b"),
+            (["pwl", "--theta", "2"], "family 'pwl' needs --knots-file"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["coeffs"], ["sample", "-n", "5"]])
+    def test_missing_flag_named(self, command, family, message, capsys, tmp_path):
+        out_path = tmp_path / "out.csv"
+        code, out, err = run([*command, "--family", *family, "--out", str(out_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+    def test_builder_looked_up_at_call_time(self, capsys, monkeypatch):
+        # perfbench's tracer times Gumbel builds by patching cli.gumbel_dependence
+        import evcopula.cli as cli_mod
+        from evcopula import gumbel_dependence
+
+        thetas = []
+
+        def spy(theta):
+            thetas.append(theta)
+            return gumbel_dependence(theta)
+
+        monkeypatch.setattr(cli_mod, "gumbel_dependence", spy)
+        gumbel = ["--family", "gumbel", "--theta", "2"]
+        for argv in (["coeffs", *gumbel], ["sample", *gumbel, "-n", "5"]):
+            assert run(argv, capsys)[0] == 0
+        assert thetas == [2.0, 2.0]
 
 
 class TestOutOfMemory:

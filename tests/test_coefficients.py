@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from evcopula import (
+    DependenceFunction,
+    NonFiniteError,
     ParamOutOfRangeError,
     blomqvist,
     compute_coefficients,
@@ -154,6 +156,17 @@ class TestLambda:
             pytest.approx(0.8, abs=1e-12)
         )
         assert lambda_upper(gumbel_dependence(3.802)) == pytest.approx(0.8, abs=5e-4)
+
+    @pytest.mark.parametrize("a_half", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a_at_half_raises(self, a_half):
+        # the clamp to [0, 1] let NaN through as lambda and read +-inf as 0 or 1
+        df = DependenceFunction(
+            "x", {}, (), lambda t: np.full(np.shape(t), a_half), lambda t, side: np.zeros(np.shape(t))
+        )
+        with pytest.raises(NonFiniteError, match=r"at t=0\.5"):
+            lambda_upper(df)
+        with pytest.raises(NonFiniteError, match=r"at t=0\.5"):
+            compute_coefficients(df)
 
 
 class TestBlomqvist:

@@ -1007,8 +1007,12 @@ def _unvalidated(a_half):
 
 def test_reads_at_half_match_checked_reads():
     corpus_mixture = _corpus_member("mixture")
-    # lambda clipped from above and from below, and a NaN that must stay NaN
-    invalid = [_unvalidated(0.4), _unvalidated(1.1), _unvalidated(np.nan)]
+    # lambda clipped from above and from below; a NaN, which the retired reads
+    # passed on as lambda, now raises at t = 1/2
+    invalid = [_unvalidated(0.4), _unvalidated(1.1)]
+    for read in (lambda_upper, reference.tangent_at_half):
+        with pytest.raises(NonFiniteError, match=r"at t=0\.5"):
+            read(_unvalidated(np.nan))
     mixes = [
         mix(mo_dependence(0.5, 0.5), gumbel_dependence(2.0), 0.3),
         mix(pareto_dependence(0.3, 0.2), mo_dependence(0.2, 0.9), 0.7),
