@@ -162,8 +162,7 @@ def _phi_table(df) -> tuple:
     chord.  Then phi is linear on it: the panel keeps only its two end
     nodes, one cell, whose ``slope`` is dpsi/dq = A + (1 - t) A' at its
     first node.  ``slope`` is inf on the zero-width cells and on a linear
-    panel where A = t, whose m is inf, and NaN on curved cells; it is None
-    when no panel is linear.
+    panel where A = t, whose m is inf, and NaN on curved cells.
     """
     t = np.linspace(df.edges[:-1], df.edges[1:], _PANEL_NODES, axis=-1).ravel()
     da = df.deriv_fn(t, "left")
@@ -178,8 +177,6 @@ def _phi_table(df) -> tuple:
     keep[linear, 1:-1] = False
     rows = np.flatnonzero(keep)  # then the node at q = inf, up to a power-of-two length
     rows = np.append(rows, np.full((1 << (len(rows) - 1).bit_length()) - len(rows), rows[-1]))
-    if not linear.any():
-        return (*(arr[rows] for arr in table), None)
     slope = np.full(len(t), np.nan)
     slope[_PANEL_NODES - 1 :: _PANEL_NODES] = np.inf  # the last node of each panel
     first = np.flatnonzero(linear) * _PANEL_NODES
@@ -215,16 +212,13 @@ def _invert(df, table, x, e):
         step //= 2
     a, b = q[j], q[j + 1]
     fa = x * psi[j] + m[j] - e
-    if slope is None:
-        out = a.copy()
-    else:
-        s = slope[j]
-        with np.errstate(divide="ignore", invalid="ignore"):  # fa / 0 on a flat piece of phi
-            out = np.fmin(np.fmax(a - fa / (x * s), a), b)  # a where s is NaN or inf
-        curved = np.isnan(s)
-        if not curved.any():
-            return out
-        b = np.where(curved, b, a)  # only a curved cell keeps a bracket
+    s = slope[j]
+    with np.errstate(divide="ignore", invalid="ignore"):  # fa / 0 on a flat piece of phi
+        out = np.fmin(np.fmax(a - fa / (x * s), a), b)  # a where s is NaN or inf
+    curved = np.isnan(s)
+    if not curved.any():
+        return out
+    b = np.where(curved, b, a)  # only a curved cell keeps a bracket
     fb = x * psi[j + 1] + m[j + 1] - e
     last = np.flatnonzero(np.isinf(b))
     if last.size:  # most blocks of a few thousand pairs have none in the last cell

@@ -1370,22 +1370,21 @@ def test_phi_table_keeps_curved_panels_and_the_ends_of_linear_ones():
         k = linear = 0  # k: the first node of panel p in the new table
         for p in range(len(df.split_points) + 1):
             rows = np.arange(p * nodes, (p + 1) * nodes)
-            if slope is not None and not np.isnan(slope[k]):
+            if not np.isnan(slope[k]):
                 rows, linear = rows[[0, -1]], linear + 1
-            elif slope is not None:  # a curved panel: secant steps in each of its cells
+            else:  # a curved panel: secant steps in each of its cells
                 assert np.isnan(slope[k : k + nodes - 1]).all(), (df, p)
             for new, ref in zip((q, psi, m), old):
                 assert _same_bits(new[k : k + len(rows)], ref[rows]), (df, p)
             k += len(rows)
-            if slope is not None:  # the zero-width cell to the next panel, or the node at q = inf
-                assert slope[k - 1] == np.inf, (df, p)
+            assert slope[k - 1] == np.inf, (df, p)  # the zero-width cell to the next panel, or q = inf
         assert len(q) == 1 << (k - 1).bit_length(), df  # then the node at q = inf, repeated
         for new in (q, psi, m):
             assert _same_bits(new[k:], np.full(len(q) - k, new[k - 1])), df
         if df.family in ("marshall_olkin", "pareto"):
             assert linear == len(df.split_points) + 1, df
         if any(df is g for g in gumbels):
-            assert slope is None, df
+            assert linear == 0, df
 
 
 LINEAR_CASES = ("mo(1e-13,0.5)", "mo(1-1e-13,0.5)", "tangent(0.6,0.4-1e-13)", "mix(corpus_pwl,mo(0.3,0.8))")
@@ -1400,8 +1399,6 @@ def test_phi_is_the_line_of_each_linear_table_cell():
     for df in [*dependence_corpus(300, 11), *(COPULAS[name]() for name in LINEAR_CASES)]:
         with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
             q, psi, m, slope = montecarlo._phi_table(df)
-        if slope is None:
-            continue
         for j in np.flatnonzero(~np.isnan(slope[:-1])):
             a, b = q[j], q[j + 1]
             if a == b or np.isinf(m[j]):  # a jump, or phi = inf on the cell: no pair lands in it
@@ -1438,7 +1435,7 @@ def test_linear_cells_take_no_secant_step(name, monkeypatch):
     # the Gumbel mixture has linear panels around its curved middle.  A kink within 1e-12 of an
     # end or of another kink is a split point too, so every panel of mo(1e-13,0.5) is linear
     slope = montecarlo._phi_table(COPULAS["mo(1e-13,0.5)"]())[3]
-    assert slope is not None and not np.isnan(slope).any()
+    assert not np.isnan(slope).any()
     df = COPULAS[name]()
     with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
         q, _, _, slope = montecarlo._phi_table(df)
