@@ -27,7 +27,7 @@ from . import bounds as bounds_mod
 from . import coefficients as coef_mod
 from . import montecarlo as mc_mod
 from .copula import copula_from_pickands
-from .errors import EvCopulaError, check_int
+from .errors import EvCopulaError, check_int, check_real
 from .pickands import (
     gumbel_dependence,
     mo_dependence,
@@ -107,11 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=_int_flag("precision", 0, _MAX_PRECISION), default=3)
 
     with command("bounds-curve", _cmd_bounds_curve, "coefficient bound curves over lambda", table=True) as p:
-        p.add_argument("--step", type=float, default=0.05)
+        step = _flag(lambda text: check_real(float(text), "step", 1e-4, 0.1))
+        p.add_argument("--step", type=step, default=0.05)
 
     with command("verify", _cmd_verify, "randomized sweep of all bounds") as p:
         p.add_argument("--n-random", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_flag("seed", 0), default=0)
         p.add_argument("--grid", type=_int_flag("grid", 2), default=200,
                        help="envelope resolution: A is checked at 16 (grid - 1) + 1 equispaced t "
                        "plus its kinks and those of both bounds (default: 200)")
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with command("sample", _cmd_sample, "draw (u,v) pairs from one copula") as p:
         add_family(p)
         p.add_argument("-n", "--n", type=_int_flag("n", 1), required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_flag("seed", 0), default=0)
         p.add_argument("--method", choices=["exact", "generic"], default="exact")
 
     with command("estimate", _cmd_estimate, "empirical coefficients from a u,v CSV", table=True) as p:
@@ -189,8 +190,6 @@ def _cmd_gumbel_table(args) -> int:
 
 
 def _cmd_bounds_curve(args) -> int:
-    if not 0.0 < args.step <= 0.1:
-        raise EvCopulaError(f"--step must lie in (0, 0.1], got {args.step}")
     with _stream(args.out, "w") as fh:
         n = int(round(1.0 / args.step))
         lams = [min(i * args.step, 1.0) for i in range(n + 1)]

@@ -11,10 +11,8 @@ import numpy as np
 
 from .errors import check_int
 
-_MASK64 = (1 << 64) - 1
-
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator keyed by the integers ``(seed, *stream)``; same key, same bit stream."""
-    entropy = [check_int(k, "seed") & _MASK64 for k in (seed, *stream)]
+    """Generator keyed by the integers ``(seed, *stream)``, each >= 0; same key, same bit stream."""
+    entropy = [check_int(k, "seed", 0) for k in (seed, *stream)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

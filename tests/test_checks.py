@@ -71,6 +71,7 @@ from evcopula import (
 )
 from evcopula.errors import check_int, check_real
 from evcopula.montecarlo import check_thresholds
+from evcopula.rng import make_rng
 from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist, validate
 
 
@@ -110,6 +111,18 @@ class TestCheckInt:
         with pytest.raises(ParamOutOfRangeError, match="n must be >= 1"):
             check_int(0, "n", 1)
         assert check_int(-(2**70), "seed") == -(2**70)
+
+
+def test_seeds_are_not_folded_into_64_bits():
+    # the 64-bit mask gave seed -1 the stream of 2**64 - 1, and seed 2**64 that of 0
+    for key in ((-1,), (0, -1), (-(2**64),)):
+        with pytest.raises(ParamOutOfRangeError, match="seed must be >= 0"):
+            make_rng(*key)
+    assert make_rng(2**64).random(4).tolist() != make_rng(0).random(4).tolist()
+    assert make_rng(2**65 + 3, 1).random(4).tolist() != make_rng(3, 1).random(4).tolist()
+    # seeds in [0, 2**64) keep their streams
+    assert make_rng(2**64 - 1, 0xB1).random(2).tolist() == [0.5463281793958417, 0.5293599697410155]
+    assert make_rng(0).random(2).tolist() == [0.014067035665647709, 0.2577672456246177]
 
 
 _MO = mo_dependence(0.3, 0.6)
@@ -219,6 +232,10 @@ _REJECTED = {
     "dependence_corpus(n=True)": lambda: dependence_corpus(True, 0),
     "gumbel_tau_from_lambda(True)": lambda: gumbel_tau_from_lambda(True),
     "gumbel_theta_from_lambda(True)": lambda: gumbel_theta_from_lambda(True),
+    # a negative seed drew the stream of seed + 2**64
+    "sample_mo(seed=-1)": lambda: sample_mo(0.5, 0.5, 10, -1),
+    "sample_generic(seed=-1)": lambda: sample_generic(_GUMBEL, 10, -1),
+    "dependence_corpus(seed=-1)": lambda: dependence_corpus(5, -1),
 }
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from evcopula.cli import main
+from evcopula.cli import _build_parser, main
 
 
 def run(argv, capsys):
@@ -158,6 +158,25 @@ class TestBoundsCurve:
         code, _, err = run(["bounds-curve", "--step", "0.5"], capsys)
         assert code == 2
         assert "step" in err
+
+    @pytest.mark.parametrize("step", ["5e-324", "1e-300", "0", "nan", "9.9e-5"])
+    def test_step_checked_at_parse_time(self, step, capsys):
+        # 5e-324 raised OverflowError in int(round(1 / step)), with a traceback, and 1e-300
+        # built a list of 1e300 lambdas.  The parser runs first, so no work can start here
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["bounds-curve", "--step", step])
+        assert exc.value.code == 2
+        assert "argument --step: step=" in capsys.readouterr().err
+        code, out, err = run(["bounds-curve", "--step", step], capsys)
+        assert (code, out) == (2, "")
+        assert "must be a real number in [0.0001, 0.1]" in err
+
+    def test_smallest_step(self, capsys):
+        code, out, _ = run(["bounds-curve", "--step", "1e-4"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 10_002
+        assert lines[-1].split(",") == ["1"] * 7
 
 
 class TestVerify:
@@ -412,6 +431,17 @@ class TestArgumentsBeforeWork:
         assert code == 2
         assert out == ""
         assert "argument --lambda-thresholds: " in err
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--n-random", "5"], ["sample", "--family", "gumbel", "--theta", "2", "-n", "3"]]
+    )
+    def test_negative_seed_checked_before_out(self, argv, capsys, tmp_path):
+        # seed -1 drew the stream of 2**64 - 1, and verify labelled it "seed -1"
+        out_path = tmp_path / "x.txt"
+        code, out, err = run([*argv, "--seed", "-1", "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --seed: seed must be >= 0, got -1" in err
+        assert not out_path.exists()
 
     def test_grid_checked(self, capsys, tmp_path):
         out_path = tmp_path / "v.txt"

@@ -1,5 +1,6 @@
 """Coefficient computation: quadrature vs closed forms, inversions, identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -341,3 +342,35 @@ class TestComputeCoefficients:
         assert cs.tau == 0.5
         assert cs.lambda_u == pytest.approx(0.5, abs=1e-14)
         assert cs.beta == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("label", ["gumbel over mo", "mo with other params", "mo over gumbel"])
+    def test_a_family_its_builder_does_not_rebuild_is_only_a_label(self, label):
+        # the closed form was picked by family and params alone: Gumbel theta = 3 has tau 2/3,
+        # where tau_numeric of the MO (0.4, 0.6) under that label gives 0.3158
+        mo, gumbel = mo_dependence(0.4, 0.6), gumbel_dependence(2.0)
+        over_mo = {"split_points": mo.split_points, "eval_fn": mo.eval_fn, "deriv_fn": mo.deriv_fn}
+        df = {
+            "gumbel over mo": lambda: DependenceFunction("gumbel", {"theta": 3.0}, **over_mo),
+            "mo with other params": lambda: DependenceFunction(
+                "marshall_olkin", {"alpha": 0.9, "beta": 0.9}, **over_mo
+            ),
+            "mo over gumbel": lambda: dataclasses.replace(
+                mo, split_points=gumbel.split_points, eval_fn=gumbel.eval_fn, deriv_fn=gumbel.deriv_fn
+            ),
+        }[label]()
+        cs = compute_coefficients(df)
+        assert (cs.rho, cs.tau, cs.lambda_u) == (rho_numeric(df), tau_numeric(df), lambda_upper(df))
+        assert cs.beta == 2.0**cs.lambda_u - 1.0
+        assert cs.method == {
+            "rho": "quadrature", "tau": "quadrature", "lambda": "closed_form", "beta": "closed_form"
+        }
+
+    def test_builds_keep_their_closed_forms(self):
+        builds = [
+            *(df for df in dependence_corpus(200, 0) if df.family in ("marshall_olkin", "pareto", "gumbel")),
+            mo_dependence(0.0, 0.0), mo_dependence(1.0, 1e-13), pareto_dependence(0.5, 0.5),
+            pareto_dependence(1e-300, 0.5), gumbel_dependence(1.0), gumbel_dependence(1e12),
+        ]
+        assert len(builds) > 100
+        for df in builds:
+            assert compute_coefficients(df).method["tau"] == "closed_form", df
