@@ -248,7 +248,7 @@ def _cmd_sample(args) -> int:
     df = _dependence_from_args(args)
     with _stream(args.out, "w") as fh:
         if args.family == "mo" and args.method == "exact":
-            batch = mc_mod.sample_mo(df.params["alpha"], df.params["beta"], args.n, args.seed)
+            batch = mc_mod.sample_mo(*df.exact, args.n, args.seed)
         else:
             batch = mc_mod.sample_generic(copula_from_pickands(df), args.n, args.seed)
         mc_mod.write_batch_csv(batch, fh)

@@ -24,21 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .copula import EvCopula
 from .errors import check_real, check_type
 from .numerics import _integrate as integrate  # over checked edges; perfbench's tracer wraps this name
-from .pickands import (
-    DependenceFunction,
-    check_lambda,
-    check_mo,
-    check_tangent,
-    gumbel_dependence,
-    lambda_upper,
-    mo_dependence,
-    pareto_dependence,
-)
+from .pickands import DependenceFunction, check_lambda, check_mo, check_tangent, lambda_upper
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -92,55 +81,27 @@ def blomqvist(copula) -> float:
     return 4.0 * float(check_type(copula, EvCopula, "copula")(0.5, 0.5)) - 1.0
 
 
-# family: its builder and the params that it takes, in order
-_BUILDERS = {
-    "marshall_olkin": (mo_dependence, ("alpha", "beta")),
-    "pareto": (pareto_dependence, ("a", "b")),
-    "gumbel": (gumbel_dependence, ("theta",)),
-}
-
-
-def _rebuilt(df: DependenceFunction) -> bool:
-    """True if the builder of ``df.family``, called with ``df.params``, makes the same function.
-
-    The same split points, and the same bits of A and of A' on both sides
-    at ``df.edges`` and at the 257 equispaced t of :func:`write_knots_csv`.
-    A parameter that is missing reaches the builder as None, whose check
-    rejects it.
-    """
-    build, names = _BUILDERS[df.family]
-    ref = build(*(df.params.get(name) for name in names))
-    t = np.union1d(np.linspace(0.0, 1.0, 257), df.edges)
-
-    def bits(f):
-        reads = (f.eval_fn(t), f.deriv_fn(t, "left"), f.deriv_fn(t, "right"))
-        return [np.asarray(y).tobytes() for y in reads]
-
-    return ref.split_points == df.split_points and bits(ref) == bits(df)
-
-
 def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
     """All four coefficients, closed-form where the family provides one.
 
-    A family's closed form is used only if its builder rebuilds ``df``
-    from ``df.params`` (:func:`_rebuilt`).  Otherwise the family is only a
-    label: lambda comes from :func:`lambda_upper`, rho and tau from
+    A closed form is used only on a builder's own output, whose ``exact``
+    holds the parameters it checked; any other function, whatever its
+    family, takes lambda from :func:`lambda_upper`, rho and tau from
     quadrature.
     """
-    family = check_type(df, DependenceFunction, "df").family
-    if family in _BUILDERS and not _rebuilt(df):
-        family = None
+    exact = check_type(df, DependenceFunction, "df").exact
+    family = None if exact is None else df.family
     if family == "marshall_olkin":
-        return mo_closed_form(df.params["alpha"], df.params["beta"])
+        return mo_closed_form(*exact)
     lam = lambda_upper(df)
     beta = 2.0**lam - 1.0
     method = {"lambda": CLOSED_FORM, "beta": CLOSED_FORM}
     if family == "pareto":
-        rho, tau = pareto_closed_form(df.params["a"], df.params["b"])
+        rho, tau = pareto_closed_form(*exact)
         method.update(rho=CLOSED_FORM, tau=CLOSED_FORM)
         return CoefficientSet(rho, tau, lam, beta, method)
     if family == "gumbel":
-        tau, _ = gumbel_closed_form(df.params["theta"])
+        tau, _ = gumbel_closed_form(*exact)
         method.update(rho=QUADRATURE, tau=CLOSED_FORM)
         return CoefficientSet(rho_numeric(df), tau, lam, beta, method)
     method.update(rho=QUADRATURE, tau=QUADRATURE)

@@ -60,9 +60,11 @@ class DependenceFunction:
     the rule of :func:`errors.check_split_points`; they are stored as a
     tuple of floats, and ``edges`` holds the read-only array
     ``[0, *split_points, 1]`` that the check returns, the panel ends of
-    quadrature and of the sampler's table.  ``second_fn`` is always None
-    and nothing reads it.  Instances are immutable and safe to share
-    across threads.
+    quadrature and of the sampler's table.  ``exact`` is None, except on
+    the output of an MO, tangent or Gumbel builder, where it is the tuple
+    of parameters the builder checked.  ``second_fn`` is always None and
+    nothing reads it.  Instances are immutable and safe to share across
+    threads.
     """
 
     family: str
@@ -73,6 +75,7 @@ class DependenceFunction:
     # unused; kept only because perfbench/tracer.py passes it to dataclasses.replace
     second_fn: object = field(default=None, repr=False, compare=False)
     edges: np.ndarray = field(init=False, repr=False, compare=False)
+    exact: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_type(self.family, str, "family")
@@ -226,6 +229,12 @@ def _pwl_max(ta: np.ndarray, va: np.ndarray, tb: np.ndarray, vb: np.ndarray) -> 
     return t, np.maximum(np.interp(t, ta, va), np.interp(t, tb, vb))
 
 
+def _exact(df: DependenceFunction, *params: float) -> DependenceFunction:
+    """``df`` with ``exact`` set to ``params``, the floats its builder checked."""
+    object.__setattr__(df, "exact", params)
+    return df
+
+
 def _invalid(message: str, t: float, kind: str, gap: float) -> InvalidDependenceFunctionError:
     """The knot error whose report holds the one violation ``(t, kind, gap)``."""
     report = ValidationReport(False, ((float(t), kind, gap),))
@@ -250,8 +259,8 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
 
     s = alpha + beta or 1.0  # both zero: the kink sits at t = 0 and is dropped
     knots = [(0.0, 1.0), (alpha / s, 1.0 - alpha * beta / s), (1.0, 1.0)]
-    params = {"alpha": alpha, "beta": beta}
-    return _pwl(*_distinct(*np.transpose(knots)), "marshall_olkin", params, eval_fn)
+    df = _pwl(*_distinct(*np.transpose(knots)), "marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn)
+    return _exact(df, alpha, beta)
 
 
 def gumbel_dependence(theta: float) -> DependenceFunction:
@@ -269,10 +278,11 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     """
     theta = check_theta(theta)
     if theta == 1.0:
-        return _pwl(
+        df = _pwl(
             np.array([0.0, 1.0]), np.ones(2), "gumbel", {"theta": 1.0},
             eval_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         )
+        return _exact(df, theta)
 
     def _parts(t):
         t = np.asarray(t, dtype=float)
@@ -293,13 +303,14 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     points = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}
     if theta < 2.0:  # r^(theta-1) in A' has an unbounded slope at t = 0 and t = 1
         points |= {e for k in range(1, 21) for e in (4.0**-k, 1.0 - 4.0**-k)}
-    return DependenceFunction(
+    df = DependenceFunction(
         family="gumbel",
         params={"theta": theta},
         split_points=tuple(sorted(p for p in points if 0.0 < p < 1.0)),
         eval_fn=eval_fn,
         deriv_fn=deriv_fn,
     )
+    return _exact(df, theta)
 
 
 def _tangent_kinks(a: float, b: float) -> tuple:
@@ -326,7 +337,7 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
     else:
         tp, tq = _tangent_kinks(a, b)
         knots = [(0.0, 1.0), (tp, 1.0 - tp), (tq, tq), (1.0, 1.0)]
-    return _pwl(*_distinct(*np.transpose(knots)), "pareto", {"a": a, "b": b}, eval_fn)
+    return _exact(_pwl(*_distinct(*np.transpose(knots)), "pareto", {"a": a, "b": b}, eval_fn), a, b)
 
 
 def piecewise_linear_dependence(knots) -> DependenceFunction:

@@ -200,18 +200,10 @@ _REJECTED = {
     "DependenceFunction(split_points=(0.6, 0.4))": lambda: DependenceFunction(
         "x", {}, (0.6, 0.4), _MO.eval_fn, _MO.deriv_fn
     ),
-    # a family that is not a str or params that are not a dict were built without
-    # complaint; params that miss a closed form's parameter raised a bare KeyError
+    # a family that is not a str or params that are not a dict were built without complaint
     "DependenceFunction(family=None)": lambda: _with_mo_a(None, {}),
     "DependenceFunction(params=None)": lambda: _with_mo_a("pareto", None),
     "DependenceFunction(params=((alpha, .3),))": lambda: _with_mo_a("marshall_olkin", (("alpha", 0.3),)),
-    'compute_coefficients(marshall_olkin, {"alpha": .3})': lambda: compute_coefficients(
-        _with_mo_a("marshall_olkin", {"alpha": 0.3})
-    ),
-    'compute_coefficients(pareto, {"a": .3})': lambda: compute_coefficients(
-        _with_mo_a("pareto", {"a": 0.3})
-    ),
-    "compute_coefficients(gumbel, {})": lambda: compute_coefficients(_with_mo_a("gumbel", {})),
     # a seed that is not an integer, or a generator that is not a str, made a batch
     "SampleBatch(seed=2.5)": lambda: SampleBatch([0.1, 0.2], [0.3, 0.4], 2.5, "manual"),
     "SampleBatch(seed=True)": lambda: SampleBatch([0.1, 0.2], [0.3, 0.4], True, "manual"),

@@ -358,12 +358,7 @@ class TestComputeCoefficients:
                 mo, split_points=gumbel.split_points, eval_fn=gumbel.eval_fn, deriv_fn=gumbel.deriv_fn
             ),
         }[label]()
-        cs = compute_coefficients(df)
-        assert (cs.rho, cs.tau, cs.lambda_u) == (rho_numeric(df), tau_numeric(df), lambda_upper(df))
-        assert cs.beta == 2.0**cs.lambda_u - 1.0
-        assert cs.method == {
-            "rho": "quadrature", "tau": "quadrature", "lambda": "closed_form", "beta": "closed_form"
-        }
+        _assert_quadrature_only(df)
 
     def test_builds_keep_their_closed_forms(self):
         builds = [
@@ -374,3 +369,45 @@ class TestComputeCoefficients:
         assert len(builds) > 100
         for df in builds:
             assert compute_coefficients(df).method["tau"] == "closed_form", df
+
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            (lambda: mo_dependence(0.3, 0.6), "alpha", 0.9),
+            (lambda: pareto_dependence(0.3, 0.2), "b", 0.6),
+            (lambda: gumbel_dependence(2.0), "theta", 3.0),
+        ],
+        ids=["mo alpha", "tangent b", "gumbel theta"],
+    )
+    def test_params_edited_in_place_keep_the_closed_form_of_the_build(self, build, name, value):
+        # the closed form reads the floats the builder checked, not the params dict
+        df = build()
+        df.params[name] = value
+        cs = compute_coefficients(df)
+        assert cs == compute_coefficients(build())
+        assert cs.method["tau"] == "closed_form"
+
+
+def _assert_quadrature_only(df):
+    cs = compute_coefficients(df)
+    assert (cs.rho, cs.tau, cs.lambda_u) == (rho_numeric(df), tau_numeric(df), lambda_upper(df))
+    assert cs.beta == 2.0**cs.lambda_u - 1.0
+    assert cs.method == {
+        "rho": "quadrature", "tau": "quadrature", "lambda": "closed_form", "beta": "closed_form"
+    }
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("marshall_olkin", {"alpha": 0.3}), ("pareto", {"a": 0.3}), ("gumbel", {})],
+    ids=[
+        'compute_coefficients(marshall_olkin, {"alpha": .3})',
+        'compute_coefficients(pareto, {"a": .3})',
+        "compute_coefficients(gumbel, {})",
+    ],
+)
+def test_label_only(family, params):
+    # params that miss a closed form's parameter, over the A and A' of the MO (0.3, 0.6): once
+    # rejected because the builder was re-run with a missing parameter, now answered by quadrature
+    mo = mo_dependence(0.3, 0.6)
+    _assert_quadrature_only(DependenceFunction(family, params, (), mo.eval_fn, mo.deriv_fn))

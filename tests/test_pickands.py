@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evcopula import (
+    DependenceFunction,
     InvalidDependenceFunctionError,
     ParamOutOfRangeError,
     gumbel_dependence,
@@ -208,6 +209,24 @@ def test_edges_are_the_checked_split_points_read_only_and_rebuilt_by_replace(bui
     assert copy == df
     moved = dataclasses.replace(df, split_points=(0.25,))
     assert moved.edges.tolist() == [0.0, 0.25, 1.0] and not moved.edges.flags.writeable
+    # a copy is no build: only a builder's own output carries the parameters it checked
+    assert copy.exact is None and moved.exact is None
+
+
+def test_exact_holds_the_checked_floats_and_is_set_by_builders_only():
+    builds = {
+        (0.5, 1.0): mo_dependence(np.float32(0.5), np.int64(1)),
+        (0.25, 0.75): pareto_dependence(0.25, np.float64(0.75)),
+        (1.0,): gumbel_dependence(1),
+        (2.0,): gumbel_dependence(np.int64(2)),
+    }
+    for exact, df in builds.items():
+        assert df.exact == exact and all(type(x) is float for x in df.exact), df
+    df = mo_dependence(0.3, 0.6)
+    knots = piecewise_linear_dependence([(0, 1), (0.4, 0.7), (1, 1)])
+    assert knots.exact is None and mix(df, df, 0.5).exact is None
+    with pytest.raises(TypeError):
+        DependenceFunction("marshall_olkin", {}, (), df.eval_fn, df.deriv_fn, exact=(0.3, 0.6))
 
 
 class TestPiecewiseLinear:
