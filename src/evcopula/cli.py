@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=step, default=0.05)
 
     with command("verify", _cmd_verify, "randomized sweep of all bounds") as p:
-        p.add_argument("--n-random", type=int, default=100)
+        p.add_argument("--n-random", type=_int_flag("n", 1), default=100)
         p.add_argument("--seed", type=_int_flag("seed", 0), default=0)
         p.add_argument("--grid", type=_int_flag("grid", 2), default=200,
                        help="envelope resolution: A is checked at 16 (grid - 1) + 1 equispaced t "
@@ -212,10 +212,9 @@ def _cmd_bounds_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cases = bounds_mod.dependence_corpus(args.n_random, args.seed)
-    if args.knots_file:
-        cases.append(read_knots_csv(args.knots_file))
+    knots = [read_knots_csv(args.knots_file)] if args.knots_file else []
     with _stream(args.out, "w") as fh:
+        cases = bounds_mod.dependence_corpus(args.n_random, args.seed) + knots
         results = [(df, bounds_mod.verify_case(df, envelope_grid=args.grid)) for df in cases]
         failures = [(df, rep) for df, rep in results if not rep["passed"]]
         lines = [

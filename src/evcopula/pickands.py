@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,19 +50,20 @@ class DependenceFunction:
 
     ``split_points`` lists, in increasing order, the points strictly inside
     (0, 1) where a quadrature panel must end: every jump of A' (each kink of
-    ``eval_fn`` is one of ``deriv_fn``; every MO and tangent knot, and each
-    other knot more than 1e-15 off the chord of its neighbours) and, for
-    Gumbel, the edges of its narrow curvature spike at t = 1/2 and, for
-    theta < 2, the points ``4^-k`` and ``1 - 4^-k`` graded toward both ends,
-    where the slope of A' is unbounded.  A is defined on [0, 1] only:
-    calling the function or :meth:`deriv` with t outside [0, 1] or NaN
-    raises :class:`ParamOutOfRangeError`, and so does building one whose
-    ``family`` is not a str, whose ``params`` is not a dict, whose
-    ``eval_fn`` or ``deriv_fn`` is not callable, or whose split points break
-    the rule of :func:`errors.check_split_points`; they are stored as a
-    tuple of floats, and ``edges`` holds the read-only array
-    ``[0, *split_points, 1]`` that the check returns, the panel ends of
-    quadrature and of the sampler's table.  ``exact`` is None, except on
+    ``eval_fn`` is one of ``deriv_fn``; every MO and tangent kink, whose
+    pieces read their exact slopes, and each knot-file knot more than 1e-15
+    off the chord of its neighbours) and, for Gumbel, the edges of its
+    narrow curvature spike at t = 1/2 and, for theta < 2, the points
+    ``4^-k`` and ``1 - 4^-k`` graded toward both ends, where the slope of
+    A' is unbounded.  A is defined on [0, 1] only: calling the function or
+    :meth:`deriv` with t outside [0, 1] or NaN raises
+    :class:`ParamOutOfRangeError`, and so does building one whose
+    ``family`` is not a str, whose ``params`` is not a mapping (stored as a
+    read-only copy), whose ``eval_fn`` or ``deriv_fn`` is not callable, or
+    whose split points break the rule of :func:`errors.check_split_points`;
+    they are stored as a tuple of floats, and ``edges`` holds the read-only
+    array ``[0, *split_points, 1]`` that the check returns, the panel ends
+    of quadrature and of the sampler's table.  ``exact`` is None, except on
     the output of an MO, tangent or Gumbel builder, where it is the tuple
     of parameters the builder checked.  ``second_fn`` is always None and
     nothing reads it.  Instances are immutable and safe to share across
@@ -68,7 +71,7 @@ class DependenceFunction:
     """
 
     family: str
-    params: dict = field(compare=False)
+    params: Mapping = field(compare=False)
     split_points: tuple
     eval_fn: object = field(repr=False, compare=False)
     deriv_fn: object = field(repr=False, compare=False)
@@ -79,7 +82,7 @@ class DependenceFunction:
 
     def __post_init__(self):
         check_type(self.family, str, "family")
-        check_type(self.params, dict, "params")
+        object.__setattr__(self, "params", MappingProxyType(dict(check_type(self.params, Mapping, "params"))))
         for name in ("eval_fn", "deriv_fn"):
             if not callable(getattr(self, name)):
                 kind = type(getattr(self, name)).__name__
@@ -134,21 +137,18 @@ def check_theta(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
-    """Dependence function through the knot arrays ``(ts, vs)``, linear between them.
+def _pwl(ts, vs, family: str, params: dict) -> DependenceFunction:
+    """Dependence function ``np.interp`` over the knots ``(ts, vs)`` of a knot file or corpus draw.
 
-    A' is the slope of the piece to the left or right of t, indexed by the
-    count of interior knots below t (at or below it for ``side='right'``);
-    NaN and t at or past either end take an end piece.  With ``eval_fn``, a
-    closed form whose every interior knot is a kink (MO, tangent), each of
-    them is a split point, however little it bends A.  Otherwise A is
-    ``np.interp`` over the knots, and the split points are the interior
-    knots whose :func:`_bulge` is more than 1e-15 from 0, a few ulps of 1:
-    a kink, or a knot that bulges up within ``_CHECK_TOL``.
+    A' is the knot-difference slope of the piece to the left or right of t,
+    indexed by the count of interior knots below t (at or below it for
+    ``side='right'``); NaN and t at or past either end take an end piece.
+    The split points are the interior knots whose :func:`_bulge` is more
+    than 1e-15 from 0, a few ulps of 1: a kink, or a knot that bulges up
+    within ``_CHECK_TOL``.
     """
     slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
     inner = ts[1:-1]
-    points = inner if eval_fn is not None else inner[np.abs(_bulge(ts, vs)) > 1e-15]
 
     def deriv_fn(t, side):
         return slopes[inner.searchsorted(t, side=side)]
@@ -156,10 +156,28 @@ def _pwl(ts, vs, family: str, params: dict, eval_fn=None) -> DependenceFunction:
     return DependenceFunction(
         family=family,
         params=params,
-        split_points=tuple(points.tolist()),
-        eval_fn=eval_fn if eval_fn is not None else lambda t: np.interp(t, ts, vs),
+        split_points=tuple(inner[np.abs(_bulge(ts, vs)) > 1e-15].tolist()),
+        eval_fn=lambda t: np.interp(t, ts, vs),
         deriv_fn=deriv_fn,
     )
+
+
+def _pieces(family: str, params: dict, eval_fn, kinks, slopes) -> DependenceFunction:
+    """Dependence function ``eval_fn`` whose pieces between ``kinks`` have the exact ``slopes``, one more.
+
+    A piece that rounding leaves with no width, its kink at or before the one
+    before it (or 0) or at 1, goes; every other kink is a split point.  A'
+    reads as in :func:`_pwl`, and a -0.0 slope as 0.0.
+    """
+    edges = np.array([0.0, *kinks, 1.0])
+    keep = edges[1:] > edges[:-1]
+    kinks = edges[1:][keep][:-1]
+    slopes = np.array(slopes)[keep] + 0.0  # -0.0 + 0.0 is 0.0
+
+    def deriv_fn(t, side):
+        return slopes[kinks.searchsorted(t, side=side)]
+
+    return DependenceFunction(family, params, tuple(kinks.tolist()), eval_fn, deriv_fn)
 
 
 def _bulge(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -196,22 +214,6 @@ def _structural_report(ts: np.ndarray, vs: np.ndarray) -> ValidationReport:
     for i in np.flatnonzero(bulge > _CHECK_TOL):
         bad.append((float(ts[i + 1]), "convexity", float(bulge[i])))
     return ValidationReport(valid=not bad, violations=tuple(bad))
-
-
-def _distinct(ts: np.ndarray, vs: np.ndarray) -> tuple:
-    """``(ts, vs)`` less each knot at or before the t of the one before it, or at or past the last, which stays.
-
-    Then a knot where the slope falls goes.  An MO or tangent kink bends A' up, so only
-    rounding at a kink ulps from its neighbour makes it fall, as in the tangent ``(1e-300, 0.5)``.
-    """
-    keep = ts < ts[-1]
-    keep[1:] &= ts[1:] > ts[:-1]
-    keep[-1] = True
-    ts, vs = ts[keep], vs[keep]
-    slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
-    keep = np.ones(len(ts), dtype=bool)
-    keep[1:-1] = slopes[:-1] <= slopes[1:]
-    return ts[keep], vs[keep]
 
 
 def _union(*arrays) -> np.ndarray:
@@ -257,9 +259,8 @@ def mo_dependence(alpha: float, beta: float) -> DependenceFunction:
     def eval_fn(t):
         return 1.0 - np.minimum(beta * t, alpha * (1.0 - t))
 
-    s = alpha + beta or 1.0  # both zero: the kink sits at t = 0 and is dropped
-    knots = [(0.0, 1.0), (alpha / s, 1.0 - alpha * beta / s), (1.0, 1.0)]
-    df = _pwl(*_distinct(*np.transpose(knots)), "marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn)
+    kink = alpha / (alpha + beta or 1.0)  # both zero: the kink sits at t = 0 and is dropped
+    df = _pieces("marshall_olkin", {"alpha": alpha, "beta": beta}, eval_fn, (kink,), (-beta, alpha))
     return _exact(df, alpha, beta)
 
 
@@ -278,10 +279,7 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
     """
     theta = check_theta(theta)
     if theta == 1.0:
-        df = _pwl(
-            np.array([0.0, 1.0]), np.ones(2), "gumbel", {"theta": 1.0},
-            eval_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        )
+        df = _pieces("gumbel", {"theta": 1.0}, lambda t: np.ones_like(np.asarray(t, dtype=float)), (), (0.0,))
         return _exact(df, theta)
 
     def _parts(t):
@@ -332,12 +330,8 @@ def pareto_dependence(a: float, b: float) -> DependenceFunction:
         line = (1.0 - a) * (1.0 - t) + (1.0 - b) * t
         return np.maximum(np.maximum(1.0 - t, t), line)
 
-    if a + b >= 1.0:
-        knots = ENVELOPE_KNOTS
-    else:
-        tp, tq = _tangent_kinks(a, b)
-        knots = [(0.0, 1.0), (tp, 1.0 - tp), (tq, tq), (1.0, 1.0)]
-    return _exact(_pwl(*_distinct(*np.transpose(knots)), "pareto", {"a": a, "b": b}, eval_fn), a, b)
+    kinks, slopes = ((0.5,), (-1.0, 1.0)) if a + b >= 1.0 else (_tangent_kinks(a, b), (-1.0, a - b, 1.0))
+    return _exact(_pieces("pareto", {"a": a, "b": b}, eval_fn, kinks, slopes), a, b)
 
 
 def piecewise_linear_dependence(knots) -> DependenceFunction:

@@ -13,6 +13,9 @@ diagonal exponent, the classical rho-tau region and the Blomqvist <->
 lambda conversion are closed forms of the copula literature, tested here
 against known values.
 
+``exact_piece_slopes`` is the slope of each piece of an MO or tangent
+build, from its parameters in exact arithmetic.
+
 The ``retired_*`` functions are package paths as they were before they
 were cut down, kept so that ``test_oracles`` can hold the new paths to
 their bits: the split-point check that ran ``check_real`` on each point,
@@ -23,6 +26,7 @@ every cell, linear or not.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,6 +106,31 @@ def blomqvist_from_lambda(lam: float) -> float:
 def lambda_from_blomqvist(beta: float) -> float:
     """Tail coefficient from Blomqvist beta: ``log2(1 + beta)``."""
     return float(np.log2(1.0 + check_real(beta, "beta", 0.0, 1.0)))
+
+
+def exact_piece_slopes(df) -> np.ndarray:
+    """The slope of each piece of an MO, tangent or Gumbel theta = 1 build, between its ``edges``.
+
+    It is the slope of the closed-form branch that A follows at the piece's
+    midpoint, found in exact rational arithmetic from ``df.exact`` and
+    rounded once to a float: -beta or alpha for MO; -1, a - b or 1 for the
+    tangent family; 0 for Gumbel theta = 1.
+    """
+    edges = [Fraction(t) for t in df.edges.tolist()]
+    params = [Fraction(p) for p in df.exact]
+    slopes = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = (lo + hi) / 2
+        if df.family == "gumbel":
+            branches = [(Fraction(1), Fraction(0))]
+        elif df.family == "marshall_olkin":  # A = max(1 - beta t, 1 - alpha (1 - t))
+            alpha, beta = params
+            branches = [(1 - beta * t, -beta), (1 - alpha * (1 - t), alpha)]
+        else:  # A = max(1 - t, t, (1 - a)(1 - t) + (1 - b) t)
+            a, b = params
+            branches = [(1 - t, Fraction(-1)), (t, Fraction(1)), ((1 - a) * (1 - t) + (1 - b) * t, a - b)]
+        slopes.append(float(max(branches, key=lambda branch: branch[0])[1]))
+    return np.array(slopes)
 
 
 def _band_violations(t: np.ndarray, a: np.ndarray) -> list:

@@ -17,6 +17,7 @@ import math
 import numbers
 import os
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -200,7 +201,7 @@ _REJECTED = {
     "DependenceFunction(split_points=(0.6, 0.4))": lambda: DependenceFunction(
         "x", {}, (0.6, 0.4), _MO.eval_fn, _MO.deriv_fn
     ),
-    # a family that is not a str or params that are not a dict were built without complaint
+    # a family that is not a str or params that are not a mapping were built without complaint
     "DependenceFunction(family=None)": lambda: _with_mo_a(None, {}),
     "DependenceFunction(params=None)": lambda: _with_mo_a("pareto", None),
     "DependenceFunction(params=((alpha, .3),))": lambda: _with_mo_a("marshall_olkin", (("alpha", 0.3),)),
@@ -290,7 +291,7 @@ def _finite(obj) -> bool:
         return _finite(obj(t)) and _finite(obj.deriv(t)) and _finite(obj.params)
     if dataclasses.is_dataclass(obj):
         return all(_finite(getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return all(_finite(v) for v in obj.values())
     if isinstance(obj, (tuple, list)):
         return all(_finite(v) for v in obj)

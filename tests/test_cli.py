@@ -244,7 +244,7 @@ class TestVerify:
         assert dump.read_text().startswith("t,A\n")
 
     def test_n_random_below_one_exit_2(self, capsys):
-        # dependence_corpus checks the count; the CLI has no copy of the check
+        # the parser checks the count, as it does sample -n, so no work starts
         code, out, err = run(["verify", "--n-random", "0"], capsys)
         assert code == 2
         assert out == ""
@@ -369,6 +369,8 @@ class TestArgumentsBeforeWork:
             (["coeffs", "--family", "gumbel", "--theta", "2"], "coef_mod.compute_coefficients"),
             (["gumbel-table"], "coef_mod.gumbel_theta_from_lambda"),
             (["bounds-curve"], "bounds_mod.rho_bounds"),
+            # the corpus is verify's first work; a row of its own keeps the ids of those above
+            (["verify", "--n-random", "200"], "bounds_mod.dependence_corpus"),
         ],
     )
     def test_unopenable_out_fails_before_work(self, argv, target, capsys, monkeypatch, tmp_path):
@@ -380,6 +382,19 @@ class TestArgumentsBeforeWork:
         module, name = target.split(".")
         monkeypatch.setattr(getattr(cli_mod, module), name, work)
         code, out, err = run([*argv, "--out", str(tmp_path / "nodir" / "x.txt")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "No such file" in err
+
+    def test_unreadable_knots_file_fails_before_work(self, capsys, monkeypatch, tmp_path):
+        import evcopula.cli as cli_mod
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before --knots-file was read")
+
+        monkeypatch.setattr(cli_mod.bounds_mod, "dependence_corpus", work)
+        missing = str(tmp_path / "nodir" / "knots.csv")
+        code, out, err = run(["verify", "--n-random", "200", "--knots-file", missing], capsys)
         assert code == 2
         assert out == ""
         assert "No such file" in err

@@ -380,9 +380,10 @@ class TestComputeCoefficients:
         ids=["mo alpha", "tangent b", "gumbel theta"],
     )
     def test_params_edited_in_place_keep_the_closed_form_of_the_build(self, build, name, value):
-        # the closed form reads the floats the builder checked, not the params dict
+        # params is read-only, and the closed form reads the floats the builder checked
         df = build()
-        df.params[name] = value
+        with pytest.raises(TypeError):
+            df.params[name] = value
         cs = compute_coefficients(df)
         assert cs == compute_coefficients(build())
         assert cs.method["tau"] == "closed_form"

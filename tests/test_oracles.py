@@ -18,22 +18,24 @@ with the retired heap integrator, which bisected the worst panel one call
 of the integrand at a time, to twice the stated tolerance.  The envelope
 check on two arrays must equal the retired check on their ``union1d``; the
 A' of piecewise-linear functions must equal the retired index into all
-knots, less one and clipped, and their split points on the corpus must
-equal those of the retired rule on slope differences; and
+knots, less one and clipped, into their knot-difference slopes, or for an
+MO or tangent build into the exact slope of each piece, and their split
+points on the corpus must equal those of the retired rule on slope
+differences; and
 ``tangent_at_half`` and ``lambda_upper`` must equal, bit for bit, the same
 formulas read through the checked ``df(0.5)`` and ``df.deriv``.  The knot check must report exactly what it
 reported through the band check it shared with the grid ``validate``,
 except that an end of the domain that is off is named at its own t.  The
-Marshall-Olkin and tangent knots, built through the one exact distinct-knot
-rule, must equal bit for bit those of the guards each family kept before,
-except for a kink the guards dropped within 1e-12 of an end or of the other
-kink, which is now a knot at its exact t; rho and tau of each build must lie
-within 4e-15 of the closed forms.  The
+Marshall-Olkin and tangent split points must hold, bit for bit, each kink
+that the guards each family kept before kept, and besides only kinks they
+dropped within 1e-12 of an end or of the other kink, at their exact t;
+rho and tau of each build must lie within 4e-15 of the closed forms.  The
 knot writer must write the bytes of the retired per-row writer.  The
 split-point check on one array must accept and reject what the per-point
 ``check_real`` did, except for ``Fraction`` (now rejected) and 0-d arrays
 (now accepted); the knot builders without ``np.union1d`` must give the
-knots and reports of those with it.  The sampler table must keep the bits
+knots and reports of those with it, and pieces of no width must go as a
+piece-by-piece rule drops them.  The sampler table must keep the bits
 of the one built panel by panel in every curved panel and at both ends of
 each linear one, phi must follow the line of each linear cell, and Gumbel
 draws must keep the bits of the retired inversion, which ran secant steps
@@ -77,6 +79,7 @@ from evcopula import (
     write_batch_csv,
     write_knots_csv,
 )
+from evcopula import bounds as bounds_mod
 from evcopula import coefficients, montecarlo, numerics, pickands
 from evcopula.bounds import (
     _ENVELOPE_TOL,
@@ -328,9 +331,8 @@ def retired_envelope_in_t(df, grid):
     )
 
 
-def retired_pwl_deriv(ts, vs):
-    """The A' of ``_pwl`` as it was: the index into all knots, less one, clipped."""
-    slopes = np.diff(vs) / np.diff(ts)
+def retired_pwl_deriv(ts, slopes):
+    """The A' of ``_pwl`` as it was: the index into all knots, less one, clipped, into ``slopes``."""
     last = len(slopes) - 1
 
     def deriv_fn(t, side):
@@ -387,8 +389,8 @@ COPULAS = {
     "tangent(0.6,0.4-1e-13)": lambda: pareto_dependence(0.6, 0.4 - 1e-13),
     # both kinks 5e-14 from an end
     "tangent(5e-14,5e-14)": lambda: pareto_dependence(5e-14, 5e-14),
-    # A at the kink 1e-299 from t = 0 rounds to 1, so the slope before it would be 0, not -1:
-    # that knot goes, or A' would fall from 0 to -0.9 over the first panel
+    # A at the kink 1e-299 from t = 0 rounds to 1, yet the piece before it reads its exact
+    # slope -1, not the 0 of its rounded ends, and the kink stays a split point
     "tangent(1e-300,0.9)": lambda: pareto_dependence(1e-300, 0.9),
     # the knot at 0.35 bulges 5e-10 above its chord, within the convexity tolerance: A' falls
     # there, so it must end a panel, or the panel's A' would not rise and it would pass as linear
@@ -900,7 +902,12 @@ def test_envelope_in_t_matches_union_on_gumbel(theta, grid):
 
 
 def _built_with_knots(build, monkeypatch):
-    """``build()`` and the one pair of knot arrays it passed to ``_pwl``."""
+    """``build()``, its knots and the slope of each piece between them.
+
+    The knots and their knot-difference slopes are those it passed to
+    ``_pwl``; an MO, tangent or Gumbel theta = 1 build passes none, and has
+    its edges and the exact slope of each piece.
+    """
     seen = []
     real = pickands._pwl
 
@@ -911,12 +918,15 @@ def _built_with_knots(build, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(pickands, "_pwl", spy)
         df = build()
+    if df.exact is not None:
+        assert not seen
+        return df, df.edges, reference.exact_piece_slopes(df)
     ((ts, vs),) = seen
-    return df, ts, vs
+    return df, ts, np.diff(vs) / np.diff(ts)
 
 
-def _assert_deriv_matches_retired(df, ts, vs):
-    retired = retired_pwl_deriv(ts, vs)
+def _assert_deriv_matches_retired(df, ts, slopes):
+    retired = retired_pwl_deriv(ts, slopes)
     rng = make_rng(0, 0xD1)
     lo, half = ts[:-1, None], 0.5 * np.diff(ts)[:, None]
     inputs = [
@@ -980,6 +990,8 @@ def test_pwl_deriv_matches_retired_index_after_csv_roundtrip(source, tmp_path, m
 
 
 def test_split_points_match_retired_slope_rule_on_corpus(monkeypatch):
+    # the rule reads the knots a knot function passes to _pwl, and for an MO or tangent
+    # build the knots of the guards it kept before, which drop no kink of the corpus's draws
     pairs = []
     real = pickands._pwl
 
@@ -988,7 +1000,17 @@ def test_split_points_match_retired_slope_rule_on_corpus(monkeypatch):
         pairs.append((df.split_points, retired_split_points(ts, vs)))
         return df
 
+    def family_spy(build, retired):
+        def spied(*params):
+            df = build(*params)
+            pairs.append((df.split_points, retired_split_points(*retired(*df.exact))))
+            return df
+
+        return spied
+
     monkeypatch.setattr(pickands, "_pwl", spy)
+    monkeypatch.setattr(bounds_mod, "mo_dependence", family_spy(mo_dependence, retired_mo_knots))
+    monkeypatch.setattr(bounds_mod, "pareto_dependence", family_spy(pareto_dependence, retired_tangent_knots))
     dependence_corpus(600, 3)
     assert len(pairs) > 500 and sum(len(new) for new, _ in pairs) > 1000
     for new, old in pairs:
@@ -1002,7 +1024,7 @@ def _bits(*xs):
 def _unvalidated(a_half):
     """A through (0, 1), (1/2, a_half), (1, 1): outside the band, or NaN, at t = 1/2."""
     ts, vs = np.array([0.0, 0.5, 1.0]), np.array([1.0, a_half, 1.0])
-    return _pwl(ts, vs, "piecewise_linear", {}, lambda t: np.interp(t, ts, vs))
+    return _pwl(ts, vs, "piecewise_linear", {})
 
 
 def test_reads_at_half_match_checked_reads():
@@ -1064,7 +1086,7 @@ def test_structural_report_matches_shared_band_check():
 
 
 # ---------------------------------------------------------------------------
-# MO and tangent knots: the shared distinct-knot rule against the retired guards
+# MO and tangent kinks and exact slopes against the retired guards
 # ---------------------------------------------------------------------------
 
 
@@ -1143,47 +1165,33 @@ def _same_bits(x, y):
     [(mo_dependence, retired_mo_knots), (pareto_dependence, retired_tangent_knots)],
     ids=["mo", "tangent"],
 )
-def test_family_knots_match_retired_guards(build, retired, monkeypatch):
-    seen = []
-    real = pickands._pwl
-
-    def spy(ts, vs, *rest):
-        seen.append((ts, vs))
-        return real(ts, vs, *rest)
-
-    monkeypatch.setattr(pickands, "_pwl", spy)
+def test_family_knots_match_retired_guards(build, retired):
     t = np.linspace(0.0, 1.0, 1001)
-    built = dropped = 0
+    built = kept = 0
     for a, b in _edge_pairs():
         try:
             df = build(a, b)
         except ParamOutOfRangeError:  # b past its range; the check is not under test
             continue
         built += 1
-        ((ts, vs),) = seen
-        seen.clear()
-        old_ts, old_vs = retired(*df.params.values())  # the checked floats, in argument order
-        if len(ts) == len(old_ts):  # the guards kept every knot
-            assert _same_bits(ts, old_ts) and _same_bits(vs, old_vs), (a, b)
-            old = real(old_ts, old_vs, df.family, df.params, df.eval_fn)
-            assert df.split_points == old.split_points, (a, b)
-            for side in ("left", "right"):
-                assert _same_bits(df.deriv_fn(t, side), old.deriv_fn(t, side)), (a, b, side)
-        else:  # they dropped a kink within 1e-12 of an end or of the other kink: a knot at its exact t
-            dropped += 1
-            new = ~np.isin(ts, old_ts)
-            assert _same_bits(ts[~new], old_ts) and _same_bits(vs[~new], old_vs), (a, b)
-            kinks = _exact_kinks(df)
-            assert new.any() and all(kinks.get(k) == v for k, v in zip(ts[new], vs[new])), (a, b)
-        # A' never falls, so a panel whose ends agree in A' is linear
-        slopes = (vs[1:] - vs[:-1]) / (ts[1:] - ts[:-1])
+        # the guards dropped a kink within 1e-12 of an end or of the other kink: it is now a
+        # split point at its exact t, and each kink they kept is one, bit for bit
+        old = set(retired(*df.exact)[0][1:-1].tolist())
+        assert old <= set(df.split_points) <= set(_exact_kinks(df)), (a, b)
+        kept += len(df.split_points) > len(old)
+        # A' is the exact slope of each piece, read by the retired index over the edges,
+        # and it never falls, so a panel whose ends agree in A' is linear
+        slopes = reference.exact_piece_slopes(df)
         assert np.all(slopes[:-1] <= slopes[1:]), (a, b)
+        exact = retired_pwl_deriv(df.edges, slopes)
+        for side in ("left", "right"):
+            assert _same_bits(df.deriv_fn(t, side), exact(t, side)), (a, b, side)
         # every kink declared: rho and tau within a few ulps of the closed form
-        closed = mo_closed_form(*df.params.values()) if df.family == "marshall_olkin" else None
-        rho, tau = (closed.rho, closed.tau) if closed else pareto_closed_form(*df.params.values())
+        closed = mo_closed_form(*df.exact) if df.family == "marshall_olkin" else None
+        rho, tau = (closed.rho, closed.tau) if closed else pareto_closed_form(*df.exact)
         assert abs(rho_numeric(df) - rho) <= 4e-15, (a, b, rho_numeric(df) - rho)
         assert abs(tau_numeric(df) - tau) <= 4e-15, (a, b, tau_numeric(df) - tau)
-    assert built > 600 and dropped > 50
+    assert built > 600 and kept > 50
 
 
 def test_knot_writer_matches_per_row_writer(tmp_path):
@@ -1204,7 +1212,7 @@ def test_knot_writer_matches_per_row_writer(tmp_path):
 @pytest.mark.parametrize("build", [mo_dependence, pareto_dependence], ids=["mo", "tangent"])
 def test_kinks_that_bend_a_by_under_1e_15_put_their_atoms_on_jump_curves(build):
     # at a + b = 1 - 1e-15 the tangent kink t_P bends A by about 7e-16, less than the bulge
-    # that makes a knot file's knot a split point; as an MO or tangent knot it is one, so the
+    # that makes a knot file's knot a split point; as an MO or tangent kink it is one, so the
     # sampler's atom lands exactly on its jump curve (9 tangent builds here missed it by up
     # to 7.6e-15 when it was only a knot)
     built = 0
@@ -1305,19 +1313,16 @@ def _clustered_knots(rng, k):
     return np.sort(ts)
 
 
-def exact_distinct(ts, vs) -> tuple:
-    """The distinct-knot rule, knot by knot, with no tolerance.
+def exact_pieces(kinks, slopes) -> tuple:
+    """The split points and slopes that stay of pieces with no tolerance, piece by piece.
 
-    A knot stays if it is the last, or past the t before it and before the
-    last t; then an interior knot stays if the slope into it is at most the
-    slope out of it.
+    Piece i runs from the kink before it (or 0) to kink i (or 1) and stays if
+    it is wider than 0; the kink that ends each piece that stays, but the
+    last, is a split point.  A -0.0 slope is 0.0.
     """
-    last = len(ts) - 1
-    keep = [i for i in range(last + 1) if i == last or (ts[i] < ts[last] and (i == 0 or ts[i] > ts[i - 1]))]
-    t, v = ts[keep], vs[keep]
-    slope = [(v[i + 1] - v[i]) / (t[i + 1] - t[i]) for i in range(len(t) - 1)]
-    bend = [i for i in range(len(t)) if i in (0, len(t) - 1) or slope[i - 1] <= slope[i]]
-    return t[bend], v[bend]
+    edges = [0.0, *kinks, 1.0]
+    kept = [i for i in range(len(slopes)) if edges[i + 1] > edges[i]]
+    return tuple(edges[i + 1] for i in kept[:-1]), [slopes[i] + 0.0 for i in kept]
 
 
 def test_knot_builds_match_union1d_paths():
@@ -1339,10 +1344,15 @@ def test_knot_builds_match_union1d_paths():
         old = reference.retired_pwl_max(ta, va, tb, vb)
         assert all(_same_bits(x, y) for x, y in zip(new, old)), i
 
-        ts = _clustered_knots(rng, int(rng.integers(2, 12)))
-        vs = rng.random(len(ts))
-        new, old = pickands._distinct(ts, vs), exact_distinct(ts, vs)
-        assert all(_same_bits(x, y) for x, y in zip(new, old)), i
+        # clustered kinks, some at 0, at 1 or at the kink before them: their pieces have no width
+        kinks = _clustered_knots(rng, int(rng.integers(2, 12)))[1:-1].tolist()
+        r = rng.random(len(kinks) + 2)[1:]
+        slopes = np.where(r < 0.2, -0.0, r - 0.5).tolist()
+        df = pickands._pieces("piecewise_linear", {}, np.ones_like, kinks, slopes)
+        points, kept = exact_pieces(kinks, slopes)
+        assert df.split_points == points, i
+        mid = 0.5 * (df.edges[:-1] + df.edges[1:])
+        assert all(_same_bits(df.deriv_fn(mid, side), kept) for side in ("left", "right")), i
 
         # knots in and out of the band, as in the shared band check's test
         k = int(rng.choice([2, 3, 5, 9, 120]))

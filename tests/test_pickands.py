@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evcopula import (
@@ -14,10 +14,14 @@ from evcopula import (
     ParamOutOfRangeError,
     gumbel_dependence,
     mix,
+    mo_closed_form,
     mo_dependence,
+    pareto_closed_form,
     pareto_dependence,
     piecewise_linear_dependence,
     read_knots_csv,
+    rho_numeric,
+    tau_numeric,
     verify_case,
     write_knots_csv,
 )
@@ -25,7 +29,7 @@ from evcopula import pickands
 from evcopula.errors import check_split_points
 from evcopula.pickands import ENVELOPE_KNOTS, _pwl_max
 from evcopula.rng import make_rng
-from reference import tangent_at_half, validate
+from reference import exact_piece_slopes, tangent_at_half, validate
 
 GRID = np.linspace(0.0, 1.0, 401)
 
@@ -164,27 +168,36 @@ class TestParetoTangentFamily:
         with pytest.raises(ParamOutOfRangeError):
             pareto_dependence(-0.1, 0.3)
 
-    def test_near_collapsing_kinks(self, monkeypatch):
+    def test_near_collapsing_kinks(self):
         # as a + b -> 1 the two kinks merge at 1/2, and as a or b -> 0 one nears
         # an end; construction must not emit zero-width segments (regression for
-        # a hypothesis find): the knots increase strictly from (0, 1) to (1, 1)
-        seen = []
-        real = pickands._pwl
-
-        def spy(ts, vs, *rest):
-            seen.append((ts, vs))
-            return real(ts, vs, *rest)
-
-        monkeypatch.setattr(pickands, "_pwl", spy)
+        # a hypothesis find): the pieces run from t = 0 to 1, each wider than 0
+        # and with the exact slope of its branch of A
         for a, b in [(0.3, 0.7), (0.3, 0.7 - 1e-14), (0.6, 0.4 - 1e-13), (1e-15, 0.5), (0.5, 1e-15)]:
             df = pareto_dependence(a, b)
-            ((ts, vs),) = seen
-            seen.clear()
-            assert (ts[0], vs[0], ts[-1], vs[-1]) == (0.0, 1.0, 1.0, 1.0)
-            assert np.all(np.diff(ts) > 0.0)
-            assert np.isfinite(np.diff(vs) / np.diff(ts)).all()
-            assert set(df.split_points) <= set(ts[1:-1].tolist())
+            assert np.all(np.diff(df.edges) > 0.0) and (df(0.0), df(1.0)) == (1.0, 1.0)
+            assert set(df.split_points) <= {0.5, *pickands._tangent_kinks(a, b)}
+            mid = 0.5 * (df.edges[:-1] + df.edges[1:])
+            for side in ("left", "right"):
+                assert df.deriv_fn(mid, side).tolist() == exact_piece_slopes(df).tolist()
             assert validate(df, grid_size=256).valid
+
+
+def test_params_are_a_read_only_copy():
+    # a frozen function reports only the parameters it was built with
+    mine = {"alpha": 0.3, "beta": 0.8}
+    df = mo_dependence(0.3, 0.8)
+    copies = [
+        df,
+        DependenceFunction("marshall_olkin", mine, df.split_points, df.eval_fn, df.deriv_fn),
+        dataclasses.replace(df, params=mine),
+        dataclasses.replace(df, params=df.params),
+    ]
+    mine["alpha"] = 0.9
+    for copy in copies:
+        assert dict(copy.params) == {"alpha": 0.3, "beta": 0.8}
+        with pytest.raises(TypeError):
+            copy.params["alpha"] = 0.9
 
 
 @pytest.mark.parametrize(
@@ -566,3 +579,46 @@ def test_property_families_always_validate(alpha, beta, theta, lam, w):
         pareto_dependence(lam * w, lam * (1.0 - w)),
     ):
         assert validate(df, grid_size=96).valid
+
+
+_EDGE_PARAMS = (0.0, 1e-300, 1e-15, 1e-13, 1.0 - 1e-13, 1.0)
+
+
+@given(
+    a=st.one_of(st.sampled_from(_EDGE_PARAMS), st.floats(0.0, 1.0, allow_subnormal=False)),
+    b=st.one_of(st.sampled_from(_EDGE_PARAMS), st.floats(0.0, 1.0, allow_subnormal=False)),
+    gap=st.one_of(st.none(), st.sampled_from((0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-12))),
+)
+# the kinks found within ulps of an end and of each other, where A' read as rounding noise
+@example(a=1e-13, b=0.5, gap=None)
+@example(a=0.5, b=0.5 - 1e-15, gap=None)
+@example(a=0.6, b=0.4 - 1e-13, gap=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_property_mo_and_tangent_pieces_have_exact_slopes(a, b, gap):
+    # with a gap, b = 1 - a - gap puts a + b within ulps of 1, where the tangent kinks merge
+    mo = mo_closed_form(a, b)
+    builds = [(mo_dependence(a, b), (mo.rho, mo.tau))]
+    b = b if gap is None else 1.0 - a - gap
+    try:
+        builds.append((pareto_dependence(a, b), pareto_closed_form(a, b)))
+    except ParamOutOfRangeError:  # b < 0 or a + b > 1; the check is not under test
+        pass
+    for df, (rho, tau) in builds:
+        lo, hi = df.edges[:-1], df.edges[1:]
+        assert lo[0] == 0.0 and hi[-1] == 1.0 and np.all(lo < hi), df
+        # A' on both sides of each piece's midpoint, and inside it at both ends
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        slopes = exact_piece_slopes(df)
+        for t, side, want in (
+            (mid[inside], "left", slopes[inside]),
+            (mid[inside], "right", slopes[inside]),
+            (lo, "right", slopes),
+            (hi, "left", slopes),
+        ):
+            got = df.deriv_fn(t, side)
+            assert got.tobytes() == want.tobytes(), (df, side, got, want)
+        assert validate(df, grid_size=64).valid, df
+        # every kink declared: rho and tau within the edge builds' 4e-15 of the closed forms
+        assert abs(rho_numeric(df) - rho) <= 4e-15, (df, rho_numeric(df) - rho)
+        assert abs(tau_numeric(df) - tau) <= 4e-15, (df, tau_numeric(df) - tau)
