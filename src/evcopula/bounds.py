@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import lambda_upper, rho_numeric, tau_numeric
+from .coefficients import _quadrature, lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
-from .errors import check_int, check_pair, check_real, check_type, check_unit_interval
+from .errors import EvCopulaError, check_int, check_pair, check_real, check_type, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -230,14 +230,43 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     Returns a report dict with the computed coefficients, the interval
     margins (negative means violation), the pointwise envelope check and a
     ``passed`` flag: margins >= -1e-7, envelope violations <= 1e-9 and the
-    EV inequalities to 1e-9.  The envelope is checked on A at
-    ``16 (envelope_grid - 1) + 1`` values of t plus the kinks, so its
-    violations are in A units; :func:`check_envelope` checks C itself, in
-    C units.
+    EV inequalities to 1e-9.  Rho and tau are those of
+    :func:`rho_numeric` and :func:`tau_numeric`, bit for bit, integrated
+    together as the one-case form of :func:`_verify_many`.  The envelope is
+    checked on A at ``16 (envelope_grid - 1) + 1`` values of t plus the
+    kinks, so its violations are in A units; :func:`check_envelope` checks
+    C itself, in C units.
     """
-    lam = lambda_upper(check_type(df, DependenceFunction, "df"))
-    rho = rho_numeric(df)
-    tau = tau_numeric(df)
+    return _verify_many([df], envelope_grid)[0]
+
+
+def _verify_many(dfs, envelope_grid: int = 200) -> list:
+    """The :func:`verify_case` report of each function of ``dfs``, whose rho and tau are one batch.
+
+    A report does not depend on the other functions of the batch.  On an
+    :class:`EvCopulaError` the functions are checked again one at a time, in
+    order, so the error raised is the one that a loop of :func:`verify_case`
+    raises first.
+    """
+    try:
+        lams = [lambda_upper(check_type(df, DependenceFunction, "df")) for df in dfs]
+        integrals = _quadrature(dfs).tolist()
+        return [
+            _report(df, lam, 12.0 * rho - 3.0, tau, envelope_grid)
+            for df, lam, (rho, tau) in zip(dfs, lams, integrals)
+        ]
+    except EvCopulaError as err:
+        batch_error = err
+    for df in dfs:  # the steps of verify_case, in its order
+        lam = lambda_upper(df)
+        rho_numeric(df)
+        tau_numeric(df)
+        _envelope_in_t(df, lam, envelope_grid)
+    raise batch_error
+
+
+def _report(df: DependenceFunction, lam: float, rho: float, tau: float, envelope_grid: int) -> dict:
+    """The :func:`verify_case` report of ``df`` with its tail coefficient, rho and tau."""
     ri = rho_bounds(lam)
     ti = tau_bounds(lam)
     env = _envelope_in_t(df, lam, envelope_grid)

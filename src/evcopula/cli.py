@@ -38,6 +38,7 @@ from .pickands import (
 
 
 _MAX_PRECISION = 17  # significant digits that round-trip a double
+_VERIFY_BLOCK = 48  # verify cases integrated in one batch, so memory does not grow with --n-random
 
 
 def _flag(parse):
@@ -215,7 +216,10 @@ def _cmd_verify(args) -> int:
     knots = [read_knots_csv(args.knots_file)] if args.knots_file else []
     with _stream(args.out, "w") as fh:
         cases = bounds_mod.dependence_corpus(args.n_random, args.seed) + knots
-        results = [(df, bounds_mod.verify_case(df, envelope_grid=args.grid)) for df in cases]
+        results = []
+        for s in range(0, len(cases), _VERIFY_BLOCK):
+            block = cases[s : s + _VERIFY_BLOCK]
+            results += zip(block, bounds_mod._verify_many(block, envelope_grid=args.grid))
         failures = [(df, rep) for df, rep in results if not rep["passed"]]
         lines = [
             f"verified {len(cases)} dependence functions "

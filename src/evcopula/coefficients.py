@@ -24,9 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .copula import EvCopula
 from .errors import check_real, check_type
 from .numerics import _integrate as integrate  # over checked edges; perfbench's tracer wraps this name
+from .numerics import _integrate_many
 from .pickands import DependenceFunction, check_lambda, check_mo, check_tangent, lambda_upper
 
 CLOSED_FORM = "closed_form"
@@ -52,10 +55,53 @@ class CoefficientSet:
         )
 
 
+def _rho_integrand(a):
+    """The rho integrand ``1 / (A + 1)^2``, from the values ``a`` of A."""
+    return (a + 1.0) ** -2.0
+
+
+def _tau_integrand(t, a, d):
+    """The tau integrand ``A' [t (1-t) A' - (1-2t) A] / A^2``, from t and the values ``a``, ``d`` of A, A'."""
+    return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
+
+
+def _quadrature(dfs) -> np.ndarray:
+    """The rho integral and tau of every function of ``dfs`` by one batch of quadrature.
+
+    Returns the (len(dfs), 2) array of ``integral dt / (A + 1)^2`` and tau,
+    each integrated over its function's ``edges`` to ``1e-12 + 1e-10 |I|``
+    by :func:`numerics._integrate_many`, whose errors it raises: each value
+    is the one that :func:`rho_numeric` or :func:`tau_numeric` integrates
+    alone, bit for bit.  On each level A is read once per function, for
+    rho and tau together (on the first level they share their nodes too),
+    and A' once more for tau.
+    """
+    is_tau = np.array([False, True] * len(dfs))
+
+    def integrand(x, rows, depth):
+        tau_rows = is_tau.repeat(np.subtract(rows[1:], rows[:-1]))
+        a, d = np.empty_like(x), np.empty((np.count_nonzero(tau_rows), x.shape[1]))
+        k = 0
+        for df, lo, mid, hi in zip(dfs, rows[::2], rows[1::2], rows[2::2]):
+            if depth == 0:  # rho and tau on the function's own edges, the same nodes
+                a[lo:mid] = a[mid:hi] = df.eval_fn(x[lo:mid])
+            elif lo < hi:
+                a[lo:hi] = df.eval_fn(x[lo:hi])
+            if mid < hi:
+                d[k : k + hi - mid] = df.deriv_fn(x[mid:hi], "right")
+                k += hi - mid
+        a[tau_rows] = _tau_integrand(x[tau_rows], a[tau_rows], d)
+        rho_rows = ~tau_rows
+        a[rho_rows] = _rho_integrand(a[rho_rows])
+        return a  # the integrand, written over A
+
+    return _integrate_many(integrand, [e for df in dfs for e in (df.edges, df.edges)]).reshape(len(dfs), 2)
+
+
 def rho_numeric(df: DependenceFunction) -> float:
     """Spearman's rho by quadrature split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
     edges = check_type(df, DependenceFunction, "df").edges
-    return 12.0 * integrate(lambda t: (df.eval_fn(t) + 1.0) ** -2.0, edges) - 3.0
+    return 12.0 * integrate(lambda t: _rho_integrand(df.eval_fn(t)), edges) - 3.0
 
 
 def tau_numeric(df: DependenceFunction) -> float:
@@ -67,13 +113,8 @@ def tau_numeric(df: DependenceFunction) -> float:
     separate sum: integration by parts turns them into jumps of the
     integrand, and each jump of A' is a panel edge.
     """
-
-    def integrand(t):
-        a = df.eval_fn(t)
-        d = df.deriv_fn(t, "right")
-        return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
-
-    return integrate(integrand, check_type(df, DependenceFunction, "df").edges)
+    edges = check_type(df, DependenceFunction, "df").edges
+    return integrate(lambda t: _tau_integrand(t, df.eval_fn(t), df.deriv_fn(t, "right")), edges)
 
 
 def blomqvist(copula) -> float:

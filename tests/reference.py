@@ -14,7 +14,9 @@ lambda conversion are closed forms of the copula literature, tested here
 against known values.
 
 ``exact_piece_slopes`` is the slope of each piece of an MO or tangent
-build, from its parameters in exact arithmetic.
+build, from its parameters in exact arithmetic.  ``pwl_rho_tau`` is rho
+and tau of a piecewise-linear A as exact sums over its knots, the oracle
+of the quadrature on every knot, MO and tangent function.
 
 The ``retired_*`` functions are package paths as they were before they
 were cut down, kept so that ``test_oracles`` can hold the new paths to
@@ -131,6 +133,28 @@ def exact_piece_slopes(df) -> np.ndarray:
             branches = [(1 - t, Fraction(-1)), (t, Fraction(1)), ((1 - a) * (1 - t) + (1 - b) * t, a - b)]
         slopes.append(float(max(branches, key=lambda branch: branch[0])[1]))
     return np.array(slopes)
+
+
+def pwl_rho_tau(ts, vs, slopes=None) -> tuple:
+    """Rho and tau of the piecewise-linear A through the knots ``(ts, vs)``, each rounded once.
+
+    Over a linear piece, ``integral dt / (A + 1)^2`` is
+    ``(t_{i+1} - t_i) / ((A_i + 1)(A_{i+1} + 1))``, so
+    ``rho = 12 sum (t_{i+1} - t_i) / ((A_i + 1)(A_{i+1} + 1)) - 3``; tau is the
+    Stieltjes sum ``sum t_k (1 - t_k) (A'(t_k+) - A'(t_k-)) / A(t_k)`` over the
+    interior knots.  ``slopes``, one per piece, are the pieces' A'; they
+    default to the knot differences.  Both sums run in exact rational
+    arithmetic on the floats given.
+    """
+    ts = [Fraction(t) for t in np.asarray(ts, dtype=float).tolist()]
+    vs = [Fraction(v) for v in np.asarray(vs, dtype=float).tolist()]
+    if slopes is None:
+        slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
+    else:
+        slopes = [Fraction(d) for d in np.asarray(slopes, dtype=float).tolist()]
+    rho = 12 * sum((t1 - t0) / ((v0 + 1) * (v1 + 1)) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])) - 3
+    tau = sum(t * (1 - t) * (right - left) / v for t, v, left, right in zip(ts[1:-1], vs[1:-1], slopes, slopes[1:]))
+    return float(rho), float(tau)
 
 
 def _band_violations(t: np.ndarray, a: np.ndarray) -> list:

@@ -7,6 +7,8 @@ import pytest
 
 from evcopula import (
     DependenceFunction,
+    NonConvergentError,
+    NonFiniteError,
     ParamOutOfRangeError,
     check_envelope,
     copula_from_pickands,
@@ -25,7 +27,7 @@ from evcopula import (
     tau_numeric,
     verify_case,
 )
-from evcopula import bounds
+from evcopula import bounds, coefficients
 from reference import blomqvist_from_lambda, classical_region, lambda_from_blomqvist
 
 
@@ -271,3 +273,71 @@ class TestRandomizedCorpus:
             c2 = pointwise_upper(a2, b2, uu, vv)
             assert float((c1 - c2).max()) > 1e-6
             assert float((c2 - c1).max()) > 1e-6
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _hand_built(eval_fn, deriv_fn=lambda t, side: np.zeros(np.shape(t))):
+    return DependenceFunction("hand_built", {}, (), eval_fn, deriv_fn)
+
+
+class TestVerifyMany:
+    """``_verify_many`` integrates rho and tau of all its cases in one batch."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_do_not_depend_on_the_batch(self, seed):
+        # a function with no split points starts alone on one panel
+        smooth = _hand_built(lambda t: 1.0 - 0.2 * t * (1.0 - t), lambda t, side: 0.4 * t - 0.2)
+        cases = dependence_corpus(500, seed) + [smooth, gumbel_dependence(1.0), mo_dependence(0.0, 0.5)]
+        reports = bounds._verify_many(cases)
+        got = [(rep["rho"], rep["tau"]) for rep in reports]
+        assert _bits(got) == _bits([(rho_numeric(df), tau_numeric(df)) for df in cases])
+        assert bounds._verify_many(cases[::-1])[::-1] == reports
+        assert bounds._verify_many(cases[:250]) + bounds._verify_many(cases[250:]) == reports
+        assert [verify_case(df) for df in cases] == reports
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _hand_built(lambda t: np.full(np.shape(t), np.nan)),  # lambda_upper reads A(1/2) first
+            _hand_built(lambda t: np.where((t > 0.3) & (t < 0.4), np.nan, 1.0)),  # the first level finds it
+        ],
+        ids=["nan_everywhere", "nan_on_0.3_0.4"],
+    )
+    def test_non_finite_case_in_a_batch_raises_its_own_error(self, bad):
+        cases = dependence_corpus(40, 0)
+        with pytest.raises(NonFiniteError) as alone:
+            verify_case(bad)
+        with pytest.raises(NonFiniteError) as batch:
+            bounds._verify_many(cases[:20] + [bad] + cases[20:])
+        assert str(batch.value) == str(alone.value)
+
+    def test_batch_raises_the_error_a_loop_of_verify_case_meets_first(self):
+        # tau of the third case stalls at depth 60, after the first level
+        # has found the NaN of the sixth; a loop of verify_case meets the
+        # stall first
+        stall = _hand_built(lambda t: np.ones(np.shape(t)), lambda t, side: t**-0.95)
+        nan = _hand_built(lambda t: np.where((t > 0.3) & (t < 0.4), np.nan, 1.0))
+        cases = dependence_corpus(6, 1)
+        batch = cases[:2] + [stall] + cases[2:4] + [nan] + cases[4:]
+        with pytest.raises(NonFiniteError):
+            coefficients._quadrature(batch)
+        with pytest.raises(NonConvergentError) as alone:
+            verify_case(stall)
+        with pytest.raises(NonConvergentError) as err:
+            bounds._verify_many(batch)
+        assert str(err.value) == str(alone.value)
+
+    def test_one_case_raises_the_rho_error_before_the_tau_error(self):
+        # rho stalls at depth 60 on (A + 1)^-2 = t^-0.9; A' is NaN, which the
+        # first level of tau finds
+        df = _hand_built(lambda t: t**0.45 - 1.0, lambda t, side: np.full(np.shape(t), np.nan))
+        with pytest.raises(NonFiniteError):
+            coefficients._quadrature([df])
+        with pytest.raises(NonConvergentError) as alone:
+            rho_numeric(df)
+        with pytest.raises(NonConvergentError) as err:
+            verify_case(df)
+        assert str(err.value) == str(alone.value)

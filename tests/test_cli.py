@@ -225,14 +225,15 @@ class TestVerify:
         # force a failing report to exercise the failure branch
         import evcopula.cli as cli_mod
 
-        real_case = cli_mod.bounds_mod.verify_case
+        real_many = cli_mod.bounds_mod._verify_many
 
-        def broken_case(df, envelope_grid=200):
-            rep = real_case(df, envelope_grid=envelope_grid)
-            rep["passed"] = False
-            return rep
+        def broken_many(dfs, envelope_grid=200):
+            reps = real_many(dfs, envelope_grid=envelope_grid)
+            for rep in reps:
+                rep["passed"] = False
+            return reps
 
-        monkeypatch.setattr(cli_mod.bounds_mod, "verify_case", broken_case)
+        monkeypatch.setattr(cli_mod.bounds_mod, "_verify_many", broken_many)
         dump = tmp_path / "offender.csv"
         code, out, _ = run(
             ["verify", "--n-random", "2", "--seed", "1", "--grid", "30",
@@ -371,6 +372,9 @@ class TestArgumentsBeforeWork:
             (["bounds-curve"], "bounds_mod.rho_bounds"),
             # the corpus is verify's first work; a row of its own keeps the ids of those above
             (["verify", "--n-random", "200"], "bounds_mod.dependence_corpus"),
+            # verify hands its cases to _verify_many in blocks and no longer calls
+            # verify_case, the one-case form that the first row patches
+            (["verify", "--n-random", "200"], "bounds_mod._verify_many"),
         ],
     )
     def test_unopenable_out_fails_before_work(self, argv, target, capsys, monkeypatch, tmp_path):

@@ -15,6 +15,8 @@ from evcopula import (
     ParamOutOfRangeError,
     mo_dependence,
 )
+from evcopula import numerics
+from evcopula.errors import check_split_points
 from reference import integrate
 
 
@@ -103,3 +105,66 @@ class TestIntegrate:
         assert integrate(f, (0.2, 0.7)) == pytest.approx(
             integrate(f), abs=1e-12
         )
+
+
+class TestIntegrateMany:
+    _FS = (
+        lambda t: np.exp(t) * np.cos(3.0 * t),
+        lambda t: np.sqrt(t),
+        lambda t: 1.0 / (1e-4 + (t - 0.37) ** 2),
+        lambda t: np.where((t > 0.3) & (t < 0.4), np.nan, 1.0),
+        lambda t: t**-0.9,
+    )
+    _EDGES = [check_split_points(points) for points in ((), (0.5,), (0.2, 0.7), (), ())]
+
+    @classmethod
+    def _batch(cls, picks):
+        def f(x, rows, depth):
+            return np.concatenate([cls._FS[j](x[lo:hi]) for j, lo, hi in zip(picks, rows, rows[1:])])
+
+        return numerics._integrate_many(f, [cls._EDGES[j] for j in picks])
+
+    def test_gk15_values_of_a_panel_do_not_depend_on_the_others(self):
+        a = np.sort(np.random.default_rng(3).random(200))
+        b = a + 0.01
+        f = lambda t: np.exp(np.sin(17.0 * t)) / (1.0 + t)
+        kron, err = numerics._gk15(f, a, b)
+        alone = [numerics._gk15(f, a[i : i + 1], b[i : i + 1]) for i in range(len(a))]
+        assert kron.tolist() == [k[0] for k, _ in alone]
+        assert err.tolist() == [e[0] for _, e in alone]
+
+    def test_each_integral_keeps_its_bits_in_any_batch(self):
+        alone = [numerics._integrate(self._FS[j], self._EDGES[j]) for j in range(3)]
+        for picks in ((0, 1, 2), (2, 1, 0), (1, 1, 2, 0, 0)):
+            assert self._batch(picks).tolist() == [alone[j] for j in picks]
+
+    def test_errors_name_the_first_failing_integral_of_the_first_failing_level(self):
+        with pytest.raises(NonFiniteError) as alone:
+            integrate(self._FS[3])
+        with pytest.raises(NonFiniteError) as err:
+            self._batch((0, 4, 3))  # the stall of the second would come only at depth 60
+        assert str(err.value) == str(alone.value)
+        with pytest.raises(NonConvergentError) as alone:
+            integrate(self._FS[4])
+        with pytest.raises(NonConvergentError) as err:
+            self._batch((0, 4, 1))
+        assert str(err.value) == str(alone.value)
+
+    def test_panel_cap_holds_per_integral(self, monkeypatch):
+        # rho of A = 1 + 0.1 sin(1000 t) takes about 1,000 panels; 200 copies
+        # bisect more than 2**16 panels on one level, which one integral may not
+        f = lambda t: (2.0 + 0.1 * np.sin(1000.0 * t)) ** -2.0
+        edges = check_split_points(())
+        gk15, widths = numerics._gk15, []
+
+        def counted(g, a, b):
+            widths.append(len(a))
+            return gk15(g, a, b)
+
+        monkeypatch.setattr(numerics, "_gk15", counted)
+        one = numerics._integrate(f, edges)
+        assert 900 < sum(widths) < 1100
+        widths.clear()
+        many = numerics._integrate_many(lambda x, rows, depth: f(x), [edges] * 200)
+        assert max(widths) > numerics._MAX_PANELS
+        assert many.tolist() == [one] * 200

@@ -13,9 +13,11 @@ n doubles beyond their input.  The by-parts Kendall tau integral of
 piecewise-linear dependence functions must match the retired sum of
 Stieltjes atoms at their kinks.  The t-space envelope check of
 ``verify_case`` must agree with the (u, v)-grid ``check_envelope`` it
-replaced.  The level-by-level quadrature must agree
+replaced.  The batched level-by-level quadrature must agree
 with the retired heap integrator, which bisected the worst panel one call
-of the integrand at a time, to twice the stated tolerance.  The envelope
+of the integrand at a time, to twice the stated tolerance, and on every
+knot, MO and tangent function of the corpus with the exact sums over its
+knots to 1e-14.  The envelope
 check on two arrays must equal the retired check on their ``union1d``; the
 A' of piecewise-linear functions must equal the retired index into all
 knots, less one and clipped, into their knot-difference slopes, or for an
@@ -762,6 +764,39 @@ def test_tau_matches_kink_atoms_on_piecewise_linear_corpus():
                 )
                 checked += 1
     assert checked > 500
+
+
+def _pwl_knots(df):
+    """The knots and piece slopes that ``reference.pwl_rho_tau`` reads for a knot, MO or tangent build."""
+    if df.family == "piecewise_linear":
+        ts, vs = np.array(df.params["knots"]).T
+        return ts, vs, None
+    return df.edges, df.eval_fn(df.edges), reference.exact_piece_slopes(df)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_quadrature_matches_exact_pwl_sums(seed):
+    # the exact sums over the knots are an oracle for the last bits that
+    # the batched loop moved, independent of the quadrature
+    cases = dependence_corpus(500, seed)
+    checked = 0
+    for df, rep in zip(cases, bounds_mod._verify_many(cases)):
+        if df.family in PIECEWISE_LINEAR:
+            rho, tau = reference.pwl_rho_tau(*_pwl_knots(df))
+            assert abs(rep["rho"] - rho) <= 1e-14, df
+            assert abs(rep["tau"] - tau) <= 1e-14, df
+            checked += 1
+    assert checked > 250
+
+
+def test_exact_pwl_sums_match_closed_forms():
+    for alpha, beta in ((0.3, 0.6), (1.0, 1.0), (1e-13, 0.5)):
+        closed = mo_closed_form(alpha, beta)
+        got = reference.pwl_rho_tau(*_pwl_knots(mo_dependence(alpha, beta)))
+        assert got == pytest.approx((closed.rho, closed.tau), rel=0, abs=4e-16)
+    for a, b in ((0.3, 0.2), (0.5, 0.5), (0.6, 0.3999999999999)):
+        got = reference.pwl_rho_tau(*_pwl_knots(pareto_dependence(a, b)))
+        assert got == pytest.approx(pareto_closed_form(a, b), rel=0, abs=4e-16)
 
 
 # ---------------------------------------------------------------------------
