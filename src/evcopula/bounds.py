@@ -231,38 +231,32 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     margins (negative means violation), the pointwise envelope check and a
     ``passed`` flag: margins >= -1e-7, envelope violations <= 1e-9 and the
     EV inequalities to 1e-9.  Rho and tau are those of
-    :func:`rho_numeric` and :func:`tau_numeric`, bit for bit, integrated
-    together as the one-case form of :func:`_verify_many`.  The envelope is
-    checked on A at ``16 (envelope_grid - 1) + 1`` values of t plus the
-    kinks, so its violations are in A units; :func:`check_envelope` checks
-    C itself, in C units.
+    :func:`rho_numeric` and :func:`tau_numeric`.  The envelope is checked
+    on A at ``16 (envelope_grid - 1) + 1`` values of t plus the kinks, so
+    its violations are in A units; :func:`check_envelope` checks C itself,
+    in C units.
     """
-    return _verify_many([df], envelope_grid)[0]
+    lam = lambda_upper(df)
+    return _report(df, lam, rho_numeric(df), tau_numeric(df), envelope_grid)
 
 
 def _verify_many(dfs, envelope_grid: int = 200) -> list:
     """The :func:`verify_case` report of each function of ``dfs``, whose rho and tau are one batch.
 
-    A report does not depend on the other functions of the batch.  On an
-    :class:`EvCopulaError` the functions are checked again one at a time, in
-    order, so the error raised is the one that a loop of :func:`verify_case`
-    raises first.
+    A report does not depend on the other functions of the batch.  If the
+    tail coefficients or the batch raise an :class:`EvCopulaError`, the
+    reports come from a loop of :func:`verify_case`, which raises the first
+    case's error.
     """
     try:
-        lams = [lambda_upper(check_type(df, DependenceFunction, "df")) for df in dfs]
+        lams = [lambda_upper(df) for df in dfs]
         integrals = _quadrature(dfs).tolist()
-        return [
-            _report(df, lam, 12.0 * rho - 3.0, tau, envelope_grid)
-            for df, lam, (rho, tau) in zip(dfs, lams, integrals)
-        ]
-    except EvCopulaError as err:
-        batch_error = err
-    for df in dfs:  # the steps of verify_case, in its order
-        lam = lambda_upper(df)
-        rho_numeric(df)
-        tau_numeric(df)
-        _envelope_in_t(df, lam, envelope_grid)
-    raise batch_error
+    except EvCopulaError:
+        return [verify_case(df, envelope_grid) for df in dfs]
+    return [
+        _report(df, lam, 12.0 * rho - 3.0, tau, envelope_grid)
+        for df, lam, (rho, tau) in zip(dfs, lams, integrals)
+    ]
 
 
 def _report(df: DependenceFunction, lam: float, rho: float, tau: float, envelope_grid: int) -> dict:

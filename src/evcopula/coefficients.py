@@ -73,26 +73,20 @@ def _quadrature(dfs) -> np.ndarray:
     by :func:`numerics._integrate_many`, whose errors it raises: each value
     is the one that :func:`rho_numeric` or :func:`tau_numeric` integrates
     alone, bit for bit.  On each level A is read once per function, for
-    rho and tau together (on the first level they share their nodes too),
-    and A' once more for tau.
+    rho and tau together, and A' once more for tau.
     """
     is_tau = np.array([False, True] * len(dfs))
 
-    def integrand(x, rows, depth):
+    def integrand(x, rows):
         tau_rows = is_tau.repeat(np.subtract(rows[1:], rows[:-1]))
-        a, d = np.empty_like(x), np.empty((np.count_nonzero(tau_rows), x.shape[1]))
-        k = 0
+        a, d = np.empty_like(x), np.empty_like(x)
         for df, lo, mid, hi in zip(dfs, rows[::2], rows[1::2], rows[2::2]):
-            if depth == 0:  # rho and tau on the function's own edges, the same nodes
-                a[lo:mid] = a[mid:hi] = df.eval_fn(x[lo:mid])
-            elif lo < hi:
+            if lo < hi:
                 a[lo:hi] = df.eval_fn(x[lo:hi])
             if mid < hi:
-                d[k : k + hi - mid] = df.deriv_fn(x[mid:hi], "right")
-                k += hi - mid
-        a[tau_rows] = _tau_integrand(x[tau_rows], a[tau_rows], d)
-        rho_rows = ~tau_rows
-        a[rho_rows] = _rho_integrand(a[rho_rows])
+                d[mid:hi] = df.deriv_fn(x[mid:hi], "right")
+        a[tau_rows] = _tau_integrand(x[tau_rows], a[tau_rows], d[tau_rows])
+        a[~tau_rows] = _rho_integrand(a[~tau_rows])
         return a  # the integrand, written over A
 
     return _integrate_many(integrand, [e for df in dfs for e in (df.edges, df.edges)]).reshape(len(dfs), 2)

@@ -5,13 +5,14 @@ this package evaluate vectorized functions).  Quadrature is adaptive
 Gauss-Kronrod 7-15 with panels bounded by declared split points, so
 piecewise-smooth integrands keep their convergence order.  Many integrals
 are refined together, level by level: every active panel of every integral
-of a batch is evaluated in one pass, one call of the integrand on one node
-array.  Each integral then accepts its panels with the smallest error
-estimates while their errors fit in half of its remaining error budget, and
-bisects the rest into the next level.  The tolerance, the depth limit and
-the ``_MAX_PANELS`` limit on a level hold per integral, and every sum runs
-over one integral's panels in a fixed order, so no integral's value depends
-on the others in its batch.  One integral is a batch of one.
+of a batch is evaluated in one pass, one call ``f(x, rows)`` of the
+integrand on one node array ``x``, whose rows ``rows`` split by integral.
+Each integral then accepts its panels with the smallest error estimates
+while their errors fit in half of its remaining error budget, and bisects
+the rest into the next level.  The tolerance, the depth limit and the
+``_MAX_PANELS`` limit on a level hold per integral, and every sum runs over
+one integral's panels in a fixed order, so no integral's value depends on
+the others in its batch.  One integral is a batch of one.
 """
 
 from __future__ import annotations
@@ -75,21 +76,20 @@ def _integrate_many(f, edges) -> np.ndarray:
 
     Integral j's first level holds the panels between ``edges[j]``, the
     array ``[0, *split_points, 1]`` checked by
-    :func:`errors.check_split_points`.  Each level calls ``f(x, rows,
-    depth)`` once: ``x`` is the (panels, 15) node array of every active
-    panel, grouped by integral in order, so integral j's nodes are rows
-    ``rows[j]:rows[j + 1]`` of ``x`` (none once it has converged), and
-    ``depth`` counts the levels before this one.  If an integral's accepted
-    errors plus its level's errors meet its tolerance, its value is the sum
-    of its accepted values and its level's values.  Otherwise its panels
-    with the smallest error estimates are accepted while their errors sum
-    to at most half of what its tolerance leaves after the errors it
-    accepted before, and the rest are bisected into the next level.
-    :class:`NonConvergentError` names an integral's worst panel when it
-    would need bisecting at depth 60, or when its next level would hold
-    more than ``_MAX_PANELS`` (2**16) panels.  A non-finite value of ``f``
-    raises :class:`NonFiniteError` naming its t.  Either names the first
-    integral, in order, that fails on the first level where any fails.
+    :func:`errors.check_split_points`.  Each level calls ``f(x, rows)``
+    once: ``x`` is the (panels, 15) node array of every active panel,
+    grouped by integral in order, so integral j's nodes are rows
+    ``rows[j]:rows[j + 1]`` of ``x`` (none once it has converged).  If an
+    integral's accepted errors plus its level's errors meet its tolerance,
+    its value is the sum of its accepted values and its level's values.
+    Otherwise its panels with the smallest error estimates are accepted
+    while their errors sum to at most half of what its tolerance leaves
+    after the errors it accepted before, and the rest are bisected into the
+    next level.  :class:`NonConvergentError` names an integral's worst
+    panel when it would need bisecting at depth 60, or when its next level
+    would hold more than ``_MAX_PANELS`` (2**16) panels.  A non-finite value
+    of ``f`` raises :class:`NonFiniteError` naming its t.  Either names the
+    first integral, in order, that fails on the first level where any fails.
     """
     m = len(edges)
     counts = np.array([len(e) - 1 for e in edges])
@@ -101,7 +101,7 @@ def _integrate_many(f, edges) -> np.ndarray:
     for depth in range(_MAX_DEPTH + 1):
         ends = counts.cumsum()
         rows = [0, *ends.tolist()]
-        val, err = _gk15(lambda x: f(x, rows, depth), a, b)
+        val, err = _gk15(lambda x: f(x, rows), a, b)
         # bincount sums each integral's panels one after another, in panel order
         total = done + np.bincount(ids, val, m)
         budget = _ABS_TOL + _REL_TOL * np.abs(total) - done_err
@@ -142,4 +142,4 @@ def _integrate_many(f, edges) -> np.ndarray:
 
 def _integrate(f, edges: np.ndarray) -> float:
     """Integrate ``f`` over the panels between ``edges`` as a batch of one of :func:`_integrate_many`."""
-    return float(_integrate_many(lambda x, rows, depth: f(x), [edges])[0])
+    return float(_integrate_many(lambda x, rows: f(x), [edges])[0])

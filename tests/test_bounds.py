@@ -330,6 +330,14 @@ class TestVerifyMany:
             bounds._verify_many(batch)
         assert str(err.value) == str(alone.value)
 
+    def test_a_failed_batch_returns_the_reports_of_a_verify_case_loop(self, monkeypatch):
+        def stall(dfs):
+            raise NonConvergentError("the batch stalled")
+
+        cases = dependence_corpus(20, 0)
+        monkeypatch.setattr(bounds, "_quadrature", stall)
+        assert bounds._verify_many(cases) == [verify_case(df) for df in cases]
+
     def test_one_case_raises_the_rho_error_before_the_tau_error(self):
         # rho stalls at depth 60 on (A + 1)^-2 = t^-0.9; A' is NaN, which the
         # first level of tau finds

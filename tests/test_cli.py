@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from evcopula import read_knots_csv
 from evcopula.cli import _build_parser, main
 
 
@@ -103,6 +104,24 @@ class TestCoeffs:
         assert out == ""
         assert "one column" in err
 
+    def test_pwl_one_knot_exit_2(self, tmp_path, capsys):
+        knots = tmp_path / "knots.csv"
+        knots.write_text("t,A\n0,1\n")
+        code, out, err = run(
+            ["coeffs", "--family", "pwl", "--knots-file", str(knots)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: need at least two knots"]
+
+    def test_pwl_blank_rows_give_the_same_bytes(self, tmp_path, capsys):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("t,A\n0,1\n0.3,0.8\n0.5,0.75\n1,1\n")
+        blank.write_text("t,A\n0,1\n\n0.3,0.8\n   \n0.5,0.75\n1,1\n")
+        assert read_knots_csv(blank).split_points == read_knots_csv(plain).split_points == (0.3, 0.5)
+        outs = [run(["coeffs", "--family", "pwl", "--knots-file", str(p)], capsys) for p in (plain, blank)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
+
 
 class TestGumbelTable:
     def test_shape_and_edges(self, capsys):
@@ -170,6 +189,15 @@ class TestBoundsCurve:
         code, out, err = run(["bounds-curve", "--step", step], capsys)
         assert (code, out) == (2, "")
         assert "must be a real number in [0.0001, 0.1]" in err
+
+    def test_step_that_does_not_divide_one_ends_at_one(self, capsys):
+        # 33 steps of 0.03 end at 0.99, so lambda = 1 is appended
+        code, out, _ = run(["bounds-curve", "--step", "0.03"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 36
+        assert lines[-2].split(",")[0] == "0.99"
+        assert lines[-1] == "1,1,1,1,1,1,1"
 
     def test_smallest_step(self, capsys):
         code, out, _ = run(["bounds-curve", "--step", "1e-4"], capsys)

@@ -119,7 +119,7 @@ class TestIntegrateMany:
 
     @classmethod
     def _batch(cls, picks):
-        def f(x, rows, depth):
+        def f(x, rows):
             return np.concatenate([cls._FS[j](x[lo:hi]) for j, lo, hi in zip(picks, rows, rows[1:])])
 
         return numerics._integrate_many(f, [cls._EDGES[j] for j in picks])
@@ -165,6 +165,6 @@ class TestIntegrateMany:
         one = numerics._integrate(f, edges)
         assert 900 < sum(widths) < 1100
         widths.clear()
-        many = numerics._integrate_many(lambda x, rows, depth: f(x), [edges] * 200)
+        many = numerics._integrate_many(lambda x, rows: f(x), [edges] * 200)
         assert max(widths) > numerics._MAX_PANELS
         assert many.tolist() == [one] * 200

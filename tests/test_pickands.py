@@ -338,6 +338,11 @@ class TestPiecewiseLinear:
         assert err.value.report.violations == violations
         assert all(f"domain at t={t:g}" in str(err.value) for t, _, _ in violations)
 
+    def test_one_knot_is_a_domain_violation(self):
+        with pytest.raises(InvalidDependenceFunctionError, match="need at least two knots") as err:
+            piecewise_linear_dependence([(0.0, 1.0)])
+        assert err.value.report.violations == ((0.0, "domain", 1.0),)
+
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "knots.csv"
         path.write_text("t,A\n0,1\n0.5,0.75\n1,1\n")
