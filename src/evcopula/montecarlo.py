@@ -18,6 +18,11 @@ from the runs of ties of those sorts; Kendall's discordant pairs are
 counted by Knight's (1966) merge count, vectorized one merge level at a
 time.
 
+The CSV writer prints each coordinate as ``%.17g`` does, byte for byte.
+For coordinates in [1e-4, 1), which is nearly all of a sample, a numpy
+kernel forms the 17 correctly rounded digits in exact integer
+arithmetic; any other value goes through one ``%`` format per chunk.
+
 All randomness flows through the Philox streams of :mod:`evcopula.rng` and
 only uniform draws are consumed, so batches are bit-reproducible from
 (seed, generator, n).
@@ -244,8 +249,11 @@ def _invert(df, table, x, e):
         up = fc > 0.0  # the root lies below c
         a, b = np.where(up, a, c), np.where(up, c, b)
         c0, f0, c1, f1 = c1, f1, c, fc
+        wide = b - a > tol
+        if wide.all():  # no bracket closed: nothing to store or compact
+            continue
         out[idx] = a
-        keep = np.flatnonzero(b - a > tol)
+        keep = np.flatnonzero(wide)
         idx, a, b, c0, f0, c1, f1, x, e, tol, mark = (
             arr[keep] for arr in (idx, a, b, c0, f0, c1, f1, x, e, tol, mark)
         )
@@ -517,20 +525,85 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
 
 
 _CSV_ROWS = 4096  # rows formatted and written at once
+_FIELD = 24  # bytes of the longest %.17g text, such as "-2.2250738585072014e-308"
+_POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)  # 5**(16 - X) for X = -4 .. -1
+# "0." and -X - 1 zeros, right-aligned in 5 NUL-padded bytes, for X = -4 .. -1
+_PREFIX = np.array([list(b"0.0000"[: 5 - k].rjust(5, b"\0")) for k in range(4)], dtype=np.uint8)
+
+
+def _csv_text(u: np.ndarray, v: np.ndarray) -> str:
+    """The rows ``"%.17g,%.17g\\n" % (u_i, v_i)`` of one chunk, exactly, from integer arithmetic.
+
+    Each coordinate x gets a field of ``_FIELD`` bytes plus a separator,
+    NUL-padded; the NULs are dropped from the text.  For x in [1e-4, 1),
+    %.17g is ``0.`` and -X - 1 zeros, for the decade X in {-4, ..., -1},
+    then the 17 digits D = x 10**(16 - X), rounded half to even, less
+    their trailing zeros.  X counts the floats 0.1, 0.01 and 0.001 that x
+    reaches: each lies above its power of ten, so the count is exact.
+    With x = m 2**(E - 1075), D = m 5**(16 - X) / 2**s rounded, where
+    s = 1059 + X - E lies in [36, 46]; the product is formed from 32-bit
+    halves in uint64, and a tie (x = t / 2**(17 - X), t odd) rounds to
+    the even D, as CPython does.  D < 10**17 there, so no carry changes
+    X.  Any other x (0, 1, -0.0, subnormals, below 1e-4, inf, NaN) takes
+    one ``"%-24.17g"`` format per chunk into its field.
+    """
+    x = np.column_stack((u, v)).ravel()
+    n = len(x)
+    fast = (x >= 1e-4) & (x < 1.0)
+    y = np.where(fast, x, 0.5)
+    dec = (y >= 0.001).view(np.int8) + (y >= 0.01).view(np.int8) + (y >= 0.1).view(np.int8)  # X + 4
+    bits = y.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    f = _POW5[dec]
+    r = np.uint64(1023) + dec.astype(np.uint64) - (bits >> np.uint64(52))  # s - 32, in [4, 14]
+    mh, ml = m >> np.uint64(32), m & np.uint64(2**32 - 1)
+    fh, fl = f >> np.uint64(32), f & np.uint64(2**32 - 1)
+    lo = ml * fl
+    mid = (lo >> np.uint64(32)) + mh * fl + ml * fh  # m f = mh fh 2**64 + mid 2**32 + lo mod 2**32
+    d = ((mh * fh) << (np.uint64(32) - r)) + (mid >> r)
+    rest = ((mid & ((np.uint64(1) << r) - np.uint64(1))) << np.uint64(32)) | (lo & np.uint64(2**32 - 1))
+    d += (rest + (d & np.uint64(1))) > (np.uint64(1) << (r + np.uint64(31)))  # half to even
+    hi = d // np.uint64(10**9)
+    halves = np.empty((2, n), dtype=np.uint32)  # D = 10**9 halves[0] + halves[1]
+    halves[0] = hi
+    halves[1] = d - hi * np.uint64(10**9)
+    digits = np.empty((2, 9, n), dtype=np.uint8)
+    for k in range(8, -1, -1):
+        q = halves // np.uint32(10)
+        digits[:, k] = halves - q * np.uint32(10)
+        halves = q
+    digits = digits.reshape(18, n)[1:]  # halves[0] < 10**8: its first digit is 0
+    keep = np.zeros(n, dtype=bool)  # a digit that is not a trailing zero
+    for k in range(16, -1, -1):
+        keep |= digits[k] != 0
+        digits[k] += ord("0")
+        digits[k] *= keep
+    out = np.zeros((n, _FIELD + 1), dtype=np.uint8)
+    out[:, :5] = _PREFIX.take(dec, axis=0)
+    out[:, 5:22] = digits.T  # at most 22 bytes: "0.000" and 17 digits
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = (f"%-{_FIELD}.17g" * slow.size % tuple(x[slow].tolist())).encode()
+        cells = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
+        out[slow, :_FIELD] = np.where(cells == ord(" "), 0, cells)
+    out[0::2, _FIELD] = ord(",")
+    out[1::2, _FIELD] = ord("\n")
+    return out.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def write_batch_csv(batch: SampleBatch, stream) -> None:
     """Write ``u,v`` rows at 17 significant digits with LF line endings to a text stream.
 
-    Each chunk of ``_CSV_ROWS`` rows is one ``%`` format of its interleaved
-    u and v values, written to ``stream`` as soon as it is made, so the
-    text of the whole batch never sits in memory.
+    Each row is ``"%.17g,%.17g\\n" % (u, v)``, byte for byte.  Each chunk of
+    ``_CSV_ROWS`` rows is built by :func:`_csv_text`: an exact integer
+    kernel for coordinates in [1e-4, 1), and one ``%`` format for the rest,
+    and written to ``stream`` as soon as it is made, so the text of the
+    whole batch never sits in memory.
     """
     check_type(batch, SampleBatch, "batch")
     check_stream(stream, "write").write("u,v\n")
     for s in range(0, batch.n, _CSV_ROWS):
-        uv = np.column_stack((batch.u[s : s + _CSV_ROWS], batch.v[s : s + _CSV_ROWS]))
-        stream.write("%.17g,%.17g\n" * len(uv) % tuple(uv.ravel().tolist()))
+        stream.write(_csv_text(batch.u[s : s + _CSV_ROWS], batch.v[s : s + _CSV_ROWS]))
 
 
 def read_pairs_csv(stream) -> SampleBatch:

@@ -295,7 +295,7 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
 
     def deriv_fn(t, side):
         t, _, r = _parts(t)
-        sign = np.where(t >= 0.5, 1.0, -1.0)
+        sign = (t >= 0.5) * 2.0 - 1.0  # -1 below 1/2 and at NaN
         return sign * (1.0 + r**theta) ** (1.0 / theta - 1.0) * (1.0 - r ** (theta - 1.0))
 
     points = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}

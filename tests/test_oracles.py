@@ -4,12 +4,13 @@ The generic sampler must draw the same u, bit for bit, as the retired
 47-pass bisection over ``reference.partial_u``, and a v within 1e-12 of
 it; the writer, reader and rank estimators must reproduce their retired
 predecessors bit for bit: the chunked CSV writer against the per-row
-writer, the ``loadtxt`` reader against the line-split reader, Kendall's tau
-against ``np.unique`` tie counts and an O(n^2) sign count, and
-``empirical_coefficients`` against the estimator that sorted each
-coordinate for its ranks, lexsorted (u, v) and merge-counted block by
-block; on 2e5 pairs, both rank estimators must hold at most 8 arrays of
-n doubles beyond their input.  The by-parts Kendall tau integral of
+writer, also on exact decimal ties, within 50 ulps of each decade bound
+and on any float64 bit pattern, the ``loadtxt`` reader against the
+line-split reader, Kendall's tau against ``np.unique`` tie counts and an
+O(n^2) sign count, and ``empirical_coefficients`` against the estimator
+that sorted each coordinate for its ranks, lexsorted (u, v) and
+merge-counted block by block; on 2e5 pairs, both rank estimators must
+hold at most 8 arrays of n doubles beyond their input.  The by-parts Kendall tau integral of
 piecewise-linear dependence functions must match the retired sum of
 Stieltjes atoms at their kinks.  The t-space envelope check of
 ``verify_case`` must agree with the (u, v)-grid ``check_envelope`` it
@@ -47,12 +48,15 @@ in every cell.
 import heapq
 import io
 import itertools
+import math
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcopula import (
     DegenerateSampleError,
@@ -519,6 +523,71 @@ def test_writer_matches_per_row_writer_at_chunk_edges():
         write_batch_csv(batch, new)
         write_rows(batch, old)
         assert new.getvalue() == old.getvalue(), n
+
+
+def assert_writes_like_rows(u, v):
+    batch = SampleBatch(np.asarray(u, dtype=float), np.asarray(v, dtype=float), 0, "manual")
+    new, old = io.StringIO(), io.StringIO()
+    write_batch_csv(batch, new)
+    write_rows(batch, old)
+    assert new.getvalue() == old.getvalue()
+
+
+def ulp_neighbours(x, k):
+    """The floats within ``k`` ulps of the positive float ``x``, ``x`` included."""
+    c = int(np.float64(x).view(np.int64))
+    return np.arange(c - k, c + k + 1, dtype=np.int64).view(np.float64)
+
+
+def test_writer_matches_per_row_writer_within_50_ulps_of_each_decade_bound():
+    # the kernel reads the decade X of x in [1e-4, 1) from the floats 0.1, 0.01 and
+    # 0.001, and needs 10**16 <= D < 10**17 for its 17 digits D = x 10**(16 - X)
+    x = np.concatenate([ulp_neighbours(b, 50) for b in (1e-4, 0.001, 0.01, 0.1, 1.0)])
+    assert_writes_like_rows(x, x[::-1].copy())
+    for xi in x[(x >= 1e-4) & (x < 1.0)].tolist():
+        X = max(k for k in (-4, -3, -2, -1) if Fraction(xi) >= Fraction(10) ** k)
+        assert X == -4 + (xi >= 0.001) + (xi >= 0.01) + (xi >= 0.1), xi
+        assert 10**16 <= round(Fraction(xi) * 10 ** (16 - X)) < 10**17, xi
+
+
+@pytest.mark.parametrize("X", (-4, -3, -2, -1))
+def test_writer_rounds_exact_ties_to_even_like_per_row_writer(X):
+    # x = t / 2**(17 - X) with t odd puts x 10**(16 - X) exactly halfway between two integers
+    scale = 2 ** (17 - X)
+    t = np.arange(math.ceil(Fraction(10) ** X * scale) | 1, math.ceil(Fraction(10) ** (X + 1) * scale), 2)
+    t = make_rng(17 - X).choice(t, min(len(t), 4000), replace=False)
+    x = t / float(scale)
+    assert all(10.0**X <= xi < 10.0 ** (X + 1) for xi in x.tolist())
+    assert all((Fraction(xi) * 10 ** (16 - X)).denominator == 2 for xi in x.tolist())
+    assert len(x) >= 900  # all 943 ties of the decade X = -4, 4000 of each other one
+    assert_writes_like_rows(x, x[::-1].copy())
+
+
+def test_writer_formats_values_outside_the_kernel_like_per_row_writer():
+    x = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1.5, 7.0, np.inf, -np.inf, np.nan]
+    x = np.array(x + [0.5, 0.25, 1e-4, 0.1 - 2.0**-56, -2.2250738585072014e-308, -1.7976931348623157e308])
+    assert_writes_like_rows(x, x[::-1].copy())
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=64))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_writer_matches_per_row_writer_on_any_bit_pattern(words):
+    x = np.array(words, dtype=np.uint64).view(np.float64)
+    assert_writes_like_rows(x, x[::-1].copy())
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=64))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_writer_matches_per_row_writer_on_unit_interval(values):
+    x = np.array(values)
+    assert_writes_like_rows(x, x[::-1].copy())
+
+
+@pytest.mark.parametrize("n", (4095, 4096, 4097))
+def test_writer_matches_per_row_writer_across_decades_at_chunk_edges(n):
+    # about a third of the values lie below 1e-4, so every chunk mixes the kernel and the % format
+    rng = make_rng(n)
+    assert_writes_like_rows(10.0 ** rng.uniform(-6.0, 0.0, n), 10.0 ** rng.uniform(-6.0, 0.0, n))
 
 
 # ---------------------------------------------------------------------------
