@@ -134,10 +134,9 @@ def _envelope_in_t(df: DependenceFunction, lam: float, grid: int) -> EnvelopeChe
     maximized over the grid followed by the kinks (split points of A, kinks
     of both bounds), so for a piecewise-linear A the check is exact; a
     maximum does not depend on the order of the points.  ``lam`` must be
-    ``lambda_upper(df)``.  ``np.maximum`` keeps NaN, so a NaN in A is a
-    violation.
+    ``lambda_upper(df)`` and ``grid`` an int >= 2.  ``np.maximum`` keeps
+    NaN, so a NaN in A is a violation.
     """
-    grid = check_int(grid, "grid", 2)
     a, b = _tangent(df, lam)
     kinks = [0.5, *df.split_points]
     if a + b < 1.0:
@@ -234,29 +233,28 @@ def verify_case(df: DependenceFunction, envelope_grid: int = 200) -> dict:
     :func:`rho_numeric` and :func:`tau_numeric`.  The envelope is checked
     on A at ``16 (envelope_grid - 1) + 1`` values of t plus the kinks, so
     its violations are in A units; :func:`check_envelope` checks C itself,
-    in C units.
+    in C units.  The report is ``_verify_many([df], envelope_grid)[0]``.
     """
-    lam = lambda_upper(df)
-    return _report(df, lam, rho_numeric(df), tau_numeric(df), envelope_grid)
+    return _verify_many([df], envelope_grid)[0]
 
 
 def _verify_many(dfs, envelope_grid: int = 200) -> list:
     """The :func:`verify_case` report of each function of ``dfs``, whose rho and tau are one batch.
 
-    A report does not depend on the other functions of the batch.  If the
-    tail coefficients or the batch raise an :class:`EvCopulaError`, the
-    reports come from a loop of :func:`verify_case`, which raises the first
-    case's error.
+    ``envelope_grid`` is checked first.  A report does not depend on the
+    other functions of the batch.  If the tail coefficients or the batch
+    raise an :class:`EvCopulaError`, each report comes in turn from
+    :func:`lambda_upper`, :func:`rho_numeric` and :func:`tau_numeric`, so
+    the first failing case raises its own error.
     """
+    envelope_grid = check_int(envelope_grid, "grid", 2)
     try:
         lams = [lambda_upper(df) for df in dfs]
-        integrals = _quadrature(dfs).tolist()
+        integrals = _quadrature(dfs)
     except EvCopulaError:
-        return [verify_case(df, envelope_grid) for df in dfs]
-    return [
-        _report(df, lam, 12.0 * rho - 3.0, tau, envelope_grid)
-        for df, lam, (rho, tau) in zip(dfs, lams, integrals)
-    ]
+        return [_report(df, lambda_upper(df), rho_numeric(df), tau_numeric(df), envelope_grid) for df in dfs]
+    rhos, taus = integrals[: len(dfs)], integrals[len(dfs) :]
+    return [_report(df, lam, rho, tau, envelope_grid) for df, lam, rho, tau in zip(dfs, lams, rhos, taus)]
 
 
 def _report(df: DependenceFunction, lam: float, rho: float, tau: float, envelope_grid: int) -> dict:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import check_real, check_type
-from .numerics import _integrate as integrate  # over checked edges; perfbench's tracer wraps this name
-from .numerics import _integrate_many
+from .errors import EvCopulaError, check_real, check_type
+from .numerics import _integrate_many as integrate  # perfbench's tracer wraps this name
 from .pickands import DependenceFunction, check_lambda, check_mo, check_tangent, lambda_upper
 
 CLOSED_FORM = "closed_form"
@@ -55,60 +54,55 @@ class CoefficientSet:
         )
 
 
-def _rho_integrand(a):
-    """The rho integrand ``1 / (A + 1)^2``, from the values ``a`` of A."""
-    return (a + 1.0) ** -2.0
+def _quadrature(dfs, rho: bool = True, tau: bool = True) -> list:
+    """The rho of each function of ``dfs`` if ``rho``, then the tau of each if ``tau``, by one batch.
 
-
-def _tau_integrand(t, a, d):
-    """The tau integrand ``A' [t (1-t) A' - (1-2t) A] / A^2``, from t and the values ``a``, ``d`` of A, A'."""
-    return d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * a) / (a * a)
-
-
-def _quadrature(dfs) -> np.ndarray:
-    """The rho integral and tau of every function of ``dfs`` by one batch of quadrature.
-
-    Returns the (len(dfs), 2) array of ``integral dt / (A + 1)^2`` and tau,
-    each integrated over its function's ``edges`` to ``1e-12 + 1e-10 |I|``
-    by :func:`numerics._integrate_many`, whose errors it raises: each value
-    is the one that :func:`rho_numeric` or :func:`tau_numeric` integrates
-    alone, bit for bit.  On each level A is read once per function, for
-    rho and tau together, and A' once more for tau.
+    Rho is ``12 integral dt / (A + 1)^2 - 3``, and tau integrates
+    ``A' [t (1-t) A' - (1-2t) A] / A^2``.  The Stieltjes atoms
+    ``t (1-t) (A'(t+) - A'(t-)) / A(t)`` of kinked functions need no
+    separate sum: integration by parts turns them into jumps of the
+    integrand, and each jump of A' is a panel edge.  Each integral runs
+    over its function's ``edges`` to ``1e-12 + 1e-10 |I|`` by
+    :func:`numerics._integrate_many`, whose errors it raises, so no value
+    depends on the other integrals of the batch, bit for bit.  On each
+    level A is read once per integral, or once in all for a batch of one
+    function, and A' once per tau integral; each integrand is then formed
+    once over all the rows of its kind.
     """
-    is_tau = np.array([False, True] * len(dfs))
+    n, k = len(dfs), rho + tau
+
+    def on_rows(x, rows, name, *args):
+        # df.<name>(t, *args) on the rows rows[i]:rows[i + 1] of x of function dfs[i % n], as one array;
+        # one function's rows in one call, and a lone integral's, which are all of x, with no copy
+        if n * k == 1:
+            return getattr(dfs[0], name)(x, *args)
+        y = np.empty_like(x[rows[0] : rows[-1]])
+        for df, lo, hi in [(dfs[0], rows[0], rows[-1])] if n == 1 else zip(dfs * k, rows, rows[1:]):
+            if lo < hi:
+                y[lo - rows[0] : hi - rows[0]] = getattr(df, name)(x[lo:hi], *args)
+        return y
 
     def integrand(x, rows):
-        tau_rows = is_tau.repeat(np.subtract(rows[1:], rows[:-1]))
-        a, d = np.empty_like(x), np.empty_like(x)
-        for df, lo, mid, hi in zip(dfs, rows[::2], rows[1::2], rows[2::2]):
-            if lo < hi:
-                a[lo:hi] = df.eval_fn(x[lo:hi])
-            if mid < hi:
-                d[mid:hi] = df.deriv_fn(x[mid:hi], "right")
-        a[tau_rows] = _tau_integrand(x[tau_rows], a[tau_rows], d[tau_rows])
-        a[~tau_rows] = _rho_integrand(a[~tau_rows])
-        return a  # the integrand, written over A
+        r = rows[n] if rho else 0  # the tau rows start here
+        a = on_rows(x, rows, "eval_fn")
+        if not tau:
+            return (a + 1.0) ** -2.0
+        t, at, d = x[r:], a[r:] if rho else a, on_rows(x, rows[-n - 1 :], "deriv_fn", "right")
+        y = d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * at) / (at * at)
+        return np.concatenate(((a[:r] + 1.0) ** -2.0, y)) if rho else y
 
-    return _integrate_many(integrand, [e for df in dfs for e in (df.edges, df.edges)]).reshape(len(dfs), 2)
+    out = integrate(integrand, [df.edges for df in dfs] * k).tolist()
+    return [12.0 * i - 3.0 for i in out[: n * rho]] + out[n * rho :]
 
 
 def rho_numeric(df: DependenceFunction) -> float:
-    """Spearman's rho by quadrature split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
-    edges = check_type(df, DependenceFunction, "df").edges
-    return 12.0 * integrate(lambda t: _rho_integrand(df.eval_fn(t)), edges) - 3.0
+    """Spearman's rho of :func:`_quadrature`, split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
+    return _quadrature([check_type(df, DependenceFunction, "df")], tau=False)[0]
 
 
 def tau_numeric(df: DependenceFunction) -> float:
-    """Kendall's tau by adaptive quadrature of the integrated-by-parts form.
-
-    Integrates ``A' [t (1-t) A' - (1-2t) A] / A^2`` over [0, 1], split at
-    ``df.split_points``, to ``1e-12 + 1e-10 |I|``.  The Stieltjes atoms
-    ``t (1-t) (A'(t+) - A'(t-)) / A(t)`` of kinked functions need no
-    separate sum: integration by parts turns them into jumps of the
-    integrand, and each jump of A' is a panel edge.
-    """
-    edges = check_type(df, DependenceFunction, "df").edges
-    return integrate(lambda t: _tau_integrand(t, df.eval_fn(t), df.deriv_fn(t, "right")), edges)
+    """Kendall's tau of :func:`_quadrature`, split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
+    return _quadrature([check_type(df, DependenceFunction, "df")], rho=False)[0]
 
 
 def blomqvist(copula) -> float:
@@ -140,7 +134,11 @@ def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
         method.update(rho=QUADRATURE, tau=CLOSED_FORM)
         return CoefficientSet(rho_numeric(df), tau, lam, beta, method)
     method.update(rho=QUADRATURE, tau=QUADRATURE)
-    return CoefficientSet(rho_numeric(df), tau_numeric(df), lam, beta, method)
+    try:
+        rho, tau = _quadrature([df])
+    except EvCopulaError:  # raise rho's error before tau's, as rho_numeric then tau_numeric do
+        rho, tau = rho_numeric(df), tau_numeric(df)
+    return CoefficientSet(rho, tau, lam, beta, method)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
 from evcopula.errors import check_int, check_pair, check_real, check_split_points, check_unit_interval
 from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
-from evcopula.numerics import _integrate
+from evcopula.numerics import _integrate_many
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
 from evcopula.pickands import _bulge, _tangent, check_lambda, lambda_upper
 
@@ -49,7 +49,8 @@ def diag_exponent(copula) -> float:
 
 def integrate(f, split_points=()) -> float:
     """Integral of ``f`` over [0, 1] to ``1e-12 + 1e-10 |I|``; split points checked by ``check_split_points``."""
-    return _integrate(f, check_split_points(split_points))
+    edges = check_split_points(split_points)
+    return float(_integrate_many(lambda x, rows: f(x), [edges])[0])
 
 
 def tangent_at_half(df) -> tuple:

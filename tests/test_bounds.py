@@ -11,6 +11,7 @@ from evcopula import (
     NonFiniteError,
     ParamOutOfRangeError,
     check_envelope,
+    compute_coefficients,
     copula_from_pickands,
     dependence_corpus,
     ev_inequalities,
@@ -293,10 +294,16 @@ class TestVerifyMany:
         cases = dependence_corpus(500, seed) + [smooth, gumbel_dependence(1.0), mo_dependence(0.0, 0.5)]
         reports = bounds._verify_many(cases)
         got = [(rep["rho"], rep["tau"]) for rep in reports]
-        assert _bits(got) == _bits([(rho_numeric(df), tau_numeric(df)) for df in cases])
+        alone = [(rho_numeric(df), tau_numeric(df)) for df in cases]
+        assert _bits(got) == _bits(alone)
         assert bounds._verify_many(cases[::-1])[::-1] == reports
         assert bounds._verify_many(cases[:250]) + bounds._verify_many(cases[250:]) == reports
         assert [verify_case(df) for df in cases] == reports
+        # with no closed form, compute_coefficients integrates rho and tau as one batch of one
+        free = [i for i, df in enumerate(cases) if df.exact is None]
+        coeffs = [compute_coefficients(cases[i]) for i in free]
+        assert {(c.method["rho"], c.method["tau"]) for c in coeffs} == {("quadrature", "quadrature")}
+        assert _bits([(c.rho, c.tau) for c in coeffs]) == _bits([alone[i] for i in free])
 
     @pytest.mark.parametrize(
         "bad",
@@ -346,6 +353,21 @@ class TestVerifyMany:
             coefficients._quadrature([df])
         with pytest.raises(NonConvergentError) as alone:
             rho_numeric(df)
-        with pytest.raises(NonConvergentError) as err:
-            verify_case(df)
-        assert str(err.value) == str(alone.value)
+        for call in (verify_case, compute_coefficients):
+            with pytest.raises(NonConvergentError) as err:
+                call(df)
+            assert str(err.value) == str(alone.value), call
+
+    @pytest.mark.parametrize(
+        "grid, message", [(2.5, "grid must be an integer, got 2.5"), (1, "grid must be >= 2, got 1")]
+    )
+    def test_envelope_grid_is_checked_before_any_quadrature(self, monkeypatch, grid, message):
+        def integrate(f, edges):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(coefficients, "integrate", integrate)
+        cases = [gumbel_dependence(2.0), mo_dependence(0.3, 0.7)]
+        for call in (lambda: verify_case(cases[0], grid), lambda: bounds._verify_many(cases, grid)):
+            with pytest.raises(ParamOutOfRangeError) as err:
+                call()
+            assert str(err.value) == message

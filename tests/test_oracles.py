@@ -883,7 +883,11 @@ def test_integrate_matches_heap_on_corpus(monkeypatch):
     assert {df.family for df in cases} == set(FAMILIES)
     levels = [(rho_numeric(df), tau_numeric(df)) for df in cases]
     # rho_numeric and tau_numeric integrate over [0, *split_points, 1], checked when df was built
-    monkeypatch.setattr(coefficients, "integrate", lambda f, edges: heap_integrate(f, edges[1:-1]))
+    # each is a batch of one integral, so the integrand's rows of x are [0, len(x)]
+    def heap(f, edges):
+        return np.array([heap_integrate(lambda x: f(x, [0, len(x)]), edges[0][1:-1])])
+
+    monkeypatch.setattr(coefficients, "integrate", heap)
     for df, (rho, tau) in zip(cases, levels):
         heap_rho, heap_tau = rho_numeric(df), tau_numeric(df)
         # rho = 12 I - 3, so I differs by a twelfth of rho's difference
