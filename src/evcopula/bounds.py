@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import _quadrature, lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
-from .errors import EvCopulaError, check_int, check_pair, check_real, check_type, check_unit_interval
+from .errors import check_int, check_pair, check_real, check_type, check_unit_interval
 from .pickands import (
     ENVELOPE_KNOTS,
     DependenceFunction,
@@ -243,18 +243,17 @@ def _verify_many(dfs, envelope_grid: int = 200) -> list:
 
     ``envelope_grid`` is checked first.  A report does not depend on the
     other functions of the batch.  If the tail coefficients or the batch
-    raise an :class:`EvCopulaError`, each report comes in turn from
-    :func:`lambda_upper`, :func:`rho_numeric` and :func:`tau_numeric`, so
-    the first failing case raises its own error.
+    raise, each report comes in turn from :func:`lambda_upper`,
+    :func:`rho_numeric` and :func:`tau_numeric`, so the first failing case
+    raises its own error, whatever its A or A' raised.
     """
-    envelope_grid = check_int(envelope_grid, "grid", 2)
+    grid = check_int(envelope_grid, "grid", 2)
     try:
         lams = [lambda_upper(df) for df in dfs]
         integrals = _quadrature(dfs)
-    except EvCopulaError:
-        return [_report(df, lambda_upper(df), rho_numeric(df), tau_numeric(df), envelope_grid) for df in dfs]
-    rhos, taus = integrals[: len(dfs)], integrals[len(dfs) :]
-    return [_report(df, lam, rho, tau, envelope_grid) for df, lam, rho, tau in zip(dfs, lams, rhos, taus)]
+    except Exception:  # A and A' are the caller's, and may raise anything
+        return [_report(df, lambda_upper(df), rho_numeric(df), tau_numeric(df), grid) for df in dfs]
+    return [_report(df, lam, 12.0 * rho - 3.0, tau, grid) for df, lam, (rho, tau) in zip(dfs, lams, integrals)]
 
 
 def _report(df: DependenceFunction, lam: float, rho: float, tau: float, envelope_grid: int) -> dict:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import EvCopula
-from .errors import EvCopulaError, check_real, check_type
+from .errors import check_real, check_type
 from .numerics import _integrate_many as integrate  # perfbench's tracer wraps this name
 from .pickands import DependenceFunction, check_lambda, check_mo, check_tangent, lambda_upper
 
@@ -55,54 +55,60 @@ class CoefficientSet:
 
 
 def _quadrature(dfs, rho: bool = True, tau: bool = True) -> list:
-    """The rho of each function of ``dfs`` if ``rho``, then the tau of each if ``tau``, by one batch.
+    """Per function of ``dfs``, its rho integral if ``rho`` and its tau if ``tau``, by one batch.
 
-    Rho is ``12 integral dt / (A + 1)^2 - 3``, and tau integrates
+    The rho integral is ``integral dt / (A + 1)^2``, and tau integrates
     ``A' [t (1-t) A' - (1-2t) A] / A^2``.  The Stieltjes atoms
     ``t (1-t) (A'(t+) - A'(t-)) / A(t)`` of kinked functions need no
     separate sum: integration by parts turns them into jumps of the
     integrand, and each jump of A' is a panel edge.  Each integral runs
     over its function's ``edges`` to ``1e-12 + 1e-10 |I|`` by
     :func:`numerics._integrate_many`, whose errors it raises, so no value
-    depends on the other integrals of the batch, bit for bit.  On each
-    level A is read once per integral, or once in all for a batch of one
-    function, and A' once per tau integral; each integrand is then formed
-    once over all the rows of its kind.
+    depends on the other integrals of the batch, bit for bit.  Rho or tau
+    alone is for one function.  On each level A is read once per
+    function, over its rho and tau rows together, and A' once more over
+    its tau rows.
     """
-    n, k = len(dfs), rho + tau
-
-    def on_rows(x, rows, name, *args):
-        # df.<name>(t, *args) on the rows rows[i]:rows[i + 1] of x of function dfs[i % n], as one array;
-        # one function's rows in one call, and a lone integral's, which are all of x, with no copy
-        if n * k == 1:
-            return getattr(dfs[0], name)(x, *args)
-        y = np.empty_like(x[rows[0] : rows[-1]])
-        for df, lo, hi in [(dfs[0], rows[0], rows[-1])] if n == 1 else zip(dfs * k, rows, rows[1:]):
-            if lo < hi:
-                y[lo - rows[0] : hi - rows[0]] = getattr(df, name)(x[lo:hi], *args)
-        return y
 
     def integrand(x, rows):
-        r = rows[n] if rho else 0  # the tau rows start here
-        a = on_rows(x, rows, "eval_fn")
-        if not tau:
-            return (a + 1.0) ** -2.0
-        t, at, d = x[r:], a[r:] if rho else a, on_rows(x, rows[-n - 1 :], "deriv_fn", "right")
+        if not (rho and tau):
+            # one integral of one function: A and A' are used as they come, uncopied,
+            # so a scalar broadcasts and any other wrong shape raises numpy's own error
+            a = dfs[0].eval_fn(x)
+            if rho:
+                return (a + 1.0) ** -2.0
+            t, at, d = x, a, dfs[0].deriv_fn(x, "right")
+        else:
+            # function i's rho is on rows rows[2i]:rows[2i + 1] of x, its tau on rows up to rows[2i + 2]
+            a, d = np.empty_like(x), np.empty_like(x)
+            for df, lo, mid, hi in zip(dfs, rows[::2], rows[1::2], rows[2::2]):
+                if lo < hi:
+                    a[lo:hi] = df.eval_fn(x[lo:hi])
+                if mid < hi:
+                    d[mid:hi] = df.deriv_fn(x[mid:hi], "right")
+            if len(dfs) == 1:
+                is_tau = slice(rows[1], None)
+            else:
+                is_tau = np.array([False, True] * len(dfs)).repeat(np.diff(rows))
+            t, at, d = x[is_tau], a[is_tau], d[is_tau]
+            a = (a + 1.0) ** -2.0  # on every row: the tau rows are written over below
         y = d * (t * (1.0 - t) * d - (1.0 - 2.0 * t) * at) / (at * at)
-        return np.concatenate(((a[:r] + 1.0) ** -2.0, y)) if rho else y
+        if not rho:
+            return y
+        a[is_tau] = y
+        return a  # the integrand, written over A
 
-    out = integrate(integrand, [df.edges for df in dfs] * k).tolist()
-    return [12.0 * i - 3.0 for i in out[: n * rho]] + out[n * rho :]
+    return integrate(integrand, [df.edges for df in dfs for _ in range(rho + tau)]).reshape(len(dfs), -1).tolist()
 
 
 def rho_numeric(df: DependenceFunction) -> float:
     """Spearman's rho of :func:`_quadrature`, split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
-    return _quadrature([check_type(df, DependenceFunction, "df")], tau=False)[0]
+    return 12.0 * _quadrature([check_type(df, DependenceFunction, "df")], tau=False)[0][0] - 3.0
 
 
 def tau_numeric(df: DependenceFunction) -> float:
     """Kendall's tau of :func:`_quadrature`, split at ``df.split_points``, to 1e-12 + 1e-10 |I|."""
-    return _quadrature([check_type(df, DependenceFunction, "df")], rho=False)[0]
+    return _quadrature([check_type(df, DependenceFunction, "df")], rho=False)[0][0]
 
 
 def blomqvist(copula) -> float:
@@ -134,11 +140,7 @@ def compute_coefficients(df: DependenceFunction) -> CoefficientSet:
         method.update(rho=QUADRATURE, tau=CLOSED_FORM)
         return CoefficientSet(rho_numeric(df), tau, lam, beta, method)
     method.update(rho=QUADRATURE, tau=QUADRATURE)
-    try:
-        rho, tau = _quadrature([df])
-    except EvCopulaError:  # raise rho's error before tau's, as rho_numeric then tau_numeric do
-        rho, tau = rho_numeric(df), tau_numeric(df)
-    return CoefficientSet(rho, tau, lam, beta, method)
+    return CoefficientSet(rho_numeric(df), tau_numeric(df), lam, beta, method)
 
 
 # ---------------------------------------------------------------------------

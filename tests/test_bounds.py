@@ -16,6 +16,7 @@ from evcopula import (
     dependence_corpus,
     ev_inequalities,
     gumbel_dependence,
+    lambda_upper,
     mo_closed_form,
     mo_dependence,
     pareto_closed_form,
@@ -299,7 +300,7 @@ class TestVerifyMany:
         assert bounds._verify_many(cases[::-1])[::-1] == reports
         assert bounds._verify_many(cases[:250]) + bounds._verify_many(cases[250:]) == reports
         assert [verify_case(df) for df in cases] == reports
-        # with no closed form, compute_coefficients integrates rho and tau as one batch of one
+        # with no closed form, compute_coefficients integrates rho and tau by quadrature
         free = [i for i, df in enumerate(cases) if df.exact is None]
         coeffs = [compute_coefficients(cases[i]) for i in free]
         assert {(c.method["rho"], c.method["tau"]) for c in coeffs} == {("quadrature", "quadrature")}
@@ -357,6 +358,30 @@ class TestVerifyMany:
             with pytest.raises(NonConvergentError) as err:
                 call(df)
             assert str(err.value) == str(alone.value), call
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            # A of the wrong shape on the node arrays, but not at t = 1/2, so lambda_upper passes
+            (_hand_built(lambda t: np.ones(3) if np.size(t) > 1 else np.ones(np.shape(t))), ValueError),
+            (_hand_built(lambda t: np.ones(np.shape(t)), lambda t, side: np.ones(3)), ValueError),
+            # rho stalls at depth 60, and A' raises on the first level of tau
+            (_hand_built(lambda t: t**0.45 - 1.0, lambda t, side: 1 / 0), NonConvergentError),
+        ],
+        ids=["wrong_shape_a", "wrong_shape_a_prime", "rho_stalls_a_prime_raises"],
+    )
+    def test_a_raising_function_raises_its_rho_error_then_its_tau_error(self, bad, error):
+        def alone(df):
+            return lambda_upper(df), rho_numeric(df), tau_numeric(df)
+
+        cases = dependence_corpus(4, 0)
+        with pytest.raises(error) as first:
+            alone(bad)
+        calls = (alone, verify_case, compute_coefficients, lambda df: bounds._verify_many(cases[:2] + [df] + cases[2:]))
+        for call in calls:
+            with pytest.raises(error) as err:
+                call(bad)
+            assert str(err.value) == str(first.value), call
 
     @pytest.mark.parametrize(
         "grid, message", [(2.5, "grid must be an integer, got 2.5"), (1, "grid must be >= 2, got 1")]
