@@ -370,7 +370,7 @@ class TestVerifyMany:
         ],
         ids=["wrong_shape_a", "wrong_shape_a_prime", "rho_stalls_a_prime_raises"],
     )
-    def test_a_raising_function_raises_its_rho_error_then_its_tau_error(self, bad, error):
+    def test_a_hostile_function_raises_its_own_error_on_every_path(self, bad, error):
         def alone(df):
             return lambda_upper(df), rho_numeric(df), tau_numeric(df)
 
