@@ -22,6 +22,12 @@ The CSV writer prints each coordinate as ``%.17g`` does, byte for byte.
 For coordinates in [1e-4, 1), which is nearly all of a sample, a numpy
 kernel forms the 17 correctly rounded digits in exact integer
 arithmetic; any other value goes through one ``%`` format per chunk.
+The CSV reader mirrors it: it reads each value as the double that
+``float`` and ``np.loadtxt`` read.  Fields ``0.`` and 1-20 digits, which
+is nearly all of a sample file, go through a numpy kernel that parses
+eight digits per word (Lemire 2021) and divides exactly with Dekker's
+(1971) product; any line with another field, and any other chunk, goes
+through ``np.loadtxt``.
 
 All randomness flows through the Philox streams of :mod:`evcopula.rng` and
 only uniform draws are consumed, so batches are bit-reproducible from
@@ -30,6 +36,8 @@ only uniform draws are consumed, so batches are bit-reproducible from
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -588,7 +596,7 @@ def _csv_text(u: np.ndarray, v: np.ndarray) -> str:
         out[slow, :_FIELD] = np.where(cells == ord(" "), 0, cells)
     out[0::2, _FIELD] = ord(",")
     out[1::2, _FIELD] = ord("\n")
-    return out.tobytes().replace(b"\0", b"").decode("ascii")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_batch_csv(batch: SampleBatch, stream) -> None:
@@ -606,24 +614,145 @@ def write_batch_csv(batch: SampleBatch, stream) -> None:
         stream.write(_csv_text(batch.u[s : s + _CSV_ROWS], batch.v[s : s + _CSV_ROWS]))
 
 
+_READ_CHARS = 1 << 17  # characters read at once, before the rest of the last line
+_KEEP = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)  # the top n bytes of a word
+_POW10 = 10.0 ** np.arange(21)  # exact
+_MIDPOINT = 2.0**-40  # a value this near a rounding midpoint, in units of the gap there, goes to loadtxt
+
+
+def _decimals(b: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """The doubles of the fields ``b[start:end]`` that read ``0.`` and 1-20 digits, and where they are right.
+
+    Each field's last 24 bytes are read as three little-endian words.  The
+    bytes before its k digits become ``'0'``, two nibble tests check that
+    all 24 are digits, and three multiply-shifts turn each word's 8 digits
+    into an integer (Lemire 2021), so D = w0 10**16 + w1 10**8 + w2, kept
+    below 2**63.  Then x = fl(D), r = D - x exactly, q = fl(x / 10**k),
+    and Dekker's (1971) product gives q 10**k = s + e exactly for
+    s = fl(q 10**k), so D / 10**k = q + c for
+    c = ((x - s - e) + r) / 10**k.  x - s is exact (Sterbenz), and each
+    other step rounds once, at a relative 2**-53 of a value within two
+    ulps of D or of q, so c is within 2**-49 ulp(q) of its exact value,
+    and y = fl(q + c) is the correctly rounded D / 10**k unless q + c
+    lies that near a midpoint between doubles.
+    q + c - y = c - (y - q) exactly (Fast2Sum), and the midpoint on that
+    side of y lies half a gap away, where the gap below a power of two is
+    half the one above.  A field within ``_MIDPOINT`` gaps of its
+    midpoint, or of another form, is marked False.  ``b`` holds 24 bytes
+    before the first field and one after the last.
+    """
+    k = end - start - 2  # digits after "0."
+    # the 24 bytes that end each field, as a row of three words each, then as three rows
+    w = np.ndarray((len(b) - 23,), "V24", b, 0, (1,))[end - 24].view("<u8").reshape(-1, 3).T.copy()
+    keep = _KEEP.take(k - np.array([[16], [8], [0]]), mode="clip")  # words start at bytes 0, 8 and 16
+    w = (w & keep) | (np.uint64(0x3030303030303030) & ~keep)
+    high, six = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0606060606060606)
+    bad = ((w & high) | (((w + six) & high) >> np.uint64(4))) ^ np.uint64(0x3333333333333333)  # 0 if all digits
+    for shift, mask in ((8, 0x0F0F0F0F0F0F0F0F), (16, 0x00FF00FF00FF00FF), (32, 0x0000FFFF0000FFFF)):
+        w = ((w & np.uint64(mask)) * np.uint64(10 ** (shift // 8) << shift | 1)) >> np.uint64(shift)
+    ok = ((bad[0] | bad[1] | bad[2]) == 0) & (k <= 20) & (w[0] < 922) & (b[start] == 48) & (b[start + 1] == 46)
+    d = (w[0] * np.uint64(10**16) + w[1] * np.uint64(10**8) + w[2]) * ok
+    x = d.astype(float)
+    p = _POW10.take(k, mode="clip")
+    q = x / p
+    hi, p_hi = (a * 134217729.0 - (a * 134217729.0 - a) for a in (q, p))  # upper 26 bits: Veltkamp, 2**27 + 1
+    e = ((hi * p_hi - q * p) + hi * (p - p_hi) + (q - hi) * p_hi) + (q - hi) * (p - p_hi)  # q p - s
+    c = ((x - q * p - e) + (d - x.astype(np.uint64)).view(np.int64).astype(float)) / p  # r = D - x, exact
+    y = q + c
+    rest = c - (y - q)
+    gap = np.abs((y.view(np.int64) + 1 - 2 * np.signbit(rest)).view(float) - y)
+    ok &= np.abs(np.abs(rest) - 0.5 * gap) > _MIDPOINT * gap
+    return y, ok
+
+
+def _loadtxt(lines, skipped: int) -> np.ndarray:
+    """The non-blank ``lines``, after ``skipped`` rows of the file, through ``np.loadtxt``, as an (n, 2) array.
+
+    A ValueError becomes DegenerateSampleError with loadtxt's text.  It is
+    raised again behind ``skipped`` stand-in rows, so that the text names
+    the row of the whole file.
+    """
+    rows = [line for line in lines if not line.isspace()]
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, comments=None) if rows else np.empty((0, 2))
+    except ValueError as exc:  # a non-number, or a row with one column
+        if skipped:
+            _loadtxt(itertools.chain(itertools.repeat("0,0", skipped), rows), 0)
+        raise DegenerateSampleError(str(exc)) from None
+
+
+def _read_chunk(stream, text: str, skipped: int) -> np.ndarray:
+    """The rows of ``text``, whole lines of ``stream`` after ``skipped`` rows, as an (n, 2) array.
+
+    If every line of ``text`` is ``a,b\n`` in ASCII, no field holds a
+    byte at or below ``,`` (such as a space, a tab or ``\r``), and the
+    first field starts with ``0.``, :func:`_decimals` reads the fields, and
+    ``np.loadtxt`` the lines that hold a field it marks.  Otherwise, or if
+    that call fails, the non-blank lines go through :func:`_loadtxt`, split
+    as the stream splits them.  (A file of other numbers, such as those of
+    ``np.savetxt``, rarely starts a chunk with ``0.``: the kernel is not
+    run on its chunks in vain.)
+    """
+    if text.isascii() and text.endswith("\n") and text.startswith("0."):
+        b = np.frombuffer(b"0" * 24 + text.encode("ascii") + b"0", dtype=np.uint8)
+        seps = np.flatnonzero(b <= ord(","))  # field ends, if they alternate "," and "\n"
+        start = np.append(24, seps[:-1] + 1)
+        if len(seps) % 2 == 0 and (b[seps[0::2]] == ord(",")).all() and (b[seps[1::2]] == ord("\n")).all():
+            y, ok = _decimals(b, start, seps)
+            slow = 2 * np.flatnonzero(~(ok[0::2] & ok[1::2]))  # the first fields of the lines with a mark
+            lines = [text[i - 24 : j - 23] for i, j in zip(start[slow].tolist(), seps[slow + 1].tolist())]
+            with contextlib.suppress(ValueError):  # which the lines below raise again, as of the whole file
+                if lines:
+                    y.reshape(-1, 2)[slow // 2] = np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None)
+                return y.reshape(-1, 2)
+    # an io stream reports the line ends it saw only with newline=None, which leaves no \r, or with "",
+    # which ends lines at a lone \r too
+    return _loadtxt(io.StringIO(text, newline="" if getattr(stream, "newlines", None) else "\n"), skipped)
+
+
+def _put(data: np.ndarray, count: int, rows: np.ndarray) -> int:
+    """Put ``rows`` after the first ``count`` rows of ``data``, and return the new count.
+
+    Without room for them, ``data`` grows in place by half, or more, as
+    ``np.loadtxt`` grows its array: by ``realloc``, which can move the
+    pages of a large array instead of copying them, and leaves no freed
+    copy in the heap.  ``data`` must be the only reference to its memory.
+    """
+    if count + len(rows) > len(data):
+        data.resize((count * 3 // 2 + len(rows), 2), refcheck=False)
+    data[count : count + len(rows)] = rows
+    return count + len(rows)
+
+
 def read_pairs_csv(stream) -> SampleBatch:
     """Read a ``u,v`` CSV (header required) from a text stream back into a batch.
 
     Blank and whitespace-only lines are skipped and columns after the
     second are ignored; every coordinate must be a finite number in [0, 1].
+    Each value is the double that ``np.loadtxt`` and ``float`` read, and a
+    malformed row raises with ``np.loadtxt``'s text.  After a header that
+    ends in ``\n`` alone, the rest is read ``_READ_CHARS`` characters at a
+    time, each chunk completed by ``readline`` to the end of its last line,
+    and :func:`_read_chunk` reads each chunk: fields ``0.`` and 1-20 digits
+    through an exact numpy kernel, other lines through ``np.loadtxt``.
+    After any other header the stream may end lines at a lone ``\r``, and
+    its own lines go to ``np.loadtxt``.
     """
-    header = check_stream(stream, "readline").readline().strip()
-    if [c.strip().lower() for c in header.split(",")[:2]] != ["u", "v"]:
+    header = check_stream(check_stream(stream, "readline"), "read").readline()
+    if [c.strip().lower() for c in header.strip().split(",")[:2]] != ["u", "v"]:
         raise DegenerateSampleError("expected CSV header 'u,v'")
-    rows = (line for line in stream if not line.isspace())
-    first = next(rows, None)
-    if first is None:
+    data, count = np.empty((_CSV_ROWS, 2)), 0
+    if header.endswith("\n") and not header.endswith("\r\n"):
+        while text := stream.read(_READ_CHARS):
+            if not text.endswith("\n"):
+                text += stream.readline()  # the rest of its last line
+            count = _put(data, count, _read_chunk(stream, text, count))
+    else:  # the stream may split lines at a lone \r, or only at \r\n: its own lines, ``_CSV_ROWS`` at a time
+        for lines in iter(lambda: list(itertools.islice(stream, _CSV_ROWS)), []):
+            count = _put(data, count, _loadtxt(lines, count))
+    if not count:
         raise DegenerateSampleError("no sample rows in input")
-    lines = itertools.chain((first,), rows)
-    try:
-        data = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None)
-    except ValueError as exc:  # a non-number, or a row with one column
-        raise DegenerateSampleError(str(exc)) from None
+    data.resize((count, 2), refcheck=False)
     if not np.isfinite(data).all():
         raise DegenerateSampleError("coordinates must be finite numbers")
     u, v = data[:, 0], data[:, 1]

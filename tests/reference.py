@@ -24,15 +24,17 @@ their bits: the split-point check that ran ``check_real`` on each point,
 the knot builders that ran ``np.union1d``, ``np.unique`` and
 ``np.diff(prepend=...)``, the sampler table that built one
 ``np.linspace`` per panel, and the inversion that ran secant steps in
-every cell, linear or not.
+every cell, linear or not.  ``read_pairs_loadtxt`` is the pair reader
+that handed every non-blank line to ``np.loadtxt``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from evcopula import DependenceFunction, ParamOutOfRangeError, ValidationReport
+from evcopula import DegenerateSampleError, DependenceFunction, ParamOutOfRangeError, SampleBatch, ValidationReport
 from evcopula.errors import check_int, check_pair, check_real, check_split_points, check_unit_interval
 from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
 from evcopula.numerics import _integrate_many
@@ -343,3 +345,25 @@ def retired_invert(df, table, x, e):
             arr[keep] for arr in (idx, a, b, c0, f0, c1, f1, x, e, tol, mark)
         )
     return out
+
+
+def read_pairs_loadtxt(stream) -> SampleBatch:
+    """The pair reader as it was: every non-blank line of the stream through one ``np.loadtxt`` call."""
+    header = stream.readline().strip()
+    if [c.strip().lower() for c in header.split(",")[:2]] != ["u", "v"]:
+        raise DegenerateSampleError("expected CSV header 'u,v'")
+    rows = (line for line in stream if not line.isspace())
+    first = next(rows, None)
+    if first is None:
+        raise DegenerateSampleError("no sample rows in input")
+    lines = itertools.chain((first,), rows)
+    try:
+        data = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DegenerateSampleError(str(exc)) from None
+    if not np.isfinite(data).all():
+        raise DegenerateSampleError("coordinates must be finite numbers")
+    u, v = data[:, 0], data[:, 1]
+    if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
+        raise DegenerateSampleError("coordinates must lie in [0, 1]")
+    return SampleBatch(u, v, seed=-1, generator="file")

@@ -144,6 +144,13 @@ def _with_mo_a(family, params):
     return DependenceFunction(family, params, (), _MO.eval_fn, _MO.deriv_fn)
 
 
+class _ReadlineOnly:
+    """A text stream that has ``readline`` but no ``read``."""
+
+    def readline(self):
+        return "u,v\n"
+
+
 # each call accepted a bool as a number, raised a bare TypeError or
 # ValueError, or truncated a float seed before the checks were shared
 _REJECTED = {
@@ -218,6 +225,7 @@ _REJECTED = {
     'read_pairs_csv("abc")': lambda: read_pairs_csv("abc"),
     'write_batch_csv(stream="abc")': lambda: write_batch_csv(sample_mo(0.3, 0.4, 10, 0), "abc"),
     "read_pairs_csv(BytesIO)": lambda: read_pairs_csv(io.BytesIO(b"u,v\n0.1,0.2\n")),
+    "read_pairs_csv(stream without read)": lambda: read_pairs_csv(_ReadlineOnly()),
     "write_batch_csv(stream=BytesIO)": lambda: write_batch_csv(
         sample_mo(0.3, 0.4, 10, 0), io.BytesIO()
     ),

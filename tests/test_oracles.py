@@ -6,11 +6,15 @@ it; the writer, reader and rank estimators must reproduce their retired
 predecessors bit for bit: the chunked CSV writer against the per-row
 writer, also on exact decimal ties, within 50 ulps of each decade bound
 and on any float64 bit pattern, the ``loadtxt`` reader against the
-line-split reader, Kendall's tau against ``np.unique`` tie counts and an
+line-split reader, the chunked reader against the ``loadtxt`` reader
+(``reference.read_pairs_loadtxt``) on values, error types and texts in
+every newline mode, each field it reads against ``float`` bit for bit,
+also next to rounding midpoints, Kendall's tau against ``np.unique`` tie counts and an
 O(n^2) sign count, and ``empirical_coefficients`` against the estimator
 that sorted each coordinate for its ranks, lexsorted (u, v) and
 merge-counted block by block; on 2e5 pairs, both rank estimators must
-hold at most 8 arrays of n doubles beyond their input.  The by-parts Kendall tau integral of
+hold at most 8 arrays of n doubles beyond their input, and the reader at
+most 6.  The by-parts Kendall tau integral of
 piecewise-linear dependence functions must match the retired sum of
 Stieltjes atoms at their kinks.  The t-space envelope check of
 ``verify_case`` must agree with the (u, v)-grid ``check_envelope`` it
@@ -50,6 +54,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import unittest.mock
 from decimal import Decimal
 from fractions import Fraction
 
@@ -813,6 +818,221 @@ def test_reader_rejects_one_column_row_as_value_error():
         read_lines(io.StringIO("u,v\n0.1\n"))
     with pytest.raises(DegenerateSampleError, match="column"):
         read_pairs_csv(io.StringIO("u,v\n0.1\n"))
+
+
+# ---------------------------------------------------------------------------
+# CSV reader kernel: the bits of float() and the loadtxt reader's results
+# ---------------------------------------------------------------------------
+
+
+def read_fields(fields):
+    """The values that ``read_pairs_csv`` reads from ``fields``, two a row, in field order."""
+    rows = [*fields, "0.5"][: len(fields) + len(fields) % 2]
+    text = "u,v\n" + "".join(f"{a},{b}\n" for a, b in zip(rows[0::2], rows[1::2]))
+    batch = read_pairs_csv(io.StringIO(text))
+    return np.column_stack((batch.u, batch.v)).ravel()[: len(fields)]
+
+
+def assert_reads_as_float(fields):
+    got = read_fields(fields)
+    want = np.array([float(f) for f in fields])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), fields
+
+
+def kernel_marks(fields):
+    """The marks of ``montecarlo._decimals`` on ``fields``, one a line: True where the kernel's double stands."""
+    b = np.frombuffer(b"0" * 24 + "".join(f + "\n" for f in fields).encode() + b"0", dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    return montecarlo._decimals(b, np.append(24, ends[:-1] + 1), ends)[1]
+
+
+@given(st.lists(st.text("0123456789", min_size=1, max_size=20), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reader_reads_decimal_fields_as_float(digits):
+    assert_reads_as_float(["0." + d for d in digits])
+
+
+def test_reader_leaves_fields_past_the_kernel_bounds_to_loadtxt():
+    # 21 digits, or 20 digits with D >= 922e16 (so not D < 2**63), are not the kernel's
+    inside = ["0.09219999999999999999", "0.00123456789012345678"]
+    outside = ["0.09220000000000000000", "0.001234567890123456789", "0.000123456789012345678"]
+    assert kernel_marks(inside).all() and not kernel_marks(outside).any()
+    assert_reads_as_float(inside + outside)
+
+
+def midpoint_fields(y, toward):
+    """The two 20-digit decimals around the midpoint of ``y`` and its neighbour toward ``toward``: each within 1e-20."""
+    mid = (Fraction(y) + Fraction(float(np.nextafter(y, toward)))) / 2
+    d = math.floor(mid * 10**20)
+    return [f"0.{d + i:020d}" for i in (0, 1)]
+
+
+@given(st.floats(1e-4, 1.0, exclude_max=True), st.sampled_from([0.0, 1.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reader_reads_decimals_near_a_midpoint_as_float(y, toward):
+    assert_reads_as_float(midpoint_fields(y, toward))
+
+
+@pytest.mark.parametrize("j", range(1, 15))
+def test_reader_reads_decimals_near_midpoints_next_to_powers_of_two_as_float(j):
+    # below 2**-j the gap between doubles halves, so its midpoint there is half as far
+    fields = midpoint_fields(2.0**-j, 0.0) + midpoint_fields(2.0**-j, 1.0)
+    fields += midpoint_fields(float(np.nextafter(2.0**-j, 0.0)), 0.0)
+    assert_reads_as_float(fields)
+
+
+def decimal_near_midpoint(e, k, t, rng):
+    """A field ``0.`` and k digits for D / 10**k with D 2**(N - k) - M 5**k = t, or None.
+
+    M / 2**N, N = 54 - e, is a midpoint between the doubles of
+    [2**(e - 1), 2**e) if M is odd, and D / 10**k is then t / (2 5**k) gaps
+    from it.  D is one of the first, the last, or a random one in the binade.
+    """
+    n = 54 - e
+    d0 = t * pow(2 ** (n - k), -1, 5**k) % 5**k
+    lo = -(-(Fraction(2) ** (e - 1) * 10**k - d0) // 5**k)  # the first D = d0 + j 5**k in the binade
+    hi = (Fraction(2) ** e * 10**k - d0 - 1) // 5**k
+    if lo > hi:
+        return None
+    d = d0 + 5**k * int(rng.choice([lo, hi, rng.integers(lo, hi + 1)]))
+    if d >= 2**63 or (d * 2 ** (n - k) - t) // 5**k % 2 == 0:
+        return None
+    return f"0.{d:0{k}d}"
+
+
+def test_reader_reads_decimals_within_midpoint_tolerance_through_float():
+    rng = make_rng(46)
+    near, far = [], []
+    for _ in range(3000):
+        e, k = -int(rng.integers(0, 14)), int(rng.integers(17, 21))
+        reach = 2 * 5**k * montecarlo._MIDPOINT  # |t| below this puts D / 10**k inside the tolerance
+        t = int(rng.integers(1, max(reach / 2, 2))) * int(rng.choice([-1, 1]))
+        for fields, t in ((near, t), (far, t + int(np.sign(t)) * math.ceil(2 * reach))):
+            field = decimal_near_midpoint(e, k, t, rng)
+            if field is not None:
+                fields.append(field)
+    assert len(near) >= 500 and len(far) >= 500, (len(near), len(far))
+    assert not kernel_marks(near).any()  # each is left to float
+    assert kernel_marks(far).all()  # twice as far is the kernel's own double
+    assert_reads_as_float(near)
+    assert_reads_as_float(far)
+
+
+@pytest.fixture(scope="module")
+def writer_file(tmp_path_factory):
+    """A 2e5-pair writer file of Gumbel theta = 2: its path and its batch."""
+    batch = sample_generic(copula_from_pickands(gumbel_dependence(2.0)), 200_000, seed=0)
+    path = tmp_path_factory.mktemp("reader") / "pairs.csv"
+    with open(path, "w", newline="") as fh:
+        write_batch_csv(batch, fh)
+    return path, batch
+
+
+def outcome(read, stream):
+    """What ``read`` makes of ``stream``: the bits of its pairs, or its error type and text."""
+    try:
+        batch = read(stream)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "values", np.column_stack((batch.u, batch.v)).tobytes()
+
+
+def read_both(text, newline):
+    """``read_pairs_csv`` and the loadtxt reader on ``io.StringIO(text, newline=newline)``."""
+    return [outcome(read, io.StringIO(text, newline=newline)) for read in (read_pairs_csv, reference.read_pairs_loadtxt)]
+
+
+ROW_150000 = {
+    "whitespace": " \t \n",
+    "crlf": "0.25,0.5\r\n",
+    "extra_column": "0.25,0.5,0.75\n",
+    "abc": "0.25,abc\n",
+    "one_column": "0.25\n",
+    "lone_cr": "0.25,0.5\r0.75,0.125\n",  # two rows where the stream splits at \r, as with newline=""
+}
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+@pytest.mark.parametrize("name", list(ROW_150000))
+def test_reader_matches_loadtxt_reader_past_first_chunk(name, newline, writer_file):
+    lines = writer_file[0].read_text().splitlines(keepends=True)
+    assert len("".join(lines[:150_000])) > 4 * montecarlo._READ_CHARS
+    lines[150_000] = ROW_150000[name]
+    new, old = read_both("".join(lines), newline)
+    assert new == old
+    if name in ("abc", "one_column"):
+        assert new[0] == "DegenerateSampleError"
+        assert f"row {150_000 - (name == 'abc')}" in new[1], new[1]  # loadtxt counts rows from 0 or from 1
+
+
+_FAST_LINE = st.tuples(*[st.text("0123456789", min_size=1, max_size=20)] * 2).map(lambda r: f"0.{r[0]},0.{r[1]}\n")
+_FIELDS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=21).map(lambda d: "0." + d),
+    st.sampled_from(["0", "1", "0.", "1e-05", "9.9999999999999995e-05", "+.5", "1.5", "-0.25", "nan", "inf"]),
+    st.sampled_from(["", "abc", "1_0", " 0.5", "0.5 ", "0.5\t", "0x1", "0.5e0", "\u0660.5"]),
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r", " \n", ",0.75\n", ",\n"])
+_LINES = st.one_of(
+    _FAST_LINE,
+    _FAST_LINE,
+    _FAST_LINE,
+    st.tuples(_FIELDS, _FIELDS, _ENDS).map(lambda r: f"{r[0]},{r[1]}{r[2]}"),
+    st.sampled_from(["\n", "  \n", "\t\n", "\r\n", "0.25\n", "0.25,0.5,x,y\n"]),
+)
+
+
+@given(
+    header=st.sampled_from(["u,v\n", "u,v\r\n", "u,v\r", " U , V \n"]),
+    lines=st.lists(_LINES, max_size=40),
+    chunk=st.sampled_from([7, 40, 1 << 17]),
+    newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reader_matches_loadtxt_reader_on_mixed_lines(header, lines, chunk, newline):
+    # every newline mode of io, chunks cut inside lines, and rows the kernel leaves to float or loadtxt
+    with unittest.mock.patch.object(montecarlo, "_READ_CHARS", chunk):
+        new, old = read_both(header + "".join(lines), newline)
+    assert new == old
+
+
+@pytest.mark.parametrize("newline", ["", "\n"])
+def test_reader_matches_loadtxt_reader_past_first_chunk_of_crlf_file(newline, writer_file):
+    # a header that ends in \r\n: the stream's own lines go to loadtxt a chunk of lines at a time
+    lines = writer_file[0].read_text().splitlines()[:10_000]
+    lines[9_000] = "0.25,abc"
+    new, old = read_both("\r\n".join(lines) + "\r\n", newline)
+    assert new == old and "row 8999" in new[1], new
+    assert 9_000 > 2 * montecarlo._CSV_ROWS
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+@pytest.mark.parametrize(
+    "text",
+    ["u,v\r\n0.25,0.5\n0.75,0.125\r\n", "u,v\n0.25,0.5\r0.75,0.125\n", "u,v\r0.25,0.5\r\n0.75,0.125\r"],
+)
+def test_reader_matches_loadtxt_reader_on_files_in_every_newline_mode(text, newline):
+    # a file read back as it is: StringIO would translate "\n" in its initial value for newline "\r" or "\r\n"
+    out = []
+    for read in (read_pairs_csv, reference.read_pairs_loadtxt):
+        with io.TextIOWrapper(io.BytesIO(text.encode()), newline=newline) as fh:
+            out.append(outcome(read, fh))
+    assert out[0] == out[1]
+
+
+def test_reader_memory_on_writer_file(writer_file):
+    path, batch = writer_file
+    with open(path, newline="") as fh:  # a first call, so that lazy set-up inside numpy is not counted
+        read_pairs_csv(fh)
+    with open(path, newline="") as fh:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = read_pairs_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(back.u, batch.u) and np.array_equal(back.v, batch.v)
+    assert peak <= 6 * 8 * batch.n, f"read_pairs_csv peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
