@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pickands
 from .coefficients import _quadrature, lambda_upper, rho_numeric, tau_numeric
 from .copula import EvCopula, copula_from_pickands  # noqa: F401  perfbench/tracer.py swaps it
 from .errors import check_int, check_pair, check_real, check_type, check_unit_interval
@@ -40,7 +41,6 @@ from .pickands import (
     mix,
     mo_dependence,
     pareto_dependence,
-    piecewise_linear_dependence,
 )
 from .rng import make_rng
 
@@ -184,6 +184,9 @@ def _random_convex_pwl(rng) -> DependenceFunction:
     # nondecreasing slopes in [-1, 1], integrated from A(0) = 1, detrended
     # so A(1) = 1, then clipped into the band by taking the max with the
     # envelope max(t, 1 - t); the result is convex with slopes in [-1, 1].
+    # The knots are finite and strictly increasing, start at (0, 1) and end
+    # at (1, 1) exactly, and pass every check of piecewise_linear_dependence,
+    # so they go to _pwl as that would pass them.
     k = int(rng.integers(2, 9))
     grid = _union((0.0, 1.0), 0.02 + 0.96 * rng.random(k))
     slopes = np.sort(rng.uniform(-1.0, 1.0, grid.size - 1))
@@ -191,9 +194,8 @@ def _random_convex_pwl(rng) -> DependenceFunction:
     vals -= (vals[-1] - 1.0) * grid
     vals[0] = 1.0
     vals[-1] = 1.0
-    return piecewise_linear_dependence(
-        np.column_stack(_pwl_max(grid, vals, _ENVELOPE_T, _ENVELOPE_A))
-    )
+    ts, vs = _pwl_max(grid, vals, _ENVELOPE_T, _ENVELOPE_A)
+    return pickands._pwl(ts, vs, "piecewise_linear", {"knots": tuple(zip(ts.tolist(), vs.tolist()))})
 
 
 def _random_component(rng, kind: int) -> DependenceFunction:

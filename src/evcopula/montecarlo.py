@@ -140,6 +140,8 @@ _PANEL_NODES = 64  # equispaced table nodes per panel between split points, ends
 _BLOCK = 16384  # pairs inverted at once, so temporaries do not grow with n
 _V_RESOLUTION = 2.0**-47  # accuracy of v, that of the retired 47-pass bisection
 _LINEAR_TOL = 1e-15  # largest rise of A' over a linear panel
+_NODE_INDEX = np.arange(float(_PANEL_NODES))  # 0 .. 63, and their fractions of the panel width
+_NODE_FRACTION = _NODE_INDEX / (_PANEL_NODES - 1)
 
 
 def _psi_m(a, da, t, q):
@@ -177,7 +179,13 @@ def _phi_table(df) -> tuple:
     first node.  ``slope`` is inf on the zero-width cells and on a linear
     panel where A = t, whose m is inf, and NaN on curved cells.
     """
-    t = np.linspace(df.edges[:-1], df.edges[1:], _PANEL_NODES, axis=-1).ravel()
+    # the bits of np.linspace(edges[:-1], edges[1:], _PANEL_NODES, axis=-1): a + j step, the last node b;
+    # where a step underflows to 0, linspace takes a + (j / 63) width on every panel
+    lo, hi = df.edges[:-1, None], df.edges[1:, None]
+    step = (hi - lo) / (_PANEL_NODES - 1)
+    t = lo + (_NODE_INDEX * step if step.all() else _NODE_FRACTION * (hi - lo))
+    t[:, -1] = df.edges[1:]
+    t = t.ravel()
     da = df.deriv_fn(t, "left")
     starts = np.arange(_PANEL_NODES, len(t), _PANEL_NODES)  # second copies of split points
     da[starts] = df.deriv_fn(t[starts], "right")
@@ -321,19 +329,22 @@ def _median(xs: np.ndarray) -> float:
 
 
 def _ties(x: np.ndarray) -> tuple:
-    """One sort of ``x``: its median, each item's run of ties, its rank over n + 1, and the tied pairs.
+    """One sort of ``x``: its median, each item's run of ties, its rank over n + 1, the tied pairs and the ends.
 
     Runs are numbered 0, 1, ... in sorted order.  The run numbers (int32
     below 2**31 items) and the 1-based ranks, tied items sharing their
-    mean, are in the order of ``x``; -0.0 ties with 0.0.  ``x`` has no NaN.
-    The sort order, the sorted copy and the run starts are freed as soon as
-    they are used, so the call holds at most about 2.5 arrays of n doubles
-    beyond a contiguous ``x``.
+    mean, are in the order of ``x``; -0.0 ties with 0.0.  The ends are the
+    first and last items of the sorted copy: the minimum and the maximum,
+    unless ``x`` holds NaN, which sorts last, so the last end is NaN (and
+    every other statistic is meaningless).  The sort order, the sorted copy
+    and the run starts are freed as soon as they are used, so the call
+    holds at most about 2.5 arrays of n doubles beyond a contiguous ``x``.
     """
     n = len(x)
     order = np.argsort(x)
     xs = x[order]
     median = _median(xs)
+    ends = xs[0], xs[-1]
     starts = _run_starts(xs)
     del xs
     sorted_run = np.cumsum(starts, dtype=np.int32 if n < 2**31 else np.int64)
@@ -350,7 +361,7 @@ def _ties(x: np.ndarray) -> tuple:
     rank[-1] += n
     del first
     rank /= 2 * (n + 1)
-    return median, run, rank[run], tied
+    return median, run, rank[run], tied, ends
 
 
 _INV_BLOCK = 8  # pairs inside blocks this wide are compared directly
@@ -401,33 +412,41 @@ def _inversions(w: np.ndarray) -> int:
     return inv
 
 
-def _tau_a(run_u: np.ndarray, run_v: np.ndarray, tied: int) -> float:
-    """Kendall's tau-a from the run numbers of :func:`_ties` (two or more pairs).
+def _tau_a(run_u: np.ndarray, run_v: np.ndarray, tied_u: int, tied_v: int) -> float:
+    """Kendall's tau-a from the run numbers and tied pairs of :func:`_ties` (two or more pairs).
 
-    ``tied`` is the tied pairs of u plus those of v.  Sorting the integer
-    keys ``run_u * n + run_v`` puts the pairs in (u, v) order; the
-    discordant pairs are the strict inversions of ``run_v`` in that order
-    (:func:`_inversions`).  Tied pairs, which count as neither concordant
-    nor discordant, are those of u, of v, less those of equal keys.  The
-    keys are one int64 array, sorted and then reduced to ``run_v`` in place.
+    The discordant pairs are the strict inversions of ``run_v`` in (u, v)
+    order (:func:`_inversions`).  Tied pairs, which count as neither
+    concordant nor discordant, are those of u, of v, less those tied in
+    both.  If u has no ties, ``run_u`` is a permutation, the (u, v) order is
+    the u order, and ``run_v`` is put into it by one scatter.  Otherwise
+    the integer keys ``run_u * n + run_v``, one int64 array, are sorted
+    into (u, v) order, their runs counted, and reduced to ``run_v`` in place.
     """
     n = len(run_u)
-    keys = run_u.astype(np.int64)
-    keys *= n
-    keys += run_v
-    keys.sort()
-    ties_uv = _tied_pairs(np.flatnonzero(_run_starts(keys)), n)
-    keys %= n
-    # int32 keys (2 n + 1 < 2**31) sort about twice as fast as int64 ones
-    w = keys.astype(np.int32) if n < 2**30 else keys
-    del keys
+    # int32 (2 n + 1 < 2**31) sorts about twice as fast as int64
+    dtype = np.int32 if n < 2**30 else np.int64
+    if tied_u:
+        keys = run_u.astype(np.int64)
+        keys *= n
+        keys += run_v
+        keys.sort()
+        ties_uv = _tied_pairs(np.flatnonzero(_run_starts(keys)), n)
+        keys %= n
+        w = keys.astype(dtype, copy=False)
+        del keys
+    else:
+        ties_uv = 0
+        w = np.empty(n, dtype=dtype)
+        w[run_u] = run_v
     discordant = _inversions(w)
     n0 = n * (n - 1) // 2
-    return (n0 - (tied - ties_uv) - 2 * discordant) / n0
+    return (n0 - (tied_u + tied_v - ties_uv) - 2 * discordant) / n0
 
 
-def _reject_nan(u: np.ndarray, v: np.ndarray) -> None:
-    if np.isnan(u).any() or np.isnan(v).any():
+def _reject_nan(*last_ends) -> None:
+    """Raise if a last end of :func:`_ties` is NaN: its coordinate holds NaN."""
+    if np.isnan(last_ends).any():
         raise DegenerateSampleError("rank statistics are undefined for NaN coordinates")
 
 
@@ -445,10 +464,10 @@ def kendall_tau_stat(u, v) -> float:
     u, v = _check_pairs(u, v)
     if len(u) < 2:
         raise DegenerateSampleError(f"need two or more (u, v) pairs, got {len(u)}")
-    _reject_nan(u, v)
-    _, run_u, _, tied_u = _ties(u)
-    _, run_v, _, tied_v = _ties(v)
-    return _tau_a(run_u, run_v, tied_u + tied_v)
+    _, run_u, _, tied_u, (_, last_u) = _ties(u)
+    _, run_v, _, tied_v, (_, last_v) = _ties(v)
+    _reject_nan(last_u, last_v)
+    return _tau_a(run_u, run_v, tied_u, tied_v)
 
 
 def ks_statistic_uniform(x: np.ndarray) -> float:
@@ -482,42 +501,47 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     """Rank-based rho, tau-a, Blomqvist beta, and tail estimates.
 
     One sort of each coordinate (:func:`_ties`) serves every statistic: the
-    average ranks for rho and the tail estimates, the medians for beta, and
-    the run numbers and tied pairs from which :func:`_tau_a` counts tau.
-    The tail estimate uses the diagonal law of EV copulas:
-    ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with the empirical copula
-    C_n on normalized ranks, summarized at the largest threshold.  The
-    working memory is at most 8 arrays of n doubles beyond the batch: the
-    ranks are freed before Kendall's keys are built.  Coordinates may be
-    +-inf, which rank like any other value; a NaN raises
-    :class:`DegenerateSampleError`.
+    average ranks for rho and the tail estimates, the medians for beta, the
+    run numbers and tied pairs from which :func:`_tau_a` counts tau, and
+    the ends of the sorted copies, which tell a constant coordinate (equal
+    ends) and a NaN (a NaN last end).  The tail estimate uses the diagonal
+    law of EV copulas: ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with
+    the empirical copula C_n on normalized ranks, the share of pairs whose
+    larger rank is at most t, summarized at the largest threshold.  Rho and
+    beta divide sums by n, as ``np.mean`` does.  The working memory is at
+    most 8 arrays of n doubles beyond the batch: the ranks are freed before
+    Kendall's keys are built.  Coordinates may be +-inf, which rank like
+    any other value.  Fewer than 10 pairs, then a constant coordinate, then
+    a bad threshold, then a NaN raise, in that order.
     """
     u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
     if n < 10:
         raise DegenerateSampleError(f"need at least 10 pairs, got {n}")
-    if u.min() == u.max() or v.min() == v.max():  # np.ptp would read inf - inf = NaN
+    median_u, run_u, pu, tied_u, (first_u, last_u) = _ties(u)
+    median_v, run_v, pv, tied_v, (first_v, last_v) = _ties(v)
+    if first_u == last_u or first_v == last_v:  # a NaN end, sorted last, is not equal
         raise DegenerateSampleError("all values identical in one coordinate")
     thresholds = check_thresholds(lambda_thresholds)
-    _reject_nan(u, v)
+    _reject_nan(last_u, last_v)
 
-    median_u, run_u, pu, tied_u = _ties(u)
-    median_v, run_v, pv, tied_v = _ties(v)
+    both = np.maximum(pu, pv)
     lams = []
     for t in sorted(thresholds):
-        cn = float(np.mean((pu <= t) & (pv <= t)))
+        cn = np.count_nonzero(both <= t) / n
         est = 0.0 if cn <= 0.0 else 2.0 - np.log(cn) / np.log(t)
         lams.append((t, float(np.clip(est, 0.0, 1.0))))
+    del both
     pu *= pv
-    rho_hat = 12.0 * float(np.mean(pu)) - 3.0
+    rho_hat = 12.0 * (float(pu.sum()) / n) - 3.0
     del pu, pv  # the ranks are done with: free them before Kendall's keys
     # the sign of (u - median_u)(v - median_v) by comparisons: the differences read
     # inf - inf = NaN at an inf median, and their product can overflow or underflow to 0
     sign = (u > median_u).view(np.int8) - (u < median_u).view(np.int8)
     sign *= (v > median_v).view(np.int8) - (v < median_v).view(np.int8)
-    beta_hat = float(np.mean(sign))
+    beta_hat = int(sign.sum()) / n
     del sign
-    tau_hat = _tau_a(run_u, run_v, tied_u + tied_v)
+    tau_hat = _tau_a(run_u, run_v, tied_u, tied_v)
     return EmpiricalCoefficients(
         rho_hat=rho_hat,
         tau_hat=tau_hat,
@@ -691,9 +715,13 @@ def _read_chunk(stream, text: str, skipped: int) -> np.ndarray:
     that call fails, the non-blank lines go through :func:`_loadtxt`, split
     as the stream splits them.  (A file of other numbers, such as those of
     ``np.savetxt``, rarely starts a chunk with ``0.``: the kernel is not
-    run on its chunks in vain.)
+    run on its chunks in vain.)  A chunk longer than two reads holds a line
+    longer than a read; unless it has as many commas as line ends, it goes
+    to :func:`_loadtxt` before the kernel copies its bytes and finds its
+    separators.
     """
-    if text.isascii() and text.endswith("\n") and text.startswith("0."):
+    long_line = len(text) > 2 * _READ_CHARS and text.count(",") != text.count("\n")
+    if text.isascii() and text.endswith("\n") and text.startswith("0.") and not long_line:
         b = np.frombuffer(b"0" * 24 + text.encode("ascii") + b"0", dtype=np.uint8)
         seps = np.flatnonzero(b <= ord(","))  # field ends, if they alternate "," and "\n"
         start = np.append(24, seps[:-1] + 1)
@@ -705,9 +733,14 @@ def _read_chunk(stream, text: str, skipped: int) -> np.ndarray:
                 if lines:
                     y.reshape(-1, 2)[slow // 2] = np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None)
                 return y.reshape(-1, 2)
-    # an io stream reports the line ends it saw only with newline=None, which leaves no \r, or with "",
-    # which ends lines at a lone \r too
-    return _loadtxt(io.StringIO(text, newline="" if getattr(stream, "newlines", None) else "\n"), skipped)
+    # str.splitlines gives the stream's lines if each ends at its \n (or \r\n) alone, without the
+    # 4 bytes a character of an io.StringIO
+    lines = text.splitlines(keepends=True)
+    if len(lines) != text.count("\n") + (not text.endswith("\n")):
+        # an io stream reports the line ends it saw only with newline=None, which leaves no \r, or with "",
+        # which ends lines at a lone \r too
+        lines = io.StringIO(text, newline="" if getattr(stream, "newlines", None) else "\n")
+    return _loadtxt(lines, skipped)
 
 
 def _put(data: np.ndarray, count: int, rows: np.ndarray) -> int:

@@ -34,6 +34,8 @@ from .numerics import _run_starts
 _CHECK_TOL = 1e-9
 
 ENVELOPE_KNOTS = ((0.0, 1.0), (0.5, 0.5), (1.0, 1.0))
+# Gumbel split points for theta < 2: 4^-k and 1 - 4^-k, k = 1..20, graded toward both ends
+_GRADED = frozenset(e for k in range(1, 21) for e in (4.0**-k, 1.0 - 4.0**-k))
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def gumbel_dependence(theta: float) -> DependenceFunction:
 
     points = {0.5} | {0.5 + s * k / theta for k in (1, 4, 16, 64) for s in (-1.0, 1.0)}
     if theta < 2.0:  # r^(theta-1) in A' has an unbounded slope at t = 0 and t = 1
-        points |= {e for k in range(1, 21) for e in (4.0**-k, 1.0 - 4.0**-k)}
+        points |= _GRADED
     df = DependenceFunction(
         family="gumbel",
         params={"theta": theta},

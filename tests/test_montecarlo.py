@@ -239,6 +239,28 @@ class TestEmpiricalCoefficients:
         est = empirical_coefficients(SampleBatch(u, v, 0, "manual"))
         assert empirical_coefficients(SampleBatch(u * scale, v * scale, 0, "manual")) == est
 
+    @pytest.mark.parametrize(
+        "make, thresholds, text",
+        [
+            (lambda r, nan: (np.full(100, 0.5), nan), (0.9,), "all values identical in one coordinate"),
+            (lambda r, nan: (nan, np.full(100, 0.5)), (0.9,), "all values identical in one coordinate"),
+            (lambda r, nan: (np.full(100, np.nan), r), (0.9,), "rank statistics are undefined for NaN coordinates"),
+            (lambda r, nan: (r, np.full(100, np.nan)), (0.9,), "rank statistics are undefined for NaN coordinates"),
+            (lambda r, nan: (np.full(100, 0.5), r), (1.5,), "all values identical in one coordinate"),
+            (lambda r, nan: (np.tile([0.0, -0.0], 50), r), (0.9,), "all values identical in one coordinate"),
+        ],
+        ids=["constant u, NaN in v", "NaN in u, constant v", "all-NaN u", "all-NaN v",
+             "constant u, threshold 1.5", "u of 0.0 and -0.0"],
+    )
+    def test_degenerate_error_order(self, make, thresholds, text):
+        # n < 10, then a constant coordinate, then a bad threshold, then NaN
+        r = make_rng(34).random(100)
+        nan = r.copy()
+        nan[7] = np.nan
+        with pytest.raises(DegenerateSampleError) as exc:
+            empirical_coefficients(SampleBatch(*make(r, nan), 0, "manual"), lambda_thresholds=thresholds)
+        assert str(exc.value) == text
+
     def test_threshold_validation(self):
         batch = sample_mo(0.5, 0.5, 100, seed=1)
         with pytest.raises(ParamOutOfRangeError):

@@ -46,9 +46,13 @@ piece-by-piece rule drops them.  The sampler table must keep the bits
 of the one built panel by panel in every curved panel and at both ends of
 each linear one, phi must follow the line of each linear cell, and Gumbel
 draws must keep the bits of the retired inversion, which ran secant steps
-in every cell.
+in every cell; the table's nodes must be the bits of the ``np.linspace``
+call they replace.  Each knot set the corpus hands ``pickands._pwl``
+without ``piecewise_linear_dependence`` must pass every check it skips and
+build the function that ``piecewise_linear_dependence`` builds, bit for bit.
 """
 
+import dataclasses
 import heapq
 import io
 import itertools
@@ -623,6 +627,18 @@ def test_kendall_matches_unique_tie_counts_at_chunk_edges(ties):
         assert kendall_tau_stat(u, v) == kendall_unique_ties(u, v), n
 
 
+@pytest.mark.parametrize("ties", ["none", "u", "v", "both"])
+def test_tau_hat_matches_direct_count_with_and_without_ties_in_u(ties):
+    # without ties in u, _tau_a puts run_v in u order by a scatter; with them, it sorts (u, v) keys
+    for i, n in enumerate((10, 11, 63, 64, 65, 700, 2000)):
+        rng = make_rng(42, i)
+        u = _tied(rng.random(n), ties in ("u", "both"))
+        v = _tied(rng.random(n), ties in ("v", "both"))
+        want = kendall_tau_direct(u, v)
+        assert kendall_tau_stat(u, v) == want, n
+        assert empirical_coefficients(SampleBatch(u, v, 0, "manual")).tau_hat == want, n
+
+
 def test_kendall_signed_zero_and_infinities_tie_like_unique():
     u = np.array([0.0, -0.0, 1.0, np.inf, np.inf, 0.5, -np.inf])
     v = np.array([0.2, 0.2, -0.0, 0.0, 1.0, np.inf, 0.2])
@@ -1035,6 +1051,27 @@ def test_reader_memory_on_writer_file(writer_file):
     assert peak <= 6 * 8 * batch.n, f"read_pairs_csv peaked at {peak / 1e6:.1f} MB"
 
 
+def test_reader_memory_on_one_long_line():
+    # a line of 200,001 columns, longer than two reads: its chunk goes to loadtxt, not the kernel
+    text = "u,v\n" + "0.25," * 200_000 + "0.5\n0.1,0.2\n"
+
+    def traced(read):
+        read(io.StringIO(text))  # a first call, so that lazy set-up inside numpy is not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = read(io.StringIO(text))
+            return batch, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    back, peak = traced(read_pairs_csv)
+    want, oracle = traced(reference.read_pairs_loadtxt)
+    assert _same_bits(back.u, want.u) and _same_bits(back.v, want.v)
+    assert _same_bits(back.u, [0.25, 0.1]) and _same_bits(back.v, [0.25, 0.2])
+    assert peak <= 1.25 * oracle, f"read_pairs_csv peaked at {peak / 1e6:.1f} MB, loadtxt at {oracle / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # Kendall tau of piecewise-linear dependence functions
 # ---------------------------------------------------------------------------
@@ -1343,6 +1380,45 @@ def test_split_points_match_retired_slope_rule_on_corpus(monkeypatch):
     assert len(pairs) > 500 and sum(len(new) for new, _ in pairs) > 1000
     for new, old in pairs:
         assert new == old
+
+
+def check_corpus_skips_only_passed_checks(n, seed):
+    """The knots ``dependence_corpus(n, seed)`` hands ``pickands._pwl``, checked; returns their count.
+
+    Each pair is finite and strictly increasing and passes
+    ``_structural_report``, every check of ``piecewise_linear_dependence``
+    that the corpus skips, and each function built, mixture components
+    included, equals ``piecewise_linear_dependence`` of its knots: the same
+    knots, split points, and A and A' bits on both sides.
+    """
+    built = []
+    real = pickands._pwl
+
+    def spy(ts, vs, *rest):
+        df = real(ts, vs, *rest)
+        built.append((ts, vs, df))
+        return df
+
+    with unittest.mock.patch.object(pickands, "_pwl", spy):
+        corpus = dependence_corpus(n, seed)
+    members = {id(df) for df in corpus if df.family == "piecewise_linear"}
+    assert members <= {id(df) for *_, df in built}
+    t = np.linspace(0.0, 1.0, 1025)
+    for ts, vs, df in built:
+        assert np.isfinite(ts).all() and np.isfinite(vs).all() and (ts[1:] > ts[:-1]).all(), (ts, vs)
+        assert pickands._structural_report(ts, vs).valid, (ts, vs)
+        checked = piecewise_linear_dependence(df.params["knots"])
+        assert checked.params["knots"] == df.params["knots"] == tuple(zip(ts.tolist(), vs.tolist()))
+        assert checked.split_points == df.split_points, (ts, vs)
+        assert _same_bits(checked.eval_fn(t), df.eval_fn(t)), (ts, vs)
+        for side in ("left", "right"):
+            assert _same_bits(checked.deriv_fn(t, side), df.deriv_fn(t, side)), (ts, vs, side)
+    return len(built)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corpus_members_skip_only_checks_their_knots_pass(seed):
+    assert check_corpus_skips_only_passed_checks(500, seed) > 100
 
 
 def _bits(*xs):
@@ -1723,6 +1799,24 @@ def test_phi_table_keeps_curved_panels_and_the_ends_of_linear_ones():
             assert linear == len(df.split_points) + 1, df
         if any(df is g for g in gumbels):
             assert linear == 0, df
+
+
+def test_phi_table_nodes_are_the_bits_of_linspace():
+    # mo(1e-322, 1) has a first panel 1e-322 wide, whose step a width / 63 underflows to 0
+    builds = [mo_dependence(0.3, 0.8), mo_dependence(1e-322, 1.0), pareto_dependence(0.3, 0.2)]
+    gumbels = [gumbel_dependence(theta) for theta in (1.03, 1.5, 2.0, 50.0)]
+    for df in [*builds, *gumbels, *dependence_corpus(200, 13)]:
+        seen = []
+
+        def eval_fn(t, real=df.eval_fn):
+            seen.append(t.copy())
+            return real(t)
+
+        with np.errstate(divide="ignore"):  # m = -ln 0 = inf on a piece where A = t
+            montecarlo._phi_table(dataclasses.replace(df, eval_fn=eval_fn))
+        (nodes,) = seen
+        want = np.linspace(df.edges[:-1], df.edges[1:], montecarlo._PANEL_NODES, axis=-1).ravel()
+        assert _same_bits(nodes, want), df
 
 
 LINEAR_CASES = ("mo(1e-13,0.5)", "mo(1-1e-13,0.5)", "tangent(0.6,0.4-1e-13)", "mix(corpus_pwl,mo(0.3,0.8))")
