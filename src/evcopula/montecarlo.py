@@ -336,8 +336,12 @@ def _ties(x: np.ndarray) -> tuple:
     mean, are in the order of ``x``; -0.0 ties with 0.0.  The ends are the
     first and last items of the sorted copy: the minimum and the maximum,
     unless ``x`` holds NaN, which sorts last, so the last end is NaN (and
-    every other statistic is meaningless).  The sort order, the sorted copy
-    and the run starts are freed as soon as they are used, so the call
+    every other statistic is meaningless).  When every item starts a run,
+    there are no ties (a NaN equals no neighbour, so it takes this path
+    too): the run numbers are the inverse of the sort order, one scatter,
+    and the ranks are (run + 1) / (n + 1), the correctly rounded value of
+    the run formula's (2 s + 2) / (2 n + 2).  The sort order, the sorted
+    copy and the run starts are freed as soon as they are used, so the call
     holds at most about 2.5 arrays of n doubles beyond a contiguous ``x``.
     """
     n = len(x)
@@ -347,9 +351,16 @@ def _ties(x: np.ndarray) -> tuple:
     ends = xs[0], xs[-1]
     starts = _run_starts(xs)
     del xs
-    sorted_run = np.cumsum(starts, dtype=np.int32 if n < 2**31 else np.int64)
+    dtype = np.int32 if n < 2**31 else np.int64
+    run = np.empty(n, dtype=dtype)
+    if starts.all():
+        run[order] = np.arange(n, dtype=dtype)
+        del order, starts
+        rank = run + 1.0
+        rank /= n + 1
+        return median, run, rank, 0, ends
+    sorted_run = np.cumsum(starts, dtype=dtype)
     sorted_run -= 1
-    run = np.empty_like(sorted_run)
     run[order] = sorted_run
     del order, sorted_run
     first = np.flatnonzero(starts)
@@ -373,27 +384,48 @@ def _inversions(w: np.ndarray) -> int:
 
     Knight's (1966) merge count, one merge level at a time; the dtype of
     ``w`` must hold 2 len(w) + 1.  ``w`` is copied into a power-of-two
-    length (at least ``_INV_BLOCK``), padded with len(w), which adds no
-    inversion, and every later step works in place in that copy.  Pairs
-    inside each block of ``_INV_BLOCK`` are compared one offset at a time.
-    Then each level pairs all sorted halves of ``width`` at once: keys are
-    2 w plus a tag bit that is 1 in right halves, so a right item sorts
-    after the left items equal to it; the rows of 2 ``width`` keys are
-    sorted, and a right item at position p in its row, with k right items
-    before it, is below ``width - (p - k)`` left items.  The positions are
-    summed over blocks of at most ``_TAG_BLOCK`` keys, whole rows or part
-    of one, so no level makes an array as long as a row of the top one.
+    length ``size`` (at least ``_INV_BLOCK``), padded with len(w), which
+    adds no inversion, and every later step works in place in that copy.
+    Pairs inside each block of ``_INV_BLOCK`` are compared one offset at a
+    time.  Then each level pairs all sorted halves of ``width`` at once:
+    the rows of 2 ``width`` keys are sorted, a right item sorting after the
+    left items equal to it, and a right item at position p in its row, with
+    k right items before it, is below ``width - (p - k)`` left items.  Up
+    to ``_TAG_BLOCK`` keys, an item's key is ``w * size`` plus its position
+    in the copy, in int32: a sort within rows keeps the position bits above
+    the row, so the right items of a level are those with position bit
+    ``width``, and one dot of that bit with the positions sums their p.
+    Above that, keys are 2 w plus a tag bit set in right halves at each
+    level, and the positions are summed over blocks of ``_TAG_BLOCK`` keys,
+    whole rows or part of one, so no level makes an array as long as a row
+    of the top one.
     """
     n = len(w)
     size = max(_INV_BLOCK, 1 << (n - 1).bit_length())
-    keys = np.full(size, n, dtype=w.dtype)
+    small = size <= _TAG_BLOCK  # then every key is below size**2 <= 2**30
+    keys = np.full(size, n, dtype=np.int32 if small else w.dtype)
     keys[:n] = w
+    if small:
+        keys *= size
+        keys += np.arange(size, dtype=np.int32)
     rows = keys.reshape(-1, _INV_BLOCK)
     inv = sum(int(np.count_nonzero(rows[:, :-d] > rows[:, d:])) for d in range(1, _INV_BLOCK))
     rows.sort(axis=1)
-    keys *= 2
     width = _INV_BLOCK
-    block = min(size, _TAG_BLOCK)
+    if small:
+        positions = np.arange(size, dtype=np.int32)  # a sum of distinct positions is below 2**29
+        while width < size:
+            keys.reshape(-1, 2 * width).sort(axis=1)
+            tags = keys >> (width.bit_length() - 1)
+            tags &= 1
+            count = size // (2 * width)
+            # a right item at position i of the copy is at p = i - 2 width r in its row r
+            p_sum = int(tags @ positions) - width * width * count * (count - 1)
+            inv += count * (width * width + width * (width - 1) // 2) - p_sum
+            width *= 2
+        return inv
+    keys *= 2
+    block = _TAG_BLOCK
     offsets = np.arange(block)
     while width < size:
         rows = keys.reshape(-1, 2 * width)
@@ -507,12 +539,15 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     ends) and a NaN (a NaN last end).  The tail estimate uses the diagonal
     law of EV copulas: ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with
     the empirical copula C_n on normalized ranks, the share of pairs whose
-    larger rank is at most t, summarized at the largest threshold.  Rho and
-    beta divide sums by n, as ``np.mean`` does.  The working memory is at
-    most 8 arrays of n doubles beyond the batch: the ranks are freed before
-    Kendall's keys are built.  Coordinates may be +-inf, which rank like
-    any other value.  Fewer than 10 pairs, then a constant coordinate, then
-    a bad threshold, then a NaN raise, in that order.
+    larger rank is at most t, summarized at the largest threshold; each
+    estimate is a Python float clamped to [0, 1].  Rho and beta divide sums
+    by n, as ``np.mean`` does.  A coordinate without ties skips the
+    bookkeeping of runs: its run numbers are the inverse of its sort order.
+    The working memory is at most 8 arrays of n doubles beyond the batch:
+    the ranks are freed before Kendall's keys are built.  Coordinates may
+    be +-inf, which rank like any other value.  Fewer than 10 pairs, then a
+    constant coordinate, then a bad threshold, then a NaN raise, in that
+    order.
     """
     u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
@@ -530,7 +565,7 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     for t in sorted(thresholds):
         cn = np.count_nonzero(both <= t) / n
         est = 0.0 if cn <= 0.0 else 2.0 - np.log(cn) / np.log(t)
-        lams.append((t, float(np.clip(est, 0.0, 1.0))))
+        lams.append((t, min(max(float(est), 0.0), 1.0)))
     del both
     pu *= pv
     rho_hat = 12.0 * (float(pu.sum()) / n) - 3.0

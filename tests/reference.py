@@ -23,9 +23,10 @@ were cut down, kept so that ``test_oracles`` can hold the new paths to
 their bits: the split-point check that ran ``check_real`` on each point,
 the knot builders that ran ``np.union1d``, ``np.unique`` and
 ``np.diff(prepend=...)``, the sampler table that built one
-``np.linspace`` per panel, and the inversion that ran secant steps in
-every cell, linear or not.  ``read_pairs_loadtxt`` is the pair reader
-that handed every non-blank line to ``np.loadtxt``.
+``np.linspace`` per panel, the inversion that ran secant steps in every
+cell, linear or not, and the one-sort rank step that built ranks from the
+runs of ties whether or not there were any.  ``read_pairs_loadtxt`` is
+the pair reader that handed every non-blank line to ``np.loadtxt``.
 """
 
 import itertools
@@ -36,8 +37,8 @@ import numpy as np
 
 from evcopula import DegenerateSampleError, DependenceFunction, ParamOutOfRangeError, SampleBatch, ValidationReport
 from evcopula.errors import check_int, check_pair, check_real, check_split_points, check_unit_interval
-from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m
-from evcopula.numerics import _integrate_many
+from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _median, _phi, _psi_m, _tied_pairs
+from evcopula.numerics import _integrate_many, _run_starts
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
 from evcopula.pickands import _bulge, _tangent, check_lambda, lambda_upper
 
@@ -345,6 +346,30 @@ def retired_invert(df, table, x, e):
             arr[keep] for arr in (idx, a, b, c0, f0, c1, f1, x, e, tol, mark)
         )
     return out
+
+
+def retired_ties(x: np.ndarray) -> tuple:
+    """The one-sort rank step as it was: median, run numbers, ranks, tied pairs and ends, all from the runs."""
+    n = len(x)
+    order = np.argsort(x)
+    xs = x[order]
+    median = _median(xs)
+    ends = xs[0], xs[-1]
+    starts = _run_starts(xs)
+    del xs
+    sorted_run = np.cumsum(starts, dtype=np.int32 if n < 2**31 else np.int64)
+    sorted_run -= 1
+    run = np.empty_like(sorted_run)
+    run[order] = sorted_run
+    del order, sorted_run
+    first = np.flatnonzero(starts)
+    tied = _tied_pairs(first, n)
+    rank = first + 1.0
+    rank[:-1] += first[1:]
+    rank[-1] += n
+    del first
+    rank /= 2 * (n + 1)
+    return median, run, rank[run], tied, ends
 
 
 def read_pairs_loadtxt(stream) -> SampleBatch:

@@ -705,13 +705,46 @@ def test_empirical_matches_retired_at_block_and_level_edges(ties):
             _assert_matches_retired(u, v)
 
 
+def _assert_ties_match_retired(x, tied):
+    median, run, rank, pairs, ends = montecarlo._ties(x)
+    want = reference.retired_ties(x)
+    assert np.float64(median).tobytes() == np.float64(want[0]).tobytes(), len(x)
+    assert run.dtype == want[1].dtype and np.array_equal(run, want[1]), len(x)
+    assert rank.tobytes() == want[2].tobytes(), len(x)
+    assert pairs == want[3] == tied, len(x)
+    assert np.array(ends).tobytes() == np.array(want[4]).tobytes(), len(x)
+
+
+def test_ties_match_retired_with_and_without_ties():
+    # without ties, _ties takes its runs from the inverse of the sort order: a NaN equals
+    # no neighbour, so it takes that path too; one tie, -0.0 with 0.0 included, takes the run path
+    for i, n in enumerate((1, 2, 10, 2000, 2**15 + 1)):
+        x = make_rng(49, i).random(n)
+        assert len(np.unique(x)) == n and not (x == 0.0).any()
+        _assert_ties_match_retired(x, 0)
+        special = x.copy()
+        special[:3] = (np.inf, -0.0, -np.inf)[:n]
+        _assert_ties_match_retired(special, 0)
+        special[n // 2] = np.nan
+        _assert_ties_match_retired(special, 0)
+        if n > 1:
+            for pair in ((x[0], x[0]), (-0.0, 0.0)):
+                tied = x.copy()
+                tied[0], tied[-1] = pair
+                _assert_ties_match_retired(tied, 1)
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_inversion_count_matches_retired_in_both_key_dtypes(dtype):
     # Kendall counts on int32 keys below 2**30 pairs and on int64 keys above
-    # 65537 keys pad to 2**17: the top rows span several blocks of _TAG_BLOCK keys
-    for i, n in enumerate((2, 7, 8, 9, 100, 4097, 65537)):
+    # 65537 keys pad to 2**17: the top rows span several blocks of _TAG_BLOCK keys;
+    # up to 2**15 keys (n <= 32768) the keys are w * size + position, above it 2 w + tag
+    for i, n in enumerate((2, 7, 8, 9, 100, 4097, 65537, 32767, 32768, 32769)):
         w = make_rng(46, i).integers(0, n, n)
         assert montecarlo._inversions(w.astype(dtype)) == count_strict_inversions(w), n
+    # the reversed permutation at 2**15 keys holds the largest value, n - 1, at position 0
+    w = np.arange(32768)[::-1]
+    assert montecarlo._inversions(w.astype(dtype)) == count_strict_inversions(w) == 32768 * 32767 // 2
 
 
 def test_inversion_count_holds_its_copy_and_two_blocks():
@@ -725,6 +758,34 @@ def test_inversion_count_holds_its_copy_and_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**18 + 4 * 8 * montecarlo._TAG_BLOCK, peak
+
+
+def test_lambda_hat_values_are_python_floats_equal_to_retired():
+    # repr shows np.float64(...) for a numpy scalar, so the type of each value is part of the output
+    rng = make_rng(48)
+    x, y = rng.random(199), rng.random(200)
+    mo = sample_mo(0.5, 0.5, 2000, 3)
+    cases = (
+        (x, x, (0.9, 0.95, 0.99), 1.0),  # C_n(t, t) > t: the estimate, above 1, clamps at 1.0
+        (y, rng.random(200), (0.99,), 0.0),  # C_n(t, t) < t**2: the estimate, below 0, clamps at 0.0
+        (y, -y, (0.3,), 0.0),  # no pair has both ranks at most 0.3: C_n(t, t) = 0
+        (mo.u, mo.v, (0.9, 0.95, 0.99), None),  # inside (0, 1), no clamp
+    )
+    for u, v, thresholds, clamped in cases:
+        pu, pv = average_ranks(u) / (len(u) + 1), average_ranks(v) / (len(v) + 1)
+        batch = SampleBatch(u, v, 0, "manual")
+        got = empirical_coefficients(batch, thresholds)
+        want = retired_empirical(batch, thresholds)
+        for (t, lam), (_, ref) in zip(got.lambda_hat, want.lambda_hat):
+            cn = float(np.mean((pu <= t) & (pv <= t)))
+            raw = 0.0 if cn == 0.0 else 2.0 - math.log(cn) / math.log(t)
+            if clamped is None:
+                assert 0.0 < raw < 1.0, (t, raw)
+            else:
+                assert lam == clamped and (raw > 1.0 if clamped else cn == 0.0 or raw < 0.0), (t, raw)
+            assert type(lam) is float and lam == ref, (t, lam, ref)
+        assert type(got.lambda_summary) is float and got.lambda_summary == want.lambda_summary
+        assert repr(got) == repr(want)
 
 
 @pytest.fixture(scope="module")
