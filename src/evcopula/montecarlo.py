@@ -322,32 +322,25 @@ def _tied_pairs(first: np.ndarray, n: int) -> int:
     return (int(counts @ counts) + last * last - n) // 2  # sum of c (c - 1) / 2 over run lengths c
 
 
-def _median(xs: np.ndarray) -> float:
-    """Median of the sorted ``xs``, the same float as ``np.median``."""
-    h = len(xs) // 2
-    return xs[h] if len(xs) % 2 else (xs[h - 1] + xs[h]) / 2.0
-
-
 def _ties(x: np.ndarray) -> tuple:
-    """One sort of ``x``: its median, each item's run of ties, its rank over n + 1, the tied pairs and the ends.
+    """One sort of ``x``: its middle runs, each item's run of ties, its rank over n + 1, the tied pairs and the ends.
 
     Runs are numbered 0, 1, ... in sorted order.  The run numbers (int32
     below 2**31 items) and the 1-based ranks, tied items sharing their
-    mean, are in the order of ``x``; -0.0 ties with 0.0.  The ends are the
-    first and last items of the sorted copy: the minimum and the maximum,
-    unless ``x`` holds NaN, which sorts last, so the last end is NaN (and
-    every other statistic is meaningless).  When every item starts a run,
-    there are no ties (a NaN equals no neighbour, so it takes this path
-    too): the run numbers are the inverse of the sort order, one scatter,
-    and the ranks are (run + 1) / (n + 1), the correctly rounded value of
-    the run formula's (2 s + 2) / (2 n + 2).  The sort order, the sorted
-    copy and the run starts are freed as soon as they are used, so the call
-    holds at most about 2.5 arrays of n doubles beyond a contiguous ``x``.
+    mean, are in the order of ``x``; -0.0 ties with 0.0.  The middle runs
+    hold sorted positions (n - 1) // 2 and n // 2.  The ends are the first
+    and last items of the sorted copy: the minimum and the maximum, unless
+    ``x`` holds NaN, which sorts last, so the last end is NaN.  When every
+    item starts a run, there are no ties (a NaN equals no neighbour, so it
+    takes this path too): the run numbers are the inverse of the sort order
+    and the ranks (run + 1) / (n + 1), the correctly rounded value of the
+    run formula's (2 s + 2) / (2 n + 2).  The sort order, sorted copy and
+    run starts are freed once used, so the call holds at most about 2.5
+    arrays of n doubles beyond a contiguous ``x``.
     """
     n = len(x)
     order = np.argsort(x)
     xs = x[order]
-    median = _median(xs)
     ends = xs[0], xs[-1]
     starts = _run_starts(xs)
     del xs
@@ -358,9 +351,10 @@ def _ties(x: np.ndarray) -> tuple:
         del order, starts
         rank = run + 1.0
         rank /= n + 1
-        return median, run, rank, 0, ends
+        return ((n - 1) // 2, n // 2), run, rank, 0, ends
     sorted_run = np.cumsum(starts, dtype=dtype)
     sorted_run -= 1
+    middle = int(sorted_run[(n - 1) // 2]), int(sorted_run[n // 2])
     run[order] = sorted_run
     del order, sorted_run
     first = np.flatnonzero(starts)
@@ -372,7 +366,7 @@ def _ties(x: np.ndarray) -> tuple:
     rank[-1] += n
     del first
     rank /= 2 * (n + 1)
-    return median, run, rank[run], tied, ends
+    return middle, run, rank[run], tied, ends
 
 
 _INV_BLOCK = 8  # pairs inside blocks this wide are compared directly
@@ -406,14 +400,14 @@ def _inversions(w: np.ndarray) -> int:
     keys = np.full(size, n, dtype=np.int32 if small else w.dtype)
     keys[:n] = w
     if small:
+        positions = np.arange(size, dtype=np.int32)  # a sum of distinct positions is below 2**29
         keys *= size
-        keys += np.arange(size, dtype=np.int32)
+        keys += positions
     rows = keys.reshape(-1, _INV_BLOCK)
     inv = sum(int(np.count_nonzero(rows[:, :-d] > rows[:, d:])) for d in range(1, _INV_BLOCK))
     rows.sort(axis=1)
     width = _INV_BLOCK
     if small:
-        positions = np.arange(size, dtype=np.int32)  # a sum of distinct positions is below 2**29
         while width < size:
             keys.reshape(-1, 2 * width).sort(axis=1)
             tags = keys >> (width.bit_length() - 1)
@@ -533,28 +527,29 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     """Rank-based rho, tau-a, Blomqvist beta, and tail estimates.
 
     One sort of each coordinate (:func:`_ties`) serves every statistic: the
-    average ranks for rho and the tail estimates, the medians for beta, the
-    run numbers and tied pairs from which :func:`_tau_a` counts tau, and
-    the ends of the sorted copies, which tell a constant coordinate (equal
-    ends) and a NaN (a NaN last end).  The tail estimate uses the diagonal
-    law of EV copulas: ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with
-    the empirical copula C_n on normalized ranks, the share of pairs whose
-    larger rank is at most t, summarized at the largest threshold; each
-    estimate is a Python float clamped to [0, 1].  Rho and beta divide sums
-    by n, as ``np.mean`` does.  A coordinate without ties skips the
-    bookkeeping of runs: its run numbers are the inverse of its sort order.
-    The working memory is at most 8 arrays of n doubles beyond the batch:
-    the ranks are freed before Kendall's keys are built.  Coordinates may
-    be +-inf, which rank like any other value.  Fewer than 10 pairs, then a
-    constant coordinate, then a bad threshold, then a NaN raise, in that
-    order.
+    average ranks for rho and the tail estimates, the middle runs for beta
+    (an item is above the median if its run follows the lower one, below it
+    if its run precedes the upper one), the run numbers and tied pairs from
+    which :func:`_tau_a` counts tau, and the ends of the sorted copies,
+    which tell a constant coordinate (equal ends) and a NaN (a NaN last
+    end).  The tail estimate uses the diagonal law of EV copulas:
+    ``lambda_hat(t) = 2 - ln(C_n(t, t)) / ln(t)`` with the empirical copula
+    C_n on normalized ranks, the share of pairs whose larger rank is at
+    most t, summarized at the largest threshold; each estimate is a Python
+    float clamped to [0, 1].  Rho and beta divide sums by n, as ``np.mean``
+    does.  A coordinate without ties skips the bookkeeping of runs: its run
+    numbers are the inverse of its sort order.  The working memory is at
+    most 8 arrays of n doubles beyond the batch: the ranks are freed before
+    Kendall's keys are built.  Coordinates may be +-inf, which rank like
+    any other value.  Fewer than 10 pairs, then a constant coordinate, then
+    a bad threshold, then a NaN raise, in that order.
     """
     u, v = check_type(batch, SampleBatch, "batch").u, batch.v
     n = batch.n
     if n < 10:
         raise DegenerateSampleError(f"need at least 10 pairs, got {n}")
-    median_u, run_u, pu, tied_u, (first_u, last_u) = _ties(u)
-    median_v, run_v, pv, tied_v, (first_v, last_v) = _ties(v)
+    (lo_u, hi_u), run_u, pu, tied_u, (first_u, last_u) = _ties(u)
+    (lo_v, hi_v), run_v, pv, tied_v, (first_v, last_v) = _ties(v)
     if first_u == last_u or first_v == last_v:  # a NaN end, sorted last, is not equal
         raise DegenerateSampleError("all values identical in one coordinate")
     thresholds = check_thresholds(lambda_thresholds)
@@ -570,10 +565,8 @@ def empirical_coefficients(batch: SampleBatch, lambda_thresholds=(0.9, 0.95, 0.9
     pu *= pv
     rho_hat = 12.0 * (float(pu.sum()) / n) - 3.0
     del pu, pv  # the ranks are done with: free them before Kendall's keys
-    # the sign of (u - median_u)(v - median_v) by comparisons: the differences read
-    # inf - inf = NaN at an inf median, and their product can overflow or underflow to 0
-    sign = (u > median_u).view(np.int8) - (u < median_u).view(np.int8)
-    sign *= (v > median_v).view(np.int8) - (v < median_v).view(np.int8)
+    sign = (run_u > lo_u).view(np.int8) - (run_u < hi_u).view(np.int8)
+    sign *= (run_v > lo_v).view(np.int8) - (run_v < hi_v).view(np.int8)
     beta_hat = int(sign.sum()) / n
     del sign
     tau_hat = _tau_a(run_u, run_v, tied_u, tied_v)

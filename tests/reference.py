@@ -11,7 +11,8 @@ oracle for the family and property tests; the package itself validates
 only piecewise-linear knots, exactly.  The survival transform, the
 diagonal exponent, the classical rho-tau region and the Blomqvist <->
 lambda conversion are closed forms of the copula literature, tested here
-against known values.
+against known values.  ``beta_by_ranks`` is the sample Blomqvist beta
+from sorted positions alone, the oracle of the estimator's beta.
 
 ``exact_piece_slopes`` is the slope of each piece of an MO or tangent
 build, from its parameters in exact arithmetic.  ``pwl_rho_tau`` is rho
@@ -37,7 +38,7 @@ import numpy as np
 
 from evcopula import DegenerateSampleError, DependenceFunction, ParamOutOfRangeError, SampleBatch, ValidationReport
 from evcopula.errors import check_int, check_pair, check_real, check_split_points, check_unit_interval
-from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _median, _phi, _psi_m, _tied_pairs
+from evcopula.montecarlo import _PANEL_NODES, _V_RESOLUTION, _phi, _psi_m, _tied_pairs
 from evcopula.numerics import _integrate_many, _run_starts
 from evcopula.pickands import _CHECK_TOL as _KNOT_TOL
 from evcopula.pickands import _bulge, _tangent, check_lambda, lambda_upper
@@ -112,6 +113,31 @@ def blomqvist_from_lambda(lam: float) -> float:
 def lambda_from_blomqvist(beta: float) -> float:
     """Tail coefficient from Blomqvist beta: ``log2(1 + beta)``."""
     return float(np.log2(1.0 + check_real(beta, "beta", 0.0, 1.0)))
+
+
+def beta_by_ranks(u, v) -> float:
+    """Sample Blomqvist beta from sorted positions alone, one Python loop over the runs of ties.
+
+    Of n sorted items, a run of equal items at positions [s, e) lies above
+    the median if s > (n - 1) / 2, below it if e - 1 < (n - 1) / 2, and on
+    it otherwise; beta is the mean over pairs of the product of the sides.
+    """
+    n = len(u)
+    mid = (n - 1) / 2
+
+    def sides(x):
+        order = np.argsort(x, kind="stable")
+        side = np.zeros(n, dtype=np.int64)
+        s = 0
+        while s < n:
+            e = s + 1
+            while e < n and x[order[e]] == x[order[s]]:
+                e += 1
+            side[order[s:e]] = 1 if s > mid else -1 if e - 1 < mid else 0
+            s = e
+        return side
+
+    return int(sides(np.asarray(u, dtype=float)) @ sides(np.asarray(v, dtype=float))) / n
 
 
 def exact_piece_slopes(df) -> np.ndarray:
@@ -349,11 +375,12 @@ def retired_invert(df, table, x, e):
 
 
 def retired_ties(x: np.ndarray) -> tuple:
-    """The one-sort rank step as it was: median, run numbers, ranks, tied pairs and ends, all from the runs."""
+    """The one-sort rank step as it was: float median, run numbers, ranks, tied pairs and ends, all from the runs."""
     n = len(x)
     order = np.argsort(x)
     xs = x[order]
-    median = _median(xs)
+    h = n // 2
+    median = xs[h] if n % 2 else (xs[h - 1] + xs[h]) / 2.0
     ends = xs[0], xs[-1]
     starts = _run_starts(xs)
     del xs

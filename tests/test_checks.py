@@ -7,7 +7,10 @@ entry points: each either returns a finite result or raises
 one check of (u, v) arrays.  One table of hostile arrays runs against
 every public entry point that takes t, u, v, a sample or knots, and
 :func:`test_every_public_callable_has_a_row` fails when a public callable
-has a row in none of the tables.
+has a row in none of the tables.  Mixes of extreme values (+-inf, +-0,
++-1e308, subnormals, NaN), empty arrays and mismatched lengths go to the
+estimators, ``SampleBatch`` and ``EvCopula.__call__``: each returns
+finite values in range or raises, and no numpy warning is emitted.
 """
 
 import contextlib
@@ -411,6 +414,51 @@ _POINTWISE = list(_ARRAY_ENTRY_POINTS)[:6]  # the entries that take t, u or v
 def test_hostile_array_rejected(name, entry):
     with pytest.raises(EvCopulaError):
         _ARRAY_ENTRY_POINTS[entry](*_HOSTILE_ARRAYS[name])
+
+
+_EXTREMES = (np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0)
+_MO_COPULA = copula_from_pickands(_MO)
+
+
+def _in_range(out, lo, hi) -> bool:
+    return bool(np.all((lo <= np.asarray(out)) & (np.asarray(out) <= hi)))
+
+
+# name: (call on u and v, whether its output is in range)
+_MIX_CALLS = {
+    "kendall_tau_stat": (kendall_tau_stat, lambda tau: _in_range(tau, -1.0, 1.0)),
+    "empirical_coefficients": (
+        lambda u, v: empirical_coefficients(SampleBatch(u, v, 0, "manual")),
+        lambda est: _in_range([est.rho_hat, est.tau_hat, est.beta_hat], -1.0, 1.0)
+        and _in_range([lam for _, lam in est.lambda_hat], 0.0, 1.0),
+    ),
+    "ks_statistic_uniform": (lambda u, v: ks_statistic_uniform(u), lambda d: _in_range(d, 0.0, 1.0)),
+    "SampleBatch": (lambda u, v: SampleBatch(u, v, 0, "manual"), lambda batch: batch.n == len(batch.v)),
+    "EvCopula.__call__ (Gumbel)": (_GUMBEL, lambda c: _in_range(c, 0.0, 1.0)),
+    "EvCopula.__call__ (MO)": (_MO_COPULA, lambda c: _in_range(c, 0.0, 1.0)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_extreme_array_mixes_finite_in_range_or_evcopula_error(data):
+    # +-inf, +-0, +-1e308, subnormals and NaN, empty or of two lengths: no warning, and
+    # each call returns finite values in range or raises EvCopulaError
+    n = data.draw(st.integers(0, 14))
+    m = data.draw(st.just(n) | st.integers(0, 14))
+    extremes = _EXTREMES + (np.nan,) * data.draw(st.booleans())
+    items = st.sampled_from(extremes) | st.floats(0.0, 1.0)
+    u, v = (data.draw(st.lists(items, min_size=k, max_size=k)) for k in (n, m))
+    for name, (call, in_range) in _MIX_CALLS.items():
+        try:
+            out = call(np.array(u), np.array(v))
+        except EvCopulaError:
+            continue
+        if name == "SampleBatch":
+            assert in_range(out), (name, u, v)
+        else:
+            assert _finite(out) and in_range(out), (name, u, v, out)
 
 
 @pytest.mark.parametrize(

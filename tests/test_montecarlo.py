@@ -24,6 +24,7 @@ from evcopula import (
     write_batch_csv,
 )
 from evcopula.rng import make_rng
+from reference import beta_by_ranks
 from test_oracles import kendall_tau_direct
 
 
@@ -134,6 +135,11 @@ class TestKendallStatistic:
         assert kendall_tau_stat(x, x) == 1.0
         assert kendall_tau_stat(x, -x) == -1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_pair_without_warning(self):
+        # tau reads ranks alone: a float median of u's middle pair would add inf and -inf
+        assert kendall_tau_stat([np.inf, -np.inf], [0.0, 1.0]) == -1.0
+
     def test_matches_scipy_kendalltau(self):
         stats = pytest.importorskip("scipy.stats")
         for seed in range(5):
@@ -230,6 +236,29 @@ class TestEmpiricalCoefficients:
         est = empirical_coefficients(SampleBatch(u, v, 0, "manual"))
         assert est == empirical_coefficients(SampleBatch(np.minimum(u, 2.0), v, 0, "manual"))
         assert math.isfinite(est.beta_hat)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "u, beta",
+        [
+            # the float mean of the middle pair is NaN, -inf, inf, inf, or one of the pair: a median
+            # compared with the values read beta 0.0, 0.5, 0.9, 0.9, 0.9 and 0.9 for u = v
+            ([-np.inf] * 5 + [np.inf] * 5, 1.0),
+            ([-np.inf] * 5 + [1.0, 2.0, 3.0, 4.0, 5.0], 1.0),
+            ([1.0, 2.0, 3.0, 4.0, 1e308, 1.5e308, 1.6e308, 1.7e308, 1.75e308, np.inf], 1.0),
+            ([1.0, 2.0, 3.0, 4.0, 1e308, 1e308, 1.6e308, 1.7e308, 1.75e308, np.inf], 0.8),
+            ([-3.0, -2.0, -1.0, 0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 3.0, 4.0, 5.0], 1.0),
+            ([-3.0, -2.0, -1.0, 0.0, 5e-324, 1e-323, 1.0, 2.0, 3.0, 4.0], 1.0),
+        ],
+        ids=["(-inf, inf)", "(-inf, 1)", "(1e308, 1.5e308)", "(1e308, 1e308)", "(1, 1 + ulp)", "(5e-324, 1e-323)"],
+    )
+    def test_beta_of_monotone_samples_at_any_middle_pair(self, u, beta):
+        # above the middle pair an item is above the median, below it below; the two items
+        # of a tied middle pair are on it, so a comonotone 10-sample then reads 8 / 10
+        u = np.array(u)[make_rng(34).permutation(10)]
+        assert empirical_coefficients(SampleBatch(u, u, 0, "manual")).beta_hat == beta
+        assert empirical_coefficients(SampleBatch(u, -u, 0, "manual")).beta_hat == -beta
+        assert beta_by_ranks(u, u) == beta and beta_by_ranks(u, -u) == -beta
 
     @pytest.mark.parametrize("scale", [2.0**-560, 2.0**560], ids=["2**-560", "2**560"])
     def test_exact_scaling_leaves_estimates_unchanged(self, scale):

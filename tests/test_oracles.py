@@ -12,9 +12,11 @@ every newline mode, each field it reads against ``float`` bit for bit,
 also next to rounding midpoints, Kendall's tau against ``np.unique`` tie counts and an
 O(n^2) sign count, and ``empirical_coefficients`` against the estimator
 that sorted each coordinate for its ranks, lexsorted (u, v) and
-merge-counted block by block; on 2e5 pairs, both rank estimators must
-hold at most 8 arrays of n doubles beyond their input, and the reader at
-most 6.  The by-parts Kendall tau integral of
+merge-counted block by block; Blomqvist's beta must equal the rank
+oracle ``reference.beta_by_ranks`` on hostile samples, and the retired
+float-median beta wherever both medians are well defined; on 2e5 pairs,
+both rank estimators must hold at most 8 arrays of n doubles beyond
+their input, and the reader at most 6.  The by-parts Kendall tau integral of
 piecewise-linear dependence functions must match the retired sum of
 Stieltjes atoms at their kinks.  The t-space envelope check of
 ``verify_case`` must agree with the (u, v)-grid ``check_envelope`` it
@@ -706,9 +708,11 @@ def test_empirical_matches_retired_at_block_and_level_edges(ties):
 
 
 def _assert_ties_match_retired(x, tied):
-    median, run, rank, pairs, ends = montecarlo._ties(x)
+    middle, run, rank, pairs, ends = montecarlo._ties(x)
     want = reference.retired_ties(x)
-    assert np.float64(median).tobytes() == np.float64(want[0]).tobytes(), len(x)
+    sorted_run = np.sort(want[1])  # run numbers rise along the sorted copy
+    n = len(x)
+    assert middle == (sorted_run[(n - 1) // 2], sorted_run[n // 2]), n
     assert run.dtype == want[1].dtype and np.array_equal(run, want[1]), len(x)
     assert rank.tobytes() == want[2].tobytes(), len(x)
     assert pairs == want[3] == tied, len(x)
@@ -732,6 +736,65 @@ def test_ties_match_retired_with_and_without_ties():
                 tied = x.copy()
                 tied[0], tied[-1] = pair
                 _assert_ties_match_retired(tied, 1)
+
+
+_HOSTILE = (np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 1.5e308, 5e-324, 1e-323, 1.0, np.nextafter(1.0, 2.0))
+
+
+def _float_median_beta(u, v):
+    """Beta as it was: each value compared with the float median of ``retired_ties``, and whether both medians are well defined.
+
+    A median is well defined when it equals a tied middle pair or lies
+    strictly between a distinct one: not NaN, not an overflow to inf, and
+    not rounded onto an item of the pair.
+    """
+    sign = 1
+    defined = True
+    for x in (u, v):
+        with np.errstate(all="ignore"):
+            median = reference.retired_ties(x)[0]
+        xs = np.sort(x)
+        lo, hi = xs[(len(x) - 1) // 2], xs[len(x) // 2]
+        defined &= bool(lo == median == hi if lo == hi else lo < median < hi)
+        sign = sign * ((x > median).astype(int) - (x < median).astype(int))
+    return int(sign.sum()) / len(u), defined
+
+
+@st.composite
+def _hostile_coordinate(draw, n):
+    """n values: free draws of hostile values and uniforms, or a drawn hostile middle pair with values outside it."""
+    items = st.sampled_from(_HOSTILE) | st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(items, min_size=n, max_size=n)))
+    lo, hi = sorted(draw(st.lists(st.sampled_from(_HOSTILE), min_size=2, max_size=2)))
+    k = (n - 1) // 2  # the values below the pair in sorted order
+    below = draw(st.lists(st.sampled_from([x for x in _HOSTILE if x <= lo]), min_size=k, max_size=k))
+    above = draw(st.lists(st.sampled_from([x for x in _HOSTILE if x >= hi]), min_size=n - k - 2, max_size=n - k - 2))
+    return np.array(draw(st.permutations([*below, lo, hi, *above])))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_beta_reads_ranks_and_moves_only_where_the_float_median_was_ill_defined(data):
+    # tied, untied, +-inf, +-0, huge and subnormal values: beta is the rank oracle's, and the
+    # float-median beta wherever both medians are well defined
+    n = data.draw(st.integers(10, 16))
+    u, v = data.draw(_hostile_coordinate(n)), data.draw(_hostile_coordinate(n))
+    if u.min() == u.max() or v.min() == v.max():
+        return
+    batch = SampleBatch(u, v, 0, "manual")
+    beta = empirical_coefficients(batch).beta_hat
+    assert beta == reference.beta_by_ranks(u, v), (u, v)
+    old, defined = _float_median_beta(u, v)
+    if defined:
+        assert beta == old, (u, v)
+        # retired_empirical multiplies the differences from the medians: where no product
+        # is NaN (inf * 0) or underflows to 0, its sign is the comparisons' sign
+        with np.errstate(all="ignore"):
+            du, dv = u - np.median(u), v - np.median(v)
+            product = du * dv
+            exact = not np.isnan(product).any() and ((product != 0.0) | (du == 0.0) | (dv == 0.0)).all()
+            assert not exact or beta == retired_empirical(batch).beta_hat, (u, v)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
